@@ -19,6 +19,7 @@ from .cost import (
     cost_matrix,
     grad_x,
     grad_y,
+    marginal_terms,
     mixed_hessian,
     reduced_cost,
     reduced_cost_matrix,
@@ -42,15 +43,17 @@ from .measures import (
 from .rng import RngStream, rng_stream
 from .scenarios import ScenarioSpec, generate
 from .solver import (
+    METHODS,
     DualPotentials,
+    Solution,
     StabilityReport,
     TransportPlan,
     brute_force_small,
     check_stability,
     purity,
+    solve,
     solve_entropic,
     solve_exact,
-    solve_via_reduction,
     support_is_unique,
 )
 

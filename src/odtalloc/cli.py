@@ -25,12 +25,11 @@ from .analysis import (
     verify_nondegeneracy,
     verify_twist,
 )
-from .cost import cost_matrix, reduced_cost, reduced_cost_matrix
+from .cost import cost_matrix, reduced_cost
 from .errors import AllocationError, InvalidSpec, ParseError
 from .measures import (
     DiscreteMeasure,
     TaskSet,
-    index_pushforward,
     load_agents_csv,
     load_tasks_csv,
     write_agents_csv,
@@ -39,14 +38,12 @@ from .measures import (
 from .rng import rng_stream
 from .scenarios import ScenarioSpec, generate
 from .solver import (
+    METHODS,
     DualPotentials,
+    Solution,
     TransportPlan,
-    _reduced_parts,
     check_stability,
-    lift_reduced_duals,
-    solve_entropic,
-    solve_exact,
-    support_is_unique,
+    solve,
 )
 
 
@@ -139,27 +136,22 @@ def cmd_gen(args, argv) -> int:
 
 
 def _plan_json(
-    plan: TransportPlan,
-    objective: float,
-    duals: DualPotentials | None,
-    method: str,
-    unique: bool,
-    tasks: TaskSet,
-    agents: DiscreteMeasure,
+    solution: Solution, method: str, tasks: TaskSet, agents: DiscreteMeasure
 ) -> dict:
     task_ids = tasks.ids or tuple(str(i) for i in range(len(tasks)))
     agent_ids = agents.ids or tuple(str(j) for j in range(len(agents)))
+    duals = solution.duals
     return {
-        "objective": objective,
+        "objective": solution.objective,
         "entries": [
             {"task": task_ids[i], "agent": agent_ids[j], "mass": mass}
-            for i, j, mass in plan.entries
+            for i, j, mass in solution.plan.entries
         ],
         "duals": None
         if duals is None
         else {"u": duals.u.tolist(), "v": duals.v.tolist()},
         "method": method,
-        "unique": unique,
+        "unique": solution.unique,
     }
 
 
@@ -184,51 +176,24 @@ def _write_plot_csv(path, plan, tasks, agents) -> None:
 
 
 def cmd_solve(args, argv) -> int:
+    if args.epsilon is not None and not 0.0 < args.epsilon < float("inf"):
+        raise _UsageFailure(f"--epsilon must be positive and finite, got {args.epsilon!r}")
     timings = {}
     start = time.perf_counter()
     tasks, agents = _load_inputs(args)
     timings["load_ms"] = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
-    full_cost = cost_matrix(tasks, agents)
-    if args.method == "exact":
-        plan, duals = solve_exact(full_cost, tasks.weights, agents.weights)
-        objective = plan.objective
-        unique = support_is_unique(full_cost, tasks.weights, agents.weights, plan)
-    elif args.method == "reduced":
-        plan, reduced_duals, constant = _reduced_parts(tasks, agents)
-        objective = constant + 2.0 * plan.objective
-        duals = lift_reduced_duals(tasks, agents, reduced_duals)
-        reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
-        unique = support_is_unique(reduced, tasks.weights, agents.weights, plan)
-    else:  # entropic
-        values = full_cost.values
-        spread = float(values.max() - values.min())
-        epsilon = args.epsilon if args.epsilon is not None else 1e-3 * max(spread, 1e-12)
-        if epsilon <= 0.0:
-            raise _UsageFailure("--epsilon must be positive")
-        plan = solve_entropic(
-            full_cost,
-            tasks.weights,
-            agents.weights,
-            epsilon=epsilon,
-            tol=args.tol,
-            max_iter=args.max_iter,
-        )
-        objective = plan.objective
-        duals = None
-        unique = False
+    solution = solve(tasks, agents, args.method, args.epsilon, args.tol, args.max_iter)
     timings["solve_ms"] = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        outdir / "plan.json",
-        _plan_json(plan, objective, duals, args.method, unique, tasks, agents),
-    )
-    _write_plot_csv(outdir / "plot.csv", plan, tasks, agents)
+    _write_json(outdir / "plan.json", _plan_json(solution, args.method, tasks, agents))
+    _write_plot_csv(outdir / "plot.csv", solution.plan, tasks, agents)
     if args.dump_cost:
+        full_cost = cost_matrix(tasks, agents)
         _write_json(
             Path(args.dump_cost),
             {
@@ -240,8 +205,8 @@ def cmd_solve(args, argv) -> int:
     timings["write_ms"] = (time.perf_counter() - start) * 1000.0
     _write_manifest(outdir, argv, [args.tasks, args.agents], None, args.method, timings)
     print(
-        f"wrote {outdir}/plan.json: method={args.method} objective={objective!r} "
-        f"entries={len(plan.entries)} unique={unique}"
+        f"wrote {outdir}/plan.json: method={args.method} objective={solution.objective!r} "
+        f"entries={len(solution.plan.entries)} unique={solution.unique}"
     )
     return 0
 
@@ -376,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance from CSV files")
     solve.add_argument("--tasks", required=True)
     solve.add_argument("--agents", required=True)
-    solve.add_argument("--method", choices=["exact", "entropic", "reduced"], default="exact")
+    solve.add_argument("--method", choices=METHODS, default="exact")
     solve.add_argument("--epsilon", type=float, default=None,
                        help="entropic regularization (default: 1e-3 x cost spread)")
     solve.add_argument("--tol", type=float, default=1e-8)
@@ -399,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tasks", default=None)
     verify.add_argument("--agents", default=None)
     verify.add_argument("--plan", default=None)
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--tol", type=float, default=1e-8,
+                        help="stability tolerance, relative: scaled by max(1, max|c_ij|)")
     verify.add_argument("--out", type=str, default=".")
     verify.set_defaults(func=cmd_verify)
     return parser

@@ -117,21 +117,28 @@ def reduced_cost_matrix(index_measure: DiscreteMeasure, agents: DiscreteMeasure)
     return CostMatrix(-(index_measure.points @ agents.points.T))
 
 
+def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal-only parts (alpha, beta) of the trip cost's split.
+
+    c_ij = alpha_i + beta_j + 2 c_hat_ij, with c_hat_ij = -(o_i + d_i) . y_j,
+    alpha_i = 2|o_i|^2 + 2|d_i|^2 - 2 o_i.d_i and beta_j = 2|y_j|^2.
+    """
+    o, d = tasks.origins, tasks.destinations
+    alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
+    beta = 2.0 * (agents.points**2).sum(axis=1)
+    return alpha, beta
+
+
 def reduction_constant(tasks: TaskSet, agents: DiscreteMeasure) -> float:
     """Marginal-only constant K linking the full and reduced objectives.
 
-    K = sum_j nu_j 2|y_j|^2 + sum_i mu_i (2|o_i|^2 + 2|d_i|^2 - 2 o_i.d_i);
+    K = sum_j nu_j beta_j + sum_i mu_i alpha_i (see ``marginal_terms``);
     for every coupling pi with these marginals, <c, pi> = K + 2 <c_hat, pi>.
     """
     if tasks.dim != agents.dim:
         raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
-    o, d = tasks.origins, tasks.destinations
-    agent_part = float(agents.weights @ (2.0 * (agents.points**2).sum(axis=1)))
-    task_part = float(
-        tasks.weights
-        @ (2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1))
-    )
-    return agent_part + task_part
+    alpha, beta = marginal_terms(tasks, agents)
+    return float(agents.weights @ beta) + float(tasks.weights @ alpha)
 
 
 @dataclass(frozen=True)
@@ -165,22 +172,6 @@ class DynamicsSpec:
         return self.A.shape[0]
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on a Taylor series of order 12."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    norm = np.abs(A).sum(axis=0).max()  # induced 1-norm
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    M = A / (2.0**squarings)
-    result = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for k in range(1, 13):
-        term = term @ M / k
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def wpd_gramian(spec: DynamicsSpec) -> tuple[np.ndarray, np.ndarray]:
     """State-transition matrix Phi over [t0, t1] and the controllability Gramian.
 
@@ -188,18 +179,20 @@ def wpd_gramian(spec: DynamicsSpec) -> tuple[np.ndarray, np.ndarray]:
     composite Simpson quadrature with ``spec.quadrature_steps`` panels; the
     result is symmetrized before the positive-definiteness check.
     """
+    from scipy.linalg import expm  # here, not at import: the CLI never needs scipy.linalg
+
     A, B = spec.A, spec.B
     steps = spec.quadrature_steps
     h = (spec.t1 - spec.t0) / steps
-    phi = expm(A * (spec.t1 - spec.t0))
+    step = expm(A * h)
 
     gramian = np.zeros_like(A)
-    for k in range(steps + 1):
-        tau = spec.t0 + k * h
-        transition = expm(A * (spec.t1 - tau))
+    transition = np.eye(A.shape[0])
+    for k in range(steps + 1):  # tau = t1 - k h: Phi(t1, tau) = step^k; weights symmetric in k
         integrand = transition @ B @ B.T @ transition.T
         weight = 1.0 if k in (0, steps) else (4.0 if k % 2 == 1 else 2.0)
         gramian += weight * integrand
+        phi, transition = transition, transition @ step
     gramian *= h / 3.0
     gramian = 0.5 * (gramian + gramian.T)
 

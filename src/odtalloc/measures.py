@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,21 +22,37 @@ EARTH_RADIUS_M = 6371000.0
 _SUM_TOL = 1e-12
 
 
-def normalize(weights) -> np.ndarray:
-    """Scale nonnegative weights so they sum to 1.
-
-    Raises NegativeWeight if any entry is negative and AllZero if no entry
-    is strictly positive.
-    """
-    w = np.asarray(weights, dtype=float).ravel()
+def _checked_total(w: np.ndarray) -> float:
+    """Sum of a weight vector that is non-empty, nonnegative, finite and not all zero."""
     if w.size == 0:
         raise AllZero("empty weight vector")
     if np.any(w < 0.0):
         raise NegativeWeight(f"negative weight at position {int(np.argmax(w < 0.0))}")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
+        total = float(w.sum())
+    if not np.isfinite(total):
+        raise ParseError(f"weights sum to {total!r}: a weight is nan or inf, or the sum overflows")
     if total <= 0.0:
         raise AllZero("all weights are zero")
-    return w / total
+    return total
+
+
+def _check_ids(ids, count: int) -> None:
+    if ids is not None and len(ids) != count:
+        raise DimensionMismatch(f"{len(ids)} ids for {count} atoms")
+    repeated = [label for label, times in Counter(ids or ()).items() if times > 1]
+    if repeated:
+        raise ParseError(f"duplicate ids: {', '.join(map(repr, repeated))}")
+
+
+def normalize(weights) -> np.ndarray:
+    """Scale nonnegative weights so they sum to 1.
+
+    Raises NegativeWeight if any entry is negative, AllZero if no entry
+    is strictly positive, and ParseError if the sum is not finite.
+    """
+    w = np.asarray(weights, dtype=float).ravel()
+    return w / _checked_total(w)
 
 
 def _prepare_weights(weights, count: int) -> tuple[np.ndarray, float]:
@@ -45,11 +62,7 @@ def _prepare_weights(weights, count: int) -> tuple[np.ndarray, float]:
     w = np.asarray(weights, dtype=float).ravel()
     if w.size != count:
         raise DimensionMismatch(f"{w.size} weights for {count} atoms")
-    if np.any(w < 0.0):
-        raise NegativeWeight(f"negative weight at position {int(np.argmax(w < 0.0))}")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise AllZero("all weights are zero")
+    total = _checked_total(w)
     if abs(total - 1.0) <= _SUM_TOL:
         return w.copy(), total
     return w / total, total
@@ -75,8 +88,7 @@ class DiscreteMeasure:
         if not np.all(np.isfinite(pts)):
             raise ParseError("non-finite coordinate in measure")
         w, total = _prepare_weights(self.weights, pts.shape[0])
-        if self.ids is not None and len(self.ids) != pts.shape[0]:
-            raise DimensionMismatch("ids length does not match point count")
+        _check_ids(self.ids, pts.shape[0])
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -113,8 +125,7 @@ class TaskSet:
         if not (np.all(np.isfinite(o)) and np.all(np.isfinite(d))):
             raise ParseError("non-finite coordinate in task set")
         w, total = _prepare_weights(self.weights, o.shape[0])
-        if self.ids is not None and len(self.ids) != o.shape[0]:
-            raise DimensionMismatch("ids length does not match task count")
+        _check_ids(self.ids, o.shape[0])
         o.setflags(write=False)
         d.setflags(write=False)
         w.setflags(write=False)

@@ -6,7 +6,8 @@ duals come from the tree with u_0 = 0, the entering cell is the most
 negative reduced cost, and Bland's rule takes over after a run of
 degenerate pivots so termination is guaranteed.  The entropic path is
 log-domain Sinkhorn scaling.  Both return plans whose row/column sums
-reproduce the prescribed marginals.
+reproduce the prescribed marginals.  ``solve`` is the one entry point for
+a task set and agents: it builds the cost, runs a method and certifies.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .cost import CostMatrix, reduced_cost_matrix, reduction_constant
+from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix, reduction_constant
 from .errors import DimensionMismatch, IterationLimit, MassMismatch, TooLarge
 from .measures import DiscreteMeasure, TaskSet, index_pushforward
 from .rng import rng_stream
 
 _MASS_DROP = 1e-14  # plan entries at or below this are not stored
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
+_MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
+
+METHODS = ("exact", "entropic", "reduced")
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ class _SimplexState:
         self.depth = [0] * total
         self.u = np.zeros(self.m)
         self.v = np.zeros(self.n)
-        self._root_from(0, 0, set(range(total)))
+        self._root_from(0, 0)
 
     def _dual_of(self, node: int, anchor: int) -> None:
         """Set node's dual from the tree constraint u_i + v_j = c_ij."""
@@ -152,8 +156,11 @@ class _SimplexState:
         else:
             self.u[node] = self.cost[node, anchor - m] - self.v[anchor - m]
 
-    def _root_from(self, start: int, start_parent: int, scope: set[int]) -> None:
-        """(Re)hang ``scope`` below start, repairing parent/depth/duals."""
+    def _root_from(self, start: int, start_parent: int) -> None:
+        """(Re)hang start's subtree below start_parent, repairing parent/depth/duals.
+
+        The walk skips each node's parent; start == start_parent roots the tree.
+        """
         self.parent[start] = start_parent
         if start == start_parent:
             self.depth[start] = 0
@@ -162,12 +169,10 @@ class _SimplexState:
             self.depth[start] = self.depth[start_parent] + 1
             self._dual_of(start, start_parent)
         stack = [start]
-        seen = {start}
         while stack:
             a = stack.pop()
             for b in self.adj[a]:
-                if b not in seen and b in scope:
-                    seen.add(b)
+                if b != self.parent[a]:
                     self.parent[b] = a
                     self.depth[b] = self.depth[a] + 1
                     self._dual_of(b, a)
@@ -216,27 +221,22 @@ class _SimplexState:
         self.mass[(enter_i, enter_j)] = theta
         del self.mass[leave]
 
-        # tree surgery: cut the subtree below the leaving edge, flood it,
-        # then re-hang it from whichever entering endpoint fell inside it
+        # tree surgery: the leaving edge cuts off the subtree below child; re-hang
+        # it from the entering endpoint inside it, found by walking up to child's depth
         leave_a, leave_b = leave[0], self.m + leave[1]
         child = leave_a if self.depth[leave_a] > self.depth[leave_b] else leave_b
+        enter_a, enter_b = enter_i, self.m + enter_j
+        node = enter_a
+        while self.depth[node] > self.depth[child]:
+            node = self.parent[node]
         self.adj[leave_a].discard(leave_b)
         self.adj[leave_b].discard(leave_a)
-        scope = {child}
-        stack = [child]
-        while stack:
-            node = stack.pop()
-            for nb in self.adj[node]:
-                if nb not in scope:
-                    scope.add(nb)
-                    stack.append(nb)
-        enter_a, enter_b = enter_i, self.m + enter_j
         self.adj[enter_a].add(enter_b)
         self.adj[enter_b].add(enter_a)
-        if enter_a in scope:
-            self._root_from(enter_a, enter_b, scope)
+        if node == child:
+            self._root_from(enter_a, enter_b)
         else:
-            self._root_from(enter_b, enter_a, scope)
+            self._root_from(enter_b, enter_a)
         return theta
 
 
@@ -247,10 +247,9 @@ def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     tol = 1e-11 * max(1.0, float(np.abs(cost).max()))
     bland_trigger = 3 * (m + n)
     degenerate_run = 0
-    max_pivots = 2_000_000
     reduced = np.empty_like(cost)
 
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         np.subtract(cost, state.u[:, None], out=reduced)
         np.subtract(reduced, state.v[None, :], out=reduced)
         if degenerate_run >= bland_trigger:
@@ -265,7 +264,7 @@ def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
                 return state.mass, state.u, state.v
         theta = state.pivot(enter_i, enter_j)
         degenerate_run = degenerate_run + 1 if theta <= 1e-15 else 0
-    raise RuntimeError("transportation simplex failed to terminate")
+    raise IterationLimit(f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
 def _plan_from_mass(mass, cost: np.ndarray, m: int, n: int) -> TransportPlan:
@@ -305,8 +304,8 @@ def solve_entropic(
     below ``tol``.  The reported objective is against the original cost
     matrix, with no entropy term.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     C = cost.values
     with np.errstate(divide="ignore"):
@@ -437,9 +436,14 @@ def brute_force_small(cost: CostMatrix, mu_w, nu_w) -> TransportPlan:
 def check_stability(
     plan: TransportPlan, duals: DualPotentials, cost: CostMatrix, tol: float = 1e-8
 ) -> StabilityReport:
-    """No-blocking-pair check: u_i + v_j <= c_ij everywhere, equality on support."""
+    """No-blocking-pair check: u_i + v_j <= c_ij everywhere, equality on support.
+
+    ``tol`` is relative to max(1, max|c_ij|), the scale the simplex prices with:
+    costs near 1e8 (city boxes in meters) have a float spacing above 1e-8.
+    """
     if duals.u.size != cost.n_tasks or duals.v.size != cost.n_agents:
         raise DimensionMismatch("dual sizes do not match the cost matrix")
+    bound = tol * max(1.0, float(np.abs(cost.values).max()))
     gap = duals.u[:, None] + duals.v[None, :] - cost.values
     max_violation = float(gap.max())
     if plan.entries:
@@ -449,7 +453,7 @@ def check_stability(
     return StabilityReport(
         max_violation=max_violation,
         max_slack_on_support=max_slack,
-        passed=(max_violation <= tol and max_slack <= tol),
+        passed=(max_violation <= bound and max_slack <= bound),
     )
 
 
@@ -473,45 +477,6 @@ def purity(plan: TransportPlan, tol: float = 1e-9) -> float:
     return pure / total
 
 
-def _reduced_parts(tasks: TaskSet, agents: DiscreteMeasure):
-    """Reduced solve plus everything needed to lift the result back."""
-    if tasks.dim != agents.dim:
-        raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
-    index_measure = index_pushforward(tasks)
-    reduced = reduced_cost_matrix(index_measure, agents)
-    plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
-    constant = reduction_constant(tasks, agents)
-    return plan, duals, constant
-
-
-def solve_via_reduction(
-    tasks: TaskSet, agents: DiscreteMeasure
-) -> tuple[TransportPlan, float]:
-    """Solve through the index-form reduction.
-
-    Returns the optimal coupling (same support and masses as the reduced LP,
-    indexed by task and agent) and the full objective
-    ``reduction_constant + 2 * reduced objective``, which matches a direct
-    solve of the trip-cost LP.
-    """
-    plan, _, constant = _reduced_parts(tasks, agents)
-    return plan, constant + 2.0 * plan.objective
-
-
-def lift_reduced_duals(
-    tasks: TaskSet, agents: DiscreteMeasure, duals: DualPotentials
-) -> DualPotentials:
-    """Map optimal duals of the reduced LP to duals of the trip-cost LP.
-
-    c_ij = alpha_i + beta_j + 2 c_hat_ij with alpha, beta marginal-only, so
-    (alpha_i + 2 u_i, beta_j + 2 v_j) is feasible and tight on the support.
-    """
-    o, d = tasks.origins, tasks.destinations
-    alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
-    beta = 2.0 * (agents.points**2).sum(axis=1)
-    return DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
-
-
 def support_is_unique(cost: CostMatrix, mu_w, nu_w, plan: TransportPlan) -> bool:
     """Perturbation surrogate for uniqueness of the optimal support.
 
@@ -526,3 +491,57 @@ def support_is_unique(cost: CostMatrix, mu_w, nu_w, plan: TransportPlan) -> bool
     perturbed = CostMatrix(cost.values + 1e-10 * noise)
     re_plan, _ = solve_exact(perturbed, mu_w, nu_w)
     return re_plan.support() == plan.support()
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A plan with its trip-cost objective, trip-cost duals and ``support_is_unique``.
+
+    ``entropic`` solutions carry no duals and are never marked unique.
+    """
+
+    plan: TransportPlan
+    objective: float
+    duals: DualPotentials | None
+    unique: bool
+
+
+def solve(
+    tasks: TaskSet,
+    agents: DiscreteMeasure,
+    method: str = "exact",
+    epsilon: float | None = None,
+    tol: float = 1e-8,
+    max_iter: int = 10000,
+) -> Solution:
+    """Allocate ``agents`` to ``tasks`` by one of ``METHODS``.
+
+    ``exact`` runs the simplex on the trip-cost matrix.  ``reduced`` runs it
+    on the rank-n cost of s = o + d and lifts objective and duals back
+    through ``marginal_terms``.  ``entropic`` runs Sinkhorn on the trip-cost
+    matrix; ``epsilon`` defaults to 1e-3 x the cost spread, and ``tol`` and
+    ``max_iter`` apply to it alone.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method == "reduced":
+        reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
+        plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
+        alpha, beta = marginal_terms(tasks, agents)
+        return Solution(
+            plan,
+            reduction_constant(tasks, agents) + 2.0 * plan.objective,
+            DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v),
+            support_is_unique(reduced, tasks.weights, agents.weights, plan),
+        )
+    cost = cost_matrix(tasks, agents)
+    if method == "exact":
+        plan, duals = solve_exact(cost, tasks.weights, agents.weights)
+        unique = support_is_unique(cost, tasks.weights, agents.weights, plan)
+        return Solution(plan, plan.objective, duals, unique)
+    if epsilon is None:
+        epsilon = 1e-3 * max(float(cost.values.max() - cost.values.min()), 1e-12)
+    plan = solve_entropic(
+        cost, tasks.weights, agents.weights, epsilon=epsilon, tol=tol, max_iter=max_iter
+    )
+    return Solution(plan, plan.objective, None, False)

@@ -33,8 +33,8 @@ from odtalloc.solver import (
     brute_force_small,
     check_stability,
     solve_entropic,
+    solve,
     solve_exact,
-    solve_via_reduction,
     support_is_unique,
 )
 
@@ -93,7 +93,8 @@ def test_criterion_2_reduction_equivalence():
         m = 2 + rng.next_u64() % 49
         n = 2 + rng.next_u64() % 49
         tasks, agents = _random_instance(rng, int(m), int(n), dim, uniform=(trial % 2 == 0))
-        plan_red, objective_full = solve_via_reduction(tasks, agents)
+        reduced = solve(tasks, agents, "reduced")
+        plan_red, objective_full = reduced.plan, reduced.objective
         full_cost = cost_matrix(tasks, agents)
         plan_exact, _ = solve_exact(full_cost, tasks.weights, agents.weights)
         worst = max(worst, abs(objective_full - plan_exact.objective))

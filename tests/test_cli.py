@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import odtalloc.solver
 from odtalloc.cli import main
+from odtalloc.cost import cost_matrix
+from odtalloc.measures import load_agents_csv, load_tasks_csv
 
 
 def run(*argv):
@@ -130,6 +133,41 @@ class TestSolve:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "row", ["a0,0.0,nan", "a0,0.0,inf", "a0,1.0,1.0"],
+        ids=["nan_weight", "inf_weight", "duplicate_id"],
+    )
+    def test_malformed_agents_are_usage_errors(self, canonical, tmp_path, capsys, row):
+        agents = tmp_path / "agents.csv"
+        agents.write_text(f"id,y1,weight\n{row}\na0,1.0,1.0\n")
+        assert run(
+            "solve", "--tasks", str(canonical / "tasks.csv"), "--agents", str(agents),
+            "--out", str(tmp_path / "sol"),
+        ) == 2
+        assert not (tmp_path / "sol").exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("method", ["exact", "entropic"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+    def test_bad_epsilon_is_usage_error(self, canonical, tmp_path, capsys, method, epsilon):
+        assert run(
+            "solve", "--tasks", str(canonical / "tasks.csv"),
+            "--agents", str(canonical / "agents.csv"), "--method", method,
+            "--epsilon", epsilon, "--out", str(tmp_path / "sol"),
+        ) == 2
+        assert "--epsilon" in capsys.readouterr().err
+
+    def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "gaussian_mixture", "--tasks", "8", "--agents", "8",
+                   "--seed", "3", "--out", str(inst)) == 0
+        monkeypatch.setattr(odtalloc.solver, "_MAX_PIVOTS", 1)
+        assert run(
+            "solve", "--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv"),
+            "--out", str(tmp_path / "sol"),
+        ) == 1
+        assert "IterationLimit" in capsys.readouterr().err
+
     def test_dump_cost_matrix(self, canonical, tmp_path):
         out = tmp_path / "dump"
         dump = tmp_path / "cost.json"
@@ -208,6 +246,27 @@ class TestVerify:
             "--tasks", str(canonical / "tasks.csv"),
             "--agents", str(canonical / "agents.csv"), "--out", str(tmp_path / "bad"),
         ) == 1
+
+    @pytest.mark.parametrize("method", ["exact", "reduced"])
+    def test_city_box_plans_pass_stability(self, tmp_path, method):
+        # trip costs near 1e8 m^2: an absolute 1e-8 is below their float spacing
+        inst = tmp_path / "city"
+        assert run("gen", "--kind", "city_box", "--tasks", "30", "--agents", "30",
+                   "--seed", "1000", "--out", str(inst)) == 0
+        files = ["--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv")]
+        sol = tmp_path / "sol"
+        assert run("solve", *files, "--method", method, "--out", str(sol)) == 0
+        assert run("verify", "--check", "stability", "--plan", str(sol / "plan.json"),
+                   *files, "--out", str(tmp_path / "ok")) == 0
+
+        scale = np.abs(cost_matrix(load_tasks_csv(inst / "tasks.csv"),
+                                   load_agents_csv(inst / "agents.csv")).values).max()
+        payload = json.loads((sol / "plan.json").read_text())
+        payload["duals"]["v"][0] += 1e-6 * scale
+        corrupted = tmp_path / "corrupt.json"
+        corrupted.write_text(json.dumps(payload))
+        assert run("verify", "--check", "stability", "--plan", str(corrupted),
+                   *files, "--out", str(tmp_path / "bad")) == 1
 
     def test_stability_needs_files(self, capsys):
         assert run("verify", "--check", "stability") == 2

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import expm as scipy_expm
 
 from odtalloc.cost import (
     CostMatrix,
     DynamicsSpec,
     cost_matrix,
-    expm,
     grad_x,
     grad_y,
+    marginal_terms,
     mixed_hessian,
     reduced_cost,
     reduced_cost_matrix,
@@ -247,6 +246,8 @@ class TestReductionConstant:
         agents = DiscreteMeasure(np.array(rng.normals(6)).reshape(3, 2))
         full = cost_matrix(tasks, agents).values
         reduced = reduced_cost_matrix(index_pushforward(tasks), agents).values
+        alpha, beta = marginal_terms(tasks, agents)
+        assert_allclose(full, alpha[:, None] + beta[None, :] + 2.0 * reduced, atol=1e-12)
         o, d, y = tasks.origins, tasks.destinations, agents.points
         for i in range(4):
             for j in range(3):
@@ -258,18 +259,6 @@ class TestReductionConstant:
                     - 2.0 * o[i] @ d[i]
                 )
                 assert abs(full[i, j] - expected) <= 1e-9
-
-
-class TestMatrixExponential:
-    def test_against_scipy(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(1, 5))
-            A = rng.normal(size=(n, n)) * rng.uniform(0.1, 5.0)
-            assert_allclose(expm(A), scipy_expm(A), rtol=1e-10, atol=1e-12)
-
-    def test_zero_matrix(self):
-        assert_allclose(expm(np.zeros((3, 3))), np.eye(3))
 
 
 class TestGramian:

@@ -50,6 +50,13 @@ class TestNormalize:
         with pytest.raises(NegativeWeight):
             normalize([1.0, -0.5])
 
+    @pytest.mark.parametrize("weights", [[1.0, np.nan], [1.0, np.inf], [1e308, 1e308]])
+    def test_non_finite_total(self, weights):
+        with pytest.raises(ParseError):
+            normalize(weights)
+        with pytest.raises(ParseError):
+            DiscreteMeasure([[0.0], [1.0]], weights)
+
 
 class TestMeasureConstruction:
     def test_dim_and_len(self):
@@ -78,6 +85,12 @@ class TestMeasureConstruction:
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
             TaskSet([[0.0]], [[1.0]], [-1.0])
+
+    def test_duplicate_ids(self):
+        with pytest.raises(ParseError, match="'a'"):
+            DiscreteMeasure([[0.0], [1.0]], ids=("a", "a"))
+        with pytest.raises(ParseError, match="'t'"):
+            TaskSet([[0.0], [1.0]], [[1.0], [0.0]], ids=("t", "t"))
 
 
 class TestIndexPushforward:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.testing import assert_allclose, assert_array_equal
 
 from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix
 from odtalloc.errors import IterationLimit, MassMismatch, TooLarge
@@ -12,9 +15,9 @@ from odtalloc.solver import (
     brute_force_small,
     check_stability,
     purity,
+    solve,
     solve_entropic,
     solve_exact,
-    solve_via_reduction,
     support_is_unique,
 )
 
@@ -259,7 +262,8 @@ class TestReduction:
         agents = DiscreteMeasure([[0.0], [1.0]])
         reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
         assert_allclose(reduced.values, [[0.0, 0.0], [0.0, -2.0]])
-        plan, full_objective = solve_via_reduction(tasks, agents)
+        solution = solve(tasks, agents, "reduced")
+        plan, full_objective = solution.plan, solution.objective
         assert plan.support() == {(0, 0), (1, 1)}
         assert plan.objective == -1.0
         exact, _ = solve_exact(cost_matrix(tasks, agents), tasks.weights, agents.weights)
@@ -269,7 +273,7 @@ class TestReduction:
     def test_forced_pair_gives_trip_cost(self):
         tasks = TaskSet([[1.0, 0.0]], [[0.0, 1.0]])
         agents = DiscreteMeasure([[0.3, 0.3]])
-        _, full_objective = solve_via_reduction(tasks, agents)
+        full_objective = solve(tasks, agents, "reduced").objective
         expected = cost_matrix(tasks, agents).values[0, 0]
         assert abs(full_objective - expected) <= 1e-12
 
@@ -283,7 +287,7 @@ class TestReduction:
             mu, nu = _balanced(tasks, agents)
             tasks = TaskSet(tasks.origins, tasks.destinations, mu)
             agents = DiscreteMeasure(agents.points, nu)
-            plan, full_objective = solve_via_reduction(tasks, agents)
+            full_objective = solve(tasks, agents, "reduced").objective
             exact, _ = solve_exact(cost_matrix(tasks, agents), mu, nu)
             assert abs(full_objective - exact.objective) <= 1e-8
 
@@ -300,3 +304,58 @@ class TestReduction:
         w = np.full(4, 0.25)
         plan, _ = solve_exact(cost, w, w)
         assert not support_is_unique(cost, w, w, plan)
+
+
+@st.composite
+def _drawn_instances(draw):
+    dim = draw(st.integers(1, 3))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def points(rows):
+        return draw(hnp.arrays(float, (rows, dim), elements=st.floats(-10.0, 10.0)))
+
+    def weights(size):
+        return draw(hnp.arrays(float, size, elements=st.floats(0.1, 1.0)))
+
+    return TaskSet(points(m), points(m), weights(m)), DiscreteMeasure(points(n), weights(n))
+
+
+class TestSolve:
+    def test_exact_is_the_direct_solve(self):
+        tasks, agents = _random_instance(rng_stream(401), 7, 6, uniform=False)
+        solution = solve(tasks, agents, "exact")
+        cost = cost_matrix(tasks, agents)
+        plan, duals = solve_exact(cost, tasks.weights, agents.weights)
+        assert solution.plan == plan and solution.objective == plan.objective
+        assert_array_equal(solution.duals.u, duals.u)
+        assert_array_equal(solution.duals.v, duals.v)
+        assert solution.unique == support_is_unique(cost, tasks.weights, agents.weights, plan)
+
+    def test_reduced_duals_certify_the_trip_cost(self):
+        tasks, agents = _random_instance(rng_stream(402), 9, 8, uniform=False)
+        solution = solve(tasks, agents, "reduced")
+        assert check_stability(solution.plan, solution.duals, cost_matrix(tasks, agents)).passed
+
+    def test_entropic_default_epsilon(self):
+        tasks, agents = _random_instance(rng_stream(403), 5, 4, uniform=False)
+        cost = cost_matrix(tasks, agents)
+        epsilon = 1e-3 * float(cost.values.max() - cost.values.min())
+        solution = solve(tasks, agents, "entropic")
+        assert solution.plan == solve_entropic(cost, tasks.weights, agents.weights, epsilon)
+        assert solution.duals is None and solution.unique is False
+
+    def test_unknown_method(self):
+        tasks, agents = _random_instance(rng_stream(404), 2, 2)
+        with pytest.raises(ValueError):
+            solve(tasks, agents, "greedy")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_drawn_instances())
+    def test_exact_and_reduced_agree_and_certify(self, instance):
+        tasks, agents = instance
+        cost = cost_matrix(tasks, agents)
+        exact = solve(tasks, agents, "exact")
+        reduced = solve(tasks, agents, "reduced")
+        assert abs(exact.objective - reduced.objective) <= 1e-9 * max(1.0, abs(exact.objective))
+        assert check_stability(exact.plan, exact.duals, cost).passed
+        assert check_stability(reduced.plan, reduced.duals, cost).passed
