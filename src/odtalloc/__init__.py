@@ -10,6 +10,7 @@ from .analysis import (
     cross_difference,
     indifference_set_distance,
     monotone_map_1d,
+    verify_monge,
     verify_nondegeneracy,
     verify_twist,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import grad_x, grad_y, mixed_hessian
+from .cost import grad_x, grad_y, mixed_hessian, reduced_cost
 from .errors import DimensionMismatch
 from .measures import DiscreteMeasure, TaskSet
 from .rng import rng_stream
@@ -107,6 +107,27 @@ def verify_nondegeneracy(dim: int, samples: int, seed: int = 0) -> ConditionRepo
 def cross_difference(c, x, x2, y, y2) -> float:
     """c(x,y) + c(x',y') - c(x,y') - c(x',y) for a cost handle c."""
     return float(c(x, y) + c(x2, y2) - c(x, y2) - c(x2, y))
+
+
+def verify_monge(samples: int, seed: int = 0) -> ConditionReport:
+    """Check that the 1-D correlation cost -(s y) has nonpositive cross differences.
+
+    Draws ordered pairs s < s', y < y' and records the largest
+    c(s,y) + c(s',y') - c(s,y') - c(s',y), which is -(s' - s)(y' - y) <= 0.
+    """
+    rng = rng_stream(seed)
+    worst = -math.inf
+    witness = None
+    for _ in range(samples):
+        s_lo, s_hi = sorted(rng.normals(2))
+        y_lo, y_hi = sorted(rng.normals(2))
+        value = cross_difference(
+            lambda s, y: reduced_cost([s], [y]), s_lo, s_hi, y_lo, y_hi
+        )
+        if value > worst:
+            worst = value
+            witness = ([s_lo, s_hi], [y_lo, y_hi])
+    return ConditionReport("monge", worst <= 1e-12, samples, worst, witness)
 
 
 def _interp_knots(points: np.ndarray, weights: np.ndarray):

@@ -9,6 +9,7 @@ flag or file errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -20,12 +21,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    ConditionReport,
     check_nestedness_1d,
-    cross_difference,
+    verify_monge,
     verify_nondegeneracy,
     verify_twist,
 )
-from .cost import cost_matrix, reduced_cost
+from .cost import cost_matrix
 from .errors import AllocationError, InvalidSpec, ParseError
 from .measures import (
     DiscreteMeasure,
@@ -35,7 +37,6 @@ from .measures import (
     write_agents_csv,
     write_tasks_csv,
 )
-from .rng import rng_stream
 from .scenarios import ScenarioSpec, generate
 from .solver import (
     METHODS,
@@ -102,15 +103,16 @@ def cmd_gen(args, argv) -> int:
             params = json.loads(args.params)
         except json.JSONDecodeError as exc:
             raise _UsageFailure(f"--params is not valid JSON: {exc}") from exc
-    if args.spread is not None:
-        params["spread"] = args.spread
+    box = None
     if args.box is not None:
         try:
-            params["box"] = [float(v) for v in args.box.split(",")]
+            box = [float(v) for v in args.box.split(",")]
         except ValueError:
             raise _UsageFailure(f"--box {args.box!r} is not a comma list of numbers") from None
-    if args.units is not None:
-        params["units"] = args.units
+    if isinstance(params, dict):  # ScenarioSpec rejects any other --params
+        for key, value in (("spread", args.spread), ("box", box), ("units", args.units)):
+            if value is not None:
+                params[key] = value
     try:
         spec = ScenarioSpec(
             kind=args.kind,
@@ -138,13 +140,11 @@ def cmd_gen(args, argv) -> int:
 def _plan_json(
     solution: Solution, method: str, tasks: TaskSet, agents: DiscreteMeasure
 ) -> dict:
-    task_ids = tasks.ids or tuple(str(i) for i in range(len(tasks)))
-    agent_ids = agents.ids or tuple(str(j) for j in range(len(agents)))
     duals = solution.duals
     return {
         "objective": solution.objective,
         "entries": [
-            {"task": task_ids[i], "agent": agent_ids[j], "mass": mass}
+            {"task": tasks.ids[i], "agent": agents.ids[j], "mass": mass}
             for i, j, mass in solution.plan.entries
         ],
         "duals": None
@@ -156,28 +156,27 @@ def _plan_json(
 
 
 def _write_plot_csv(path, plan, tasks, agents) -> None:
-    n = tasks.dim
-    task_ids = tasks.ids or tuple(str(i) for i in range(len(tasks)))
-    agent_ids = agents.ids or tuple(str(j) for j in range(len(agents)))
-    header = (
-        ["task_id", "agent_id", "mass"]
-        + [f"o{k + 1}" for k in range(n)]
-        + [f"d{k + 1}" for k in range(n)]
-        + [f"y{k + 1}" for k in range(n)]
-    )
-    lines = [",".join(header)]
-    for i, j, mass in plan.entries:
-        cells = [task_ids[i], agent_ids[j], repr(float(mass))]
-        cells += [repr(float(x)) for x in tasks.origins[i]]
-        cells += [repr(float(x)) for x in tasks.destinations[i]]
-        cells += [repr(float(x)) for x in agents.points[j]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["task_id", "agent_id", "mass"]
+            + [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
+        )
+        for i, j, mass in plan.entries:
+            coords = (*tasks.origins[i], *tasks.destinations[i], *agents.points[j])
+            writer.writerow(
+                [tasks.ids[i], agents.ids[j], repr(float(mass))]
+                + [repr(float(x)) for x in coords]
+            )
 
 
 def cmd_solve(args, argv) -> int:
     if args.epsilon is not None and not 0.0 < args.epsilon < float("inf"):
         raise _UsageFailure(f"--epsilon must be positive and finite, got {args.epsilon!r}")
+    if not 0.0 < args.tol < float("inf"):
+        raise _UsageFailure(f"--tol must be positive and finite, got {args.tol!r}")
+    if args.max_iter < 1:
+        raise _UsageFailure(f"--max-iter must be at least 1, got {args.max_iter}")
     timings = {}
     start = time.perf_counter()
     tasks, agents = _load_inputs(args)
@@ -211,74 +210,43 @@ def cmd_solve(args, argv) -> int:
     return 0
 
 
-def _verify_monge(samples: int, seed: int) -> dict:
-    rng = rng_stream(seed)
-    worst = -np.inf
-    witness = None
-    for _ in range(samples):
-        s_lo, s_hi = sorted(rng.normals(2))
-        y_lo, y_hi = sorted(rng.normals(2))
-        value = cross_difference(
-            lambda s, y: reduced_cost([s], [y]), s_lo, s_hi, y_lo, y_hi
-        )
-        if value > worst:
-            worst = value
-            witness = [[s_lo, s_hi], [y_lo, y_hi]]
-    return {
-        "condition": "monge",
-        "passed": bool(worst <= 1e-12),
-        "samples": samples,
-        "worst_case": float(worst),
-        "witness": witness,
-    }
-
-
 def _verify_stability(args) -> dict:
     if not (args.plan and args.tasks and args.agents):
         raise _UsageFailure("--check stability needs --plan, --tasks, and --agents")
     tasks, agents = _load_inputs(args)
+    task_index = {tid: i for i, tid in enumerate(tasks.ids)}
+    agent_index = {aid: j for j, aid in enumerate(agents.ids)}
     try:
         payload = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _UsageFailure(f"cannot read plan file: {exc}") from exc
-    task_index = {tid: i for i, tid in enumerate(tasks.ids or ())}
-    agent_index = {aid: j for j, aid in enumerate(agents.ids or ())}
-    try:
         entries = tuple(
             (task_index[e["task"]], agent_index[e["agent"]], float(e["mass"]))
             for e in payload["entries"]
         )
-        duals_payload = payload["duals"]
-    except (KeyError, TypeError) as exc:
+        plan = TransportPlan(entries, float(payload["objective"]), len(tasks), len(agents))
+        duals = payload["duals"]
+        if duals is not None:
+            duals = DualPotentials(np.array(duals["u"]), np.array(duals["v"]))
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise _UsageFailure(f"cannot read plan file: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
         raise _UsageFailure(f"malformed plan file: {exc}") from exc
-    if duals_payload is None:
-        return {
-            "condition": "stability",
-            "passed": False,
-            "samples": len(entries),
-            "worst_case": float("inf"),
-            "witness": None,
-            "note": "plan carries no dual certificate",
-        }
-    plan = TransportPlan(entries, float(payload["objective"]), len(tasks), len(agents))
-    duals = DualPotentials(np.array(duals_payload["u"]), np.array(duals_payload["v"]))
-    full_cost = cost_matrix(tasks, agents)
-    report = check_stability(plan, duals, full_cost, tol=args.tol)
+    if duals is None:
+        report = ConditionReport("stability", False, len(entries), float("inf")).to_json()
+        report["note"] = "plan carries no dual certificate"
+        return report
+    stability = check_stability(plan, duals, cost_matrix(tasks, agents), tol=args.tol)
     marginal_err = max(
         float(np.abs(plan.row_sums() - tasks.weights).max()),
         float(np.abs(plan.col_sums() - agents.weights).max()),
     )
-    passed = bool(report.passed and marginal_err <= 1e-9)
-    return {
-        "condition": "stability",
-        "passed": passed,
-        "samples": len(entries),
-        "worst_case": float(max(report.max_violation, report.max_slack_on_support)),
-        "witness": None,
-        "max_violation": report.max_violation,
-        "max_slack_on_support": report.max_slack_on_support,
-        "max_marginal_error": marginal_err,
-    }
+    worst = max(stability.max_violation, stability.max_slack_on_support)
+    report = ConditionReport(
+        "stability", stability.passed and marginal_err <= 1e-9, len(entries), worst
+    ).to_json()
+    report["max_violation"] = stability.max_violation
+    report["max_slack_on_support"] = stability.max_slack_on_support
+    report["max_marginal_error"] = marginal_err
+    return report
 
 
 def cmd_verify(args, argv) -> int:
@@ -291,7 +259,7 @@ def cmd_verify(args, argv) -> int:
     elif args.check == "nondegeneracy":
         report = verify_nondegeneracy(args.dim, args.samples, seed).to_json()
     elif args.check == "monge":
-        report = _verify_monge(args.samples, seed)
+        report = verify_monge(args.samples, seed).to_json()
     elif args.check == "nestedness":
         if not (args.tasks and args.agents):
             raise _UsageFailure("--check nestedness needs --tasks and --agents")

@@ -149,7 +149,6 @@ class DynamicsSpec:
     B: np.ndarray
     t0: float = 0.0
     t1: float = 1.0
-    quadrature_steps: int = 1000
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -160,8 +159,6 @@ class DynamicsSpec:
             raise DimensionMismatch(f"B has {B.shape[0]} rows for {A.shape[0]} states")
         if not self.t1 > self.t0:
             raise DimensionMismatch("need t1 > t0")
-        if self.quadrature_steps <= 0 or self.quadrature_steps % 2 != 0:
-            raise DimensionMismatch("quadrature_steps must be a positive even integer")
         A.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -175,25 +172,18 @@ class DynamicsSpec:
 def wpd_gramian(spec: DynamicsSpec) -> tuple[np.ndarray, np.ndarray]:
     """State-transition matrix Phi over [t0, t1] and the controllability Gramian.
 
-    M = int_{t0}^{t1} Phi(t1, tau) B B^T Phi(t1, tau)^T dtau, evaluated by
-    composite Simpson quadrature with ``spec.quadrature_steps`` panels; the
-    result is symmetrized before the positive-definiteness check.
+    M = int_{t0}^{t1} Phi(t1, tau) B B^T Phi(t1, tau)^T dtau, read off one
+    matrix exponential (Van Loan 1978): expm([[-A, B B^T], [0, A^T]] (t1 - t0))
+    = [[F11, F12], [0, F22]] with Phi = F22^T and M = Phi F12.  The result is
+    symmetrized before the positive-definiteness check.
     """
     from scipy.linalg import expm  # here, not at import: the CLI never needs scipy.linalg
 
     A, B = spec.A, spec.B
-    steps = spec.quadrature_steps
-    h = (spec.t1 - spec.t0) / steps
-    step = expm(A * h)
-
-    gramian = np.zeros_like(A)
-    transition = np.eye(A.shape[0])
-    for k in range(steps + 1):  # tau = t1 - k h: Phi(t1, tau) = step^k; weights symmetric in k
-        integrand = transition @ B @ B.T @ transition.T
-        weight = 1.0 if k in (0, steps) else (4.0 if k % 2 == 1 else 2.0)
-        gramian += weight * integrand
-        phi, transition = transition, transition @ step
-    gramian *= h / 3.0
+    n = A.shape[0]
+    F = expm(np.block([[-A, B @ B.T], [np.zeros_like(A), A.T]]) * (spec.t1 - spec.t0))
+    phi = F[n:, n:].T
+    gramian = phi @ F[:n, n:]
     gramian = 0.5 * (gramian + gramian.T)
 
     eigvals = np.linalg.eigvalsh(gramian)

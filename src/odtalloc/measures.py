@@ -177,26 +177,59 @@ def project_lonlat(points, ref) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers; blank and '#' lines skipped."""
+def _read_table(path, header_hint: str, min_columns: int, noun: str, check_width=None):
+    """Rows of an ``id,<coordinates>,weight`` CSV table as (ids, coordinates, weights).
+
+    Blank and '#' lines are skipped.  The header must have at least
+    ``min_columns`` columns; ``check_width(columns, lineno)`` may reject its
+    coordinate count before any row is read.  Undecodable bytes and CSV
+    syntax errors raise ParseError.
+    """
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parsed = next(csv.reader([line]))
-            rows.append((lineno, [cell.strip() for cell in parsed]))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    rows.append((lineno, [cell.strip() for cell in next(csv.reader([line]))]))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV ({exc})", row=lineno) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return rows
+    lineno, header = rows[0]
+    if len(header) < min_columns or header[0].lower() != "id" or header[-1].lower() != "weight":
+        raise ParseError(f"expected header {header_hint}", row=lineno)
+    columns = len(header) - 2
+    if check_width is not None:
+        check_width(columns, lineno)
+    ids, coords, weights = [], [], []
+    for lineno, cells in rows[1:]:
+        if len(cells) != columns + 2:
+            raise DimensionMismatch(
+                f"line {lineno}: {len(cells) - 2} coordinate+weight columns, "
+                f"header declares {columns}"
+            )
+        try:
+            values = [float(c) for c in cells[1:]]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric value ({exc})", row=lineno) from None
+        ids.append(cells[0])
+        coords.append(values[:-1])
+        weights.append(values[-1])
+    if not coords:
+        raise ParseError(f"{path}: header only, no {noun} rows")
+    return tuple(ids), np.array(coords), np.array(weights)
 
 
-def _parse_floats(cells: list[str], lineno: int) -> list[float]:
-    try:
-        return [float(c) for c in cells]
-    except ValueError as exc:
-        raise ParseError(f"non-numeric value ({exc})", row=lineno) from None
+def _write_table(path, columns: list[str], ids, coords, weights) -> None:
+    """Write an ``id,<columns>,weight`` table, floats as shortest round-trip reprs."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", *columns, "weight"])
+        for label, row, weight in zip(ids, coords, weights):
+            writer.writerow([label, *(repr(float(x)) for x in row), repr(float(weight))])
 
 
 def load_agents_csv(path) -> DiscreteMeasure:
@@ -204,90 +237,34 @@ def load_agents_csv(path) -> DiscreteMeasure:
 
     Row order is preserved and ids are retained for output labeling.
     """
-    rows = _read_rows(path)
-    lineno, header = rows[0]
-    if len(header) < 3 or header[0].lower() != "id" or header[-1].lower() != "weight":
-        raise ParseError("expected header id,y1,...,yn,weight", row=lineno)
-    n = len(header) - 2
-    ids, pts, wts = [], [], []
-    for lineno, cells in rows[1:]:
-        if len(cells) != n + 2:
-            raise DimensionMismatch(
-                f"line {lineno}: {len(cells) - 2} coordinate+weight columns, "
-                f"header declares {n}"
-            )
-        values = _parse_floats(cells[1:], lineno)
-        ids.append(cells[0])
-        pts.append(values[:-1])
-        wts.append(values[-1])
-    if not pts:
-        raise ParseError(f"{path}: header only, no agent rows")
-    return DiscreteMeasure(np.array(pts), np.array(wts), ids=tuple(ids))
+    ids, points, weights = _read_table(path, "id,y1,...,yn,weight", 3, "agent")
+    return DiscreteMeasure(points, weights, ids=ids)
 
 
 def load_tasks_csv(path) -> TaskSet:
     """Load tasks from CSV with header ``id,o1..on,d1..dn,weight``."""
-    rows = _read_rows(path)
-    lineno, header = rows[0]
-    if len(header) < 4 or header[0].lower() != "id" or header[-1].lower() != "weight":
-        raise ParseError("expected header id,o1..on,d1..dn,weight", row=lineno)
-    coords = len(header) - 2
-    if coords % 2 != 0:
-        raise DimensionMismatch(
-            f"line {lineno}: origin and destination arity must be equal "
-            f"(header has {coords} coordinate columns)"
-        )
-    n = coords // 2
-    ids, origins, dests, wts = [], [], [], []
-    for lineno, cells in rows[1:]:
-        if len(cells) != coords + 2:
+
+    def even(columns: int, lineno: int) -> None:
+        if columns % 2 != 0:
             raise DimensionMismatch(
-                f"line {lineno}: {len(cells) - 2} coordinate+weight columns, "
-                f"header declares {coords}"
+                f"line {lineno}: origin and destination arity must be equal "
+                f"(header has {columns} coordinate columns)"
             )
-        values = _parse_floats(cells[1:], lineno)
-        ids.append(cells[0])
-        origins.append(values[:n])
-        dests.append(values[n : 2 * n])
-        wts.append(values[-1])
-    if not origins:
-        raise ParseError(f"{path}: header only, no task rows")
-    return TaskSet(np.array(origins), np.array(dests), np.array(wts), ids=tuple(ids))
+
+    ids, coords, weights = _read_table(path, "id,o1..on,d1..dn,weight", 4, "task", even)
+    n = coords.shape[1] // 2
+    return TaskSet(coords[:, :n], coords[:, n:], weights, ids=ids)
 
 
 def write_agents_csv(measure: DiscreteMeasure, path) -> None:
     """Write a measure in the agents CSV format (floats as shortest round-trip)."""
-    n = measure.dim
-    header = ["id"] + [f"y{k + 1}" for k in range(n)] + ["weight"]
+    columns = [f"y{k + 1}" for k in range(measure.dim)]
     ids = measure.ids or tuple(f"a{i}" for i in range(len(measure)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(measure)):
-            writer.writerow(
-                [ids[i]]
-                + [repr(float(x)) for x in measure.points[i]]
-                + [repr(float(measure.weights[i]))]
-            )
+    _write_table(path, columns, ids, measure.points, measure.weights)
 
 
 def write_tasks_csv(tasks: TaskSet, path) -> None:
     """Write a task set in the tasks CSV format."""
-    n = tasks.dim
-    header = (
-        ["id"]
-        + [f"o{k + 1}" for k in range(n)]
-        + [f"d{k + 1}" for k in range(n)]
-        + ["weight"]
-    )
+    columns = [f"{end}{k + 1}" for end in "od" for k in range(tasks.dim)]
     ids = tasks.ids or tuple(f"t{i}" for i in range(len(tasks)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(tasks)):
-            writer.writerow(
-                [ids[i]]
-                + [repr(float(x)) for x in tasks.origins[i]]
-                + [repr(float(x)) for x in tasks.destinations[i]]
-                + [repr(float(tasks.weights[i]))]
-            )
+    _write_table(path, columns, ids, np.hstack([tasks.origins, tasks.destinations]), tasks.weights)

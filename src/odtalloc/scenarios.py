@@ -30,6 +30,14 @@ KINDS = ("gaussian_mixture", "grid", "city_box")
 DEFAULT_BOX = (0.0, 0.0, 10000.0, 10000.0)  # 10 km x 10 km, meters
 
 
+def _floats(value) -> np.ndarray | None:
+    """A params value as a float array, or None when it holds no numbers of one shape."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     kind: str
@@ -48,19 +56,21 @@ class ScenarioSpec:
             raise InvalidSpec("n_tasks must be >= 1", field="n_tasks")
         if self.n_agents < 1:
             raise InvalidSpec("n_agents must be >= 1", field="n_agents")
+        if not isinstance(self.params, dict):
+            raise InvalidSpec("params must be a JSON object (a dict)", field="params")
         if self.kind == "gaussian_mixture":
-            spread = self.params.get("spread", 1.0)
-            if not spread > 0.0:
+            spread = _floats(self.params.get("spread", 1.0))
+            if spread is None or spread.ndim != 0 or not spread > 0.0:
                 raise InvalidSpec("spread must be positive", field="spread")
             for key in ("means_origin", "means_destination", "means_agent"):
-                for mean in self.params.get(key, []):
-                    if len(mean) != self.dim:
-                        raise InvalidSpec(f"{key} entries must be {self.dim}-vectors", field=key)
+                means = _floats(self.params.get(key, [[0.0] * self.dim]))
+                if means is None or means.shape[1:] != (self.dim,) or len(means) == 0:
+                    raise InvalidSpec(f"{key} entries must be {self.dim}-vectors", field=key)
         if self.kind == "city_box":
             if self.dim != 2:
                 raise InvalidSpec("city_box instances are 2-D", field="dim")
-            box = self.params.get("box", DEFAULT_BOX)
-            if len(box) != 4:
+            box = _floats(self.params.get("box", DEFAULT_BOX))
+            if box is None or box.shape != (4,):
                 raise InvalidSpec("box must be [min0, min1, max0, max1]", field="box")
             if not (box[2] > box[0] and box[3] > box[1]):
                 raise InvalidSpec("box corners must be ordered", field="box")

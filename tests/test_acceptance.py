@@ -272,7 +272,7 @@ def test_criterion_7_entropic_consistency():
 
 
 def test_criterion_8_gramian_numerics():
-    spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0, 1000)
+    spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0)
     phi, gramian = wpd_gramian(spec)
     closed_form = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
     gram_err = float(np.abs(gramian - closed_form).max())

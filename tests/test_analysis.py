@@ -9,6 +9,7 @@ from odtalloc.analysis import (
     cross_difference,
     indifference_set_distance,
     monotone_map_1d,
+    verify_monge,
     verify_nondegeneracy,
     verify_twist,
 )
@@ -92,6 +93,24 @@ class TestCrossDifference:
         assert cross_difference(lambda s, y: -s * y, 1.0, 1.0, 0.0, 2.0) == 0.0
         assert cross_difference(lambda s, y: -s * y, 0.0, 2.0, 1.0, 1.0) == 0.0
         assert cross_difference(lambda s, y: -s * y, 0.0, 2.0, 0.0, 2.0) < 0.0
+
+
+class TestMonge:
+    def test_ordered_draws_pass(self):
+        report = verify_monge(500, seed=3)
+        assert report.passed and report.samples_checked == 500
+        assert report.worst_case <= 0.0
+
+    def test_witness_attains_worst_case(self):
+        report = verify_monge(50, seed=4)
+        (s_lo, s_hi), (y_lo, y_hi) = report.witness
+        assert s_lo <= s_hi and y_lo <= y_hi
+        assert abs(report.worst_case + (s_hi - s_lo) * (y_hi - y_lo)) <= 1e-12
+
+    def test_json_shape(self):
+        payload = verify_monge(10, seed=5).to_json()
+        assert payload["condition"] == "monge" and payload["samples"] == 10
+        assert [len(w) for w in payload["witness"]] == [2, 2]
 
 
 class TestNestedness:

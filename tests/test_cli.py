@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -51,6 +52,24 @@ class TestGen:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("gaussian_mixture", "[1]", "params"),
+            ("gaussian_mixture", '{"spread": "x"}', "spread"),
+            ("gaussian_mixture", '{"means_agent": [1]}', "means_agent"),
+            ("city_box", '{"box": [0, 0, "a", 1]}', "box"),
+        ],
+    )
+    def test_malformed_params_are_usage_errors(self, tmp_path, capsys, kind, params, field):
+        assert run("gen", "--kind", kind, "--params", params, "--out", str(tmp_path / "x")) == 2
+        assert f"invalid scenario ({field})" in capsys.readouterr().err
+
+    def test_non_object_params_with_flag_overrides(self, tmp_path, capsys):
+        assert run("gen", "--kind", "gaussian_mixture", "--params", "[1]", "--spread", "2",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "invalid scenario (params)" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ODTALLOC_SEED", "42")
@@ -115,6 +134,18 @@ class TestSolve:
         assert lines[0] == "task_id,agent_id,mass,o1,d1,y1"
         assert len(lines) == 3
 
+    def test_plot_csv_quotes_ids(self, tmp_path):
+        tasks, agents = tmp_path / "tasks.csv", tmp_path / "agents.csv"
+        tasks.write_text('id,o1,d1,weight\n"t,1",0,0,1\nt2,1,1,1\n')
+        agents.write_text('id,y1,weight\n"a""x",0,1\nb,1,1\n')
+        out = tmp_path / "sol"
+        assert run("solve", "--tasks", str(tasks), "--agents", str(agents), "--out", str(out)) == 0
+        with open(out / "plot.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["task_id", "agent_id", "mass", "o1", "d1", "y1"]
+        assert [row[:2] for row in rows[1:]] == [["t,1", 'a"x'], ["t2", "b"]]
+        assert all(len(row) == 6 for row in rows)
+
     def test_byte_identical_reruns(self, canonical, tmp_path):
         outs = [tmp_path / "d1", tmp_path / "d2"]
         for out in outs:
@@ -156,6 +187,34 @@ class TestSolve:
             "--epsilon", epsilon, "--out", str(tmp_path / "sol"),
         ) == 2
         assert "--epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["exact", "reduced", "entropic"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"),
+         ("--max-iter", "-5"), ("--max-iter", "0")],
+    )
+    def test_bad_tol_or_max_iter_is_usage_error(
+        self, canonical, tmp_path, capsys, method, flag, value
+    ):
+        assert run(
+            "solve", "--tasks", str(canonical / "tasks.csv"),
+            "--agents", str(canonical / "agents.csv"), "--method", method,
+            "--epsilon", "1", flag, value, "--out", str(tmp_path / "sol"),
+        ) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "sol").exists()
+
+    @pytest.mark.parametrize("which", ["tasks", "agents"])
+    def test_non_utf8_input_is_usage_error(self, canonical, tmp_path, capsys, which):
+        files = {"tasks": canonical / "tasks.csv", "agents": canonical / "agents.csv"}
+        files[which] = tmp_path / f"{which}.csv"
+        files[which].write_bytes((canonical / f"{which}.csv").read_bytes() + b"x\xff,1,1\n")
+        assert run(
+            "solve", "--tasks", str(files["tasks"]), "--agents", str(files["agents"]),
+            "--out", str(tmp_path / "sol"),
+        ) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
         inst = tmp_path / "inst"
@@ -271,6 +330,32 @@ class TestVerify:
     def test_stability_needs_files(self, capsys):
         assert run("verify", "--check", "stability") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "case", ["mass_not_a_number", "no_objective", "no_dual_u", "not_utf8"]
+    )
+    def test_malformed_plan_is_usage_error(self, canonical, tmp_path, capsys, case):
+        sol = tmp_path / "sol"
+        run("solve", "--tasks", str(canonical / "tasks.csv"),
+            "--agents", str(canonical / "agents.csv"), "--out", str(sol))
+        payload = json.loads((sol / "plan.json").read_text())
+        if case == "mass_not_a_number":
+            payload["entries"][0]["mass"] = "x"
+        elif case == "no_objective":
+            del payload["objective"]
+        elif case == "no_dual_u":
+            del payload["duals"]["u"]
+        data = json.dumps(payload).encode()
+        if case == "not_utf8":
+            data = b"\xff" + data
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(data)
+        assert run(
+            "verify", "--check", "stability", "--plan", str(broken),
+            "--tasks", str(canonical / "tasks.csv"),
+            "--agents", str(canonical / "agents.csv"), "--out", str(tmp_path / "v"),
+        ) == 2
+        assert "plan file" in capsys.readouterr().err
 
     def test_plan_marginals_revalidated(self, canonical, tmp_path):
         sol = tmp_path / "sol"

@@ -263,34 +263,30 @@ class TestReductionConstant:
 
 class TestGramian:
     def test_unit_integrator(self):
-        phi, gram = wpd_gramian(DynamicsSpec([[0.0]], [[1.0]], 0.0, 1.0, 10))
+        phi, gram = wpd_gramian(DynamicsSpec([[0.0]], [[1.0]], 0.0, 1.0))
         assert_allclose(phi, [[1.0]])
         assert_allclose(gram, [[1.0]], rtol=1e-12)
 
     def test_double_integrator_closed_form(self):
         # oracle: integral of [(1-t)^2, (1-t); (1-t), 1] over [0, 1]
-        spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0, 1000)
+        spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0)
         phi, gram = wpd_gramian(spec)
         assert_allclose(phi, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
         assert np.abs(gram - np.array([[1 / 3, 1 / 2], [1 / 2, 1.0]])).max() < 1e-6
 
     def test_identity_input_map(self):
-        phi, gram = wpd_gramian(DynamicsSpec(np.zeros((2, 2)), np.eye(2), 0.0, 1.0, 10))
+        phi, gram = wpd_gramian(DynamicsSpec(np.zeros((2, 2)), np.eye(2), 0.0, 1.0))
         assert_allclose(phi, np.eye(2))
         assert_allclose(gram, np.eye(2), rtol=1e-12)
 
     def test_symmetry(self):
-        spec = DynamicsSpec([[0.1, 1.0], [-0.3, 0.2]], [[0.4], [1.0]], 0.0, 2.0, 200)
+        spec = DynamicsSpec([[0.1, 1.0], [-0.3, 0.2]], [[0.4], [1.0]], 0.0, 2.0)
         _, gram = wpd_gramian(spec)
         assert np.abs(gram - gram.T).max() <= 1e-12
 
     def test_uncontrollable(self):
         with pytest.raises(NotControllable):
             wpd_gramian(DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[1.0], [0.0]]))
-
-    def test_odd_steps_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            DynamicsSpec([[0.0]], [[1.0]], 0.0, 1.0, 7)
 
 
 class TestWpdCost:
@@ -314,7 +310,7 @@ class TestWpdCost:
         assert_allclose(yh, [2.0])
 
     def test_cost_equals_whitened_half_square(self):
-        spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0, 1000)
+        spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0)
         phi, gram = wpd_gramian(spec)
         rng = rng_stream(77)
         for _ in range(100):
@@ -325,7 +321,7 @@ class TestWpdCost:
             assert abs(direct - 0.5 * float((yh - xh) @ (yh - xh))) <= 1e-9
 
     def test_zero_set_is_free_flow(self):
-        spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0, 200)
+        spec = DynamicsSpec([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0)
         phi, gram = wpd_gramian(spec)
         rng = rng_stream(78)
         for _ in range(50):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from odtalloc.errors import (
+    AllocationError,
     AllZero,
     DimensionMismatch,
     NegativeWeight,
@@ -138,6 +141,17 @@ class TestProjection:
             project_lonlat([(0.0, 91.0)], (0.0, 0.0))
 
 
+# bodies of up to 4 rows of 3-4 cells: some match a header, most are malformed
+_CSV_BODIES = st.lists(
+    st.lists(
+        st.sampled_from(["0", "1.5", "-2", "3", "1e308", "nan", "x", "", '"q,1"', "\xff"]),
+        min_size=3,
+        max_size=4,
+    ).map(lambda cells: ",".join(cells) + "\n"),
+    max_size=4,
+).map(lambda rows: "".join(rows).encode())
+
+
 class TestCsvIo:
     def test_load_agents(self, tmp_path):
         path = tmp_path / "agents.csv"
@@ -196,6 +210,49 @@ class TestCsvIo:
         path.write_text("id,o1,o2,d1,weight\nt1,0,0,1,1\n")
         with pytest.raises(DimensionMismatch):
             load_tasks_csv(path)
+
+    def test_odd_coordinate_count_reports_header_line(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_text("# generated\n\nid,o1,o2,d1,weight\nt1,0,0,1,1\n")
+        with pytest.raises(DimensionMismatch, match="^line 3: "):
+            load_tasks_csv(path)
+
+    @pytest.mark.parametrize("loader", [load_agents_csv, load_tasks_csv])
+    def test_header_only_rejected(self, tmp_path, loader):
+        path = tmp_path / "only.csv"
+        path.write_text("id,o1,d1,weight\n")
+        with pytest.raises(ParseError, match="header only"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_agents_csv, load_tasks_csv])
+    def test_non_utf8_is_parse_error(self, tmp_path, loader):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,o1,d1,weight\nt1,0,\xff,1\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_agents_csv, load_tasks_csv])
+    def test_oversized_field_is_parse_error(self, tmp_path, loader):
+        path = tmp_path / "big.csv"
+        path.write_text("id,o1,d1,weight\n" + "x" * 200_000 + ",0,0,1\n")
+        with pytest.raises(ParseError) as err:
+            loader(path)
+        assert err.value.row == 2
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([b"", b"id,y1,weight\n", b"id,o1,d1,weight\n"]),
+        st.binary(max_size=200) | _CSV_BODIES,
+    )
+    def test_arbitrary_bytes_load_or_raise_allocation_error(self, tmp_path_factory, head, body):
+        path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+        path.write_bytes(head + body)
+        for loader in (load_agents_csv, load_tasks_csv):
+            try:
+                loaded = loader(path)
+            except AllocationError:
+                continue
+            assert len(loaded) >= 1
 
     def test_agents_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)

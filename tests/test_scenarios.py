@@ -153,6 +153,23 @@ class TestCityBoxScenario:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("gaussian_mixture", [1], "params"),
+            ("gaussian_mixture", {"spread": "x"}, "spread"),
+            ("gaussian_mixture", {"spread": 10**400}, "spread"),
+            ("gaussian_mixture", {"means_agent": [1]}, "means_agent"),
+            ("gaussian_mixture", {"means_origin": []}, "means_origin"),
+            ("city_box", {"box": [0, 0, "a", 1]}, "box"),
+            ("city_box", {"box": 5}, "box"),
+        ],
+    )
+    def test_malformed_params_name_the_field(self, kind, params, field):
+        with pytest.raises(InvalidSpec) as err:
+            ScenarioSpec(kind, 2, 2, 2, params=params)
+        assert err.value.field == field
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec) as err:
             ScenarioSpec("hexagon", 2, 2, 2)
