@@ -250,6 +250,10 @@ def _verify_stability(args) -> dict:
 
 
 def cmd_verify(args, argv) -> int:
+    if not 0.0 < args.tol < float("inf"):
+        raise _UsageFailure(f"--tol must be positive and finite, got {args.tol!r}")
+    if args.samples < 1:
+        raise _UsageFailure(f"--samples must be at least 1, got {args.samples}")
     seed = _resolve_seed(args.seed)
     timings = {}
     start = time.perf_counter()

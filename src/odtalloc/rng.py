@@ -27,14 +27,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_VECTOR_MIN = 64  # fewer draws run faster one by one than through numpy's set-up
 
 
 def _mix64(z: int) -> int:
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -54,7 +59,16 @@ class RngStream:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, k: int) -> list[float]:
-        return [self.uniform() for _ in range(k)]
+        """k draws of ``uniform``, bit for bit; from 64 on, in wrapping uint64 numpy."""
+        if k < _VECTOR_MIN:
+            return [self.uniform() for _ in range(k)]
+        counters = np.arange(1, k + 1, dtype=np.uint64) + np.uint64(self.counter & _MASK)
+        self.counter += k
+        z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return ((z >> np.uint64(11)).astype(float) * 2.0**-53).tolist()
 
     def normals(self, k: int) -> list[float]:
         """k standard normals via Box-Muller, two uniforms per pair."""

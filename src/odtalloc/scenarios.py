@@ -77,6 +77,12 @@ class ScenarioSpec:
             units = self.params.get("units", "meters")
             if units not in ("meters", "degrees"):
                 raise InvalidSpec("units must be 'meters' or 'degrees'", field="units")
+            if units == "degrees" and not (
+                -180.0 <= box[0] and box[2] <= 180.0 and -90.0 <= box[1] and box[3] <= 90.0
+            ):
+                raise InvalidSpec(
+                    "a degree box must lie in lon [-180, 180] and lat [-90, 90]", field="box"
+                )
 
     def to_json(self) -> dict:
         return {

@@ -1,10 +1,15 @@
 """Exact and entropic solvers for the discrete coupling problem.
 
-The exact path is a transportation (network) simplex over the dense
-task x agent grid: the basis is a spanning tree on the bipartite node set,
-duals come from the tree with u_0 = 0, the entering cell is the most
-negative reduced cost, and Bland's rule takes over after a run of
-degenerate pivots so termination is guaranteed.  The entropic path is
+The exact path has two solvers, chosen from the input.  A uniform square
+instance (n tasks, n agents, every weight equal) has a permutation as an
+optimal coupling (Birkhoff), so it is solved as an assignment by scipy's
+``linear_sum_assignment`` (Crouse 2016), and its duals are recovered by
+Bellman-Ford on the row potentials.  Every other instance goes to a
+transportation (network) simplex over the dense task x agent grid: the
+basis is a spanning tree on the bipartite node set, duals come from the
+tree with u_0 = 0, the entering cell is the most negative reduced cost,
+and Bland's rule takes over after a run of degenerate pivots so
+termination is guaranteed.  The entropic path is
 log-domain Sinkhorn scaling.  Both return plans whose row/column sums
 reproduce the prescribed marginals.  ``solve`` is the one entry point for
 a task set and agents: it builds the cost, runs a method and certifies.
@@ -267,6 +272,36 @@ def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     raise IterationLimit(f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
+def _assignment(cost: np.ndarray, mu: np.ndarray):
+    """Optimal permutation masses and duals for a uniform square instance.
+
+    Duals: with v_sigma(k) = c_k,sigma(k) - u_k the constraint u_i + v_j <= c_ij
+    reads u_i <= u_k + c_i,sigma(k) - c_k,sigma(k), a shortest-path problem over
+    the rows that has no negative cycle because sigma is optimal.  Bellman-Ford
+    from u = 0 settles it in at most n - 1 rounds; the round cap stops a
+    negative cycle made of rounding error.  u_0 = 0, as the simplex anchors it.
+    """
+    from scipy.optimize import linear_sum_assignment  # ~0.2 s to import: only when used
+
+    n = cost.shape[0]
+    _, sigma = linear_sum_assignment(cost)
+    on_support = cost[np.arange(n), sigma]
+    edge = cost[:, sigma] - on_support[None, :]  # edge[i, k] = c_i,sigma(k) - c_k,sigma(k)
+    paths = np.empty_like(edge)
+    u = np.zeros(n)
+    for _ in range(n):
+        np.add(edge, u[None, :], out=paths)
+        relaxed = paths.min(axis=1)
+        if np.array_equal(relaxed, u):
+            break
+        u = relaxed
+    u -= u[0]
+    v = np.empty(n)
+    v[sigma] = on_support - u
+    mass = {(i, int(sigma[i])): mu[i] for i in range(n)}
+    return mass, u, v
+
+
 def _plan_from_mass(mass, cost: np.ndarray, m: int, n: int) -> TransportPlan:
     entries = tuple(
         (i, j, value)
@@ -280,11 +315,17 @@ def _plan_from_mass(mass, cost: np.ndarray, m: int, n: int) -> TransportPlan:
 def solve_exact(cost: CostMatrix, mu_w, nu_w) -> tuple[TransportPlan, DualPotentials]:
     """Globally optimal basic feasible solution of the transportation LP.
 
-    Deterministic: ties in the entering cell resolve row-major, ties in the
-    leaving ratio by smallest row then column index.
+    A square cost with every entry of ``mu_w`` and ``nu_w`` equal is solved as
+    an assignment, and ties resolve as ``linear_sum_assignment`` resolves
+    them; the plan is a permutation.  Any other input runs the simplex,
+    where ties in the entering cell resolve row-major and ties in the
+    leaving ratio by smallest row then column index.  Both are deterministic.
     """
     mu, nu = _checked_weights(cost, mu_w, nu_w)
-    mass, u, v = _transportation_simplex(cost.values, mu, nu)
+    if mu.size == nu.size and np.all(mu == mu[0]) and np.all(nu == mu[0]):
+        mass, u, v = _assignment(cost.values, mu)
+    else:
+        mass, u, v = _transportation_simplex(cost.values, mu, nu)
     plan = _plan_from_mass(mass, cost.values, mu.size, nu.size)
     return plan, DualPotentials(u, v)
 

@@ -217,8 +217,9 @@ class TestSolve:
         assert "not UTF-8" in capsys.readouterr().err
 
     def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
+        # 8 tasks, 7 agents: uniform square input is an assignment and never pivots
         inst = tmp_path / "inst"
-        assert run("gen", "--kind", "gaussian_mixture", "--tasks", "8", "--agents", "8",
+        assert run("gen", "--kind", "gaussian_mixture", "--tasks", "8", "--agents", "7",
                    "--seed", "3", "--out", str(inst)) == 0
         monkeypatch.setattr(odtalloc.solver, "_MAX_PIVOTS", 1)
         assert run(
@@ -326,6 +327,28 @@ class TestVerify:
         corrupted.write_text(json.dumps(payload))
         assert run("verify", "--check", "stability", "--plan", str(corrupted),
                    *files, "--out", str(tmp_path / "bad")) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_is_usage_error(self, canonical, tmp_path, capsys, value):
+        sol = tmp_path / "sol"
+        run("solve", "--tasks", str(canonical / "tasks.csv"),
+            "--agents", str(canonical / "agents.csv"), "--out", str(sol))
+        assert run(
+            "verify", "--check", "stability", "--plan", str(sol / "plan.json"),
+            "--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv"),
+            "--tol", value, "--out", str(tmp_path / "v"),
+        ) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("check", ["twist", "nondegeneracy", "monge"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_samples_is_usage_error(self, tmp_path, capsys, check, samples):
+        assert run(
+            "verify", "--check", check, "--samples", samples, "--out", str(tmp_path / "v"),
+        ) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def test_stability_needs_files(self, capsys):
         assert run("verify", "--check", "stability") == 2

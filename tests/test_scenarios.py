@@ -49,6 +49,14 @@ class TestRngStream:
         assert pair[0] == r * math.cos(2.0 * math.pi * u2)
         assert pair[1] == r * math.sin(2.0 * math.pi * u2)
 
+    @pytest.mark.parametrize("counter", [0, 7])
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 1000])
+    def test_uniforms_match_per_draw_sequence(self, k, counter):
+        batched = RngStream(2024, counter)
+        single = RngStream(2024, counter)
+        assert batched.uniforms(k) == [single.uniform() for _ in range(k)]
+        assert batched.counter == single.counter == counter + k
+
     def test_split_streams_are_independent_of_parent_state(self):
         parent = rng_stream(31)
         early_child = parent.split(4)
@@ -163,6 +171,9 @@ class TestSpecValidation:
             ("gaussian_mixture", {"means_origin": []}, "means_origin"),
             ("city_box", {"box": [0, 0, "a", 1]}, "box"),
             ("city_box", {"box": 5}, "box"),
+            ("city_box", {"box": [0, 0, 200, 10], "units": "degrees"}, "box"),
+            ("city_box", {"box": [0, 0, 170, 95], "units": "degrees"}, "box"),
+            ("city_box", {"box": [-181, -90, 0, 0], "units": "degrees"}, "box"),
         ],
     )
     def test_malformed_params_name_the_field(self, kind, params, field):

@@ -9,9 +9,13 @@ from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix
 from odtalloc.errors import IterationLimit, MassMismatch, TooLarge
 from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
 from odtalloc.rng import rng_stream
+from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import (
+    _UNIQUENESS_SEED,
     DualPotentials,
     TransportPlan,
+    _plan_from_mass,
+    _transportation_simplex,
     brute_force_small,
     check_stability,
     purity,
@@ -42,6 +46,12 @@ def _balanced(tasks, agents):
     mu = np.asarray(tasks.weights)
     nu = np.asarray(agents.weights)
     return mu, nu * (mu.sum() / nu.sum())
+
+
+def _simplex(cost, mu, nu):
+    """The simplex alone: solve_exact sends uniform square input to the assignment path."""
+    mass, u, v = _transportation_simplex(cost.values, mu, nu)
+    return _plan_from_mass(mass, cost.values, cost.n_tasks, cost.n_agents), DualPotentials(u, v)
 
 
 class TestSolveExact:
@@ -103,9 +113,9 @@ class TestSolveExact:
         for size in (3, 5, 7):
             cost = CostMatrix(np.ones((size, size)))
             w = np.full(size, 1.0 / size)
-            plan, duals = solve_exact(cost, w, w)
-            assert abs(plan.objective - 1.0) <= 1e-12
-            assert check_stability(plan, duals, cost).passed
+            for plan, duals in (solve_exact(cost, w, w), _simplex(cost, w, w)):
+                assert abs(plan.objective - 1.0) <= 1e-12
+                assert check_stability(plan, duals, cost).passed
 
     def test_uniform_instances_are_pure_permutations(self):
         rng = rng_stream(104)
@@ -138,6 +148,62 @@ class TestSolveExact:
         nu = np.full(5, 0.2)
         _, duals = solve_exact(cost, mu, nu)
         assert duals.u[0] == 0.0
+
+
+def _uniform_square_costs():
+    yield pytest.param(CostMatrix([[3.5]]), id="1x1")
+    yield pytest.param(CostMatrix(np.ones((4, 4))), id="ones")
+    ties = np.add.outer(np.arange(5.0), np.arange(5.0))
+    yield pytest.param(CostMatrix(ties), id="every_permutation_ties")
+    yield pytest.param(CANONICAL, id="canonical")
+    means = {"means_origin": [[0.0] * 3, [4.0] * 3], "means_destination": [[2.0] * 3, [-3.0] * 3],
+             "means_agent": [[1.0] * 3, [-1.0] * 3]}
+    for dim in (2, 3):
+        params = {key: [mean[:dim] for mean in value] for key, value in means.items()}
+        for size in (6, 25, 60):
+            tasks, agents = generate(ScenarioSpec("gaussian_mixture", dim, size, size, size, params))
+            yield pytest.param(cost_matrix(tasks, agents), id=f"mixture{dim}d_{size}_full")
+            reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
+            yield pytest.param(reduced, id=f"mixture{dim}d_{size}_reduced")
+
+
+class TestAssignmentPath:
+    """solve_exact on uniform square input, against the simplex and the permutation oracle."""
+
+    @pytest.mark.parametrize("cost", list(_uniform_square_costs()))
+    def test_matches_simplex(self, cost):
+        w = np.full(cost.n_tasks, 1.0 / cost.n_tasks)
+        plan, duals = solve_exact(cost, w, w)
+        reference, reference_duals = _simplex(cost, w, w)
+        assert abs(plan.objective - reference.objective) <= 1e-12 * abs(reference.objective)
+        assert check_stability(plan, duals, cost).passed
+        assert check_stability(reference, reference_duals, cost).passed
+        assert duals.u[0] == 0.0
+        # the simplex's own uniqueness surrogate: the same perturbation, re-solved by the simplex
+        noise = np.array(rng_stream(_UNIQUENESS_SEED).uniforms(cost.values.size))
+        perturbed = CostMatrix(cost.values + 1e-10 * noise.reshape(cost.values.shape))
+        if _simplex(perturbed, w, w)[0].support() == reference.support():
+            assert plan.entries == reference.entries
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: hnp.arrays(
+                float, (n, n),
+                elements=st.one_of(st.floats(-100.0, 100.0), st.integers(-2, 2).map(float)),
+            )
+        )
+    )
+    def test_equals_brute_force(self, values):
+        cost = CostMatrix(values)
+        n = cost.n_tasks
+        w = np.full(n, 1.0 / n)
+        plan, duals = solve_exact(cost, w, w)
+        oracle = brute_force_small(cost, w, w)
+        assert abs(plan.objective - oracle.objective) <= 1e-12 * max(1.0, abs(oracle.objective))
+        assert sorted(j for _, j, _ in plan.entries) == list(range(n))
+        assert all(mass == w[0] for _, _, mass in plan.entries)
+        assert check_stability(plan, duals, cost).passed
 
 
 class TestBruteForce:
