@@ -254,6 +254,8 @@ def cmd_verify(args, argv) -> int:
         raise _UsageFailure(f"--tol must be positive and finite, got {args.tol!r}")
     if args.samples < 1:
         raise _UsageFailure(f"--samples must be at least 1, got {args.samples}")
+    if args.grid < 2:
+        raise _UsageFailure(f"--grid must be at least 2, got {args.grid}")
     seed = _resolve_seed(args.seed)
     timings = {}
     start = time.perf_counter()

@@ -10,9 +10,13 @@ basis is a spanning tree on the bipartite node set, duals come from the
 tree with u_0 = 0, the entering cell is the most negative reduced cost,
 and Bland's rule takes over after a run of degenerate pivots so
 termination is guaranteed.  The entropic path is
-log-domain Sinkhorn scaling.  Both return plans whose row/column sums
-reproduce the prescribed marginals.  ``solve`` is the one entry point for
-a task set and agents: it builds the cost, runs a method and certifies.
+log-domain Sinkhorn scaling (stabilised as in Schmitzer 2019) on an
+in-module log-sum-exp kernel that gives scipy's results bit for bit; its
+convergence check reuses the next sweep's log-sum-exp, and the dense plan
+is built once, at exit.  Only the assignment path imports scipy, inside
+the function.  Both return plans whose row/column sums reproduce the
+prescribed marginals.  ``solve`` is the one entry point for a task set and
+agents: it builds the cost, runs a method and certifies.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix, reduction_constant
 from .errors import DimensionMismatch, IterationLimit, MassMismatch, TooLarge
@@ -330,6 +333,29 @@ def solve_exact(cost: CostMatrix, mu_w, nu_w) -> tuple[TransportPlan, DualPotent
     return plan, DualPotentials(u, v)
 
 
+def _logsumexp(a: np.ndarray, axis: int, mask: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=axis)`` of a real 2-D ``a``, bit for bit.
+
+    The steps of scipy 1.17's real-input algorithm, the separated-maximum
+    form of Blanchard, Higham & Higham (2021), without its array-API
+    dispatch: the maxima of each slice are counted (m) and kept out of the
+    shifted sum s, and the result is log1p(s / m) + log(m) + max.  Special
+    values come out as scipy's do: -inf for a slice that is all -inf, +inf
+    for one holding +inf, nan for one holding nan.  ``a`` is overwritten;
+    ``mask`` is a bool buffer of its shape.
+    """
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+    np.equal(a, a_max, out=mask)
+    m = np.add.reduce(mask, axis=axis, keepdims=True, dtype=float)
+    # a slice that is all -inf, or holds nan or +inf, meets -inf - -inf, inf - inf or log(0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract(a, a_max, out=a)
+        np.putmask(a, mask, -np.inf)
+        s = np.add.reduce(np.exp(a, out=a), axis=axis, keepdims=True)
+        s /= m  # scipy divides where s != 0; s == 0 only where m >= 1, so 0 / m == s
+        return (np.log1p(s) + np.log(m) + a_max).reshape(-1)
+
+
 def solve_entropic(
     cost: CostMatrix,
     mu_w,
@@ -340,10 +366,14 @@ def solve_entropic(
 ) -> TransportPlan:
     """Entropy-regularized approximation via log-domain Sinkhorn scaling.
 
-    Alternating potential updates with logsumexp (max) stabilization;
-    terminates once the worst marginal violation of the implied plan is
-    below ``tol``.  The reported objective is against the original cost
-    matrix, with no entropy term.
+    Alternating potential updates through ``_logsumexp``; terminates once
+    the worst marginal violation of the implied plan is below ``tol``.  The
+    check costs no extra pass over the m x n grid: a row sum is
+    exp(f_i / eps + lse_i), where lse_i is the log-sum-exp the next f-update
+    needs anyway, and a column sum is exp(g_j / eps + lse_j) with the
+    log-sum-exp the g-update just used.  The dense plan is built once, on
+    exit.  The reported objective is against the original cost matrix, with
+    no entropy term.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -352,18 +382,25 @@ def solve_entropic(
     with np.errstate(divide="ignore"):
         log_mu = np.log(mu)
         log_nu = np.log(nu)
-    f = np.zeros(mu.size)
-    g = np.zeros(nu.size)
+    # empty_like keeps C's memory order, which the reductions' summation order follows
+    work = np.empty_like(C)
+    mask = np.empty_like(C, dtype=bool)
+
+    def row_lse(g):  # log sum_j exp((g_j - C_ij) / eps), one value per row
+        np.divide(np.subtract(g[None, :], C, out=work), epsilon, out=work)
+        return _logsumexp(work, 1, mask)
+
+    lse_row = row_lse(np.zeros(nu.size))
     violation = np.inf
     for _ in range(max_iter):
-        f = epsilon * (log_mu - logsumexp((g[None, :] - C) / epsilon, axis=1))
-        g = epsilon * (log_nu - logsumexp((f[:, None] - C) / epsilon, axis=0))
-        with np.errstate(invalid="ignore"):
-            plan = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-        plan = np.nan_to_num(plan, nan=0.0)
+        f = epsilon * (log_mu - lse_row)
+        np.divide(np.subtract(f[:, None], C, out=work), epsilon, out=work)
+        lse_col = _logsumexp(work, 0, mask)
+        g = epsilon * (log_nu - lse_col)
+        lse_row = row_lse(g)
         violation = max(
-            float(np.abs(plan.sum(axis=1) - mu).max()),
-            float(np.abs(plan.sum(axis=0) - nu).max()),
+            float(np.abs(np.exp(f / epsilon + lse_row) - mu).max()),
+            float(np.abs(np.exp(g / epsilon + lse_col) - nu).max()),
         )
         if violation < tol:
             break
@@ -372,6 +409,9 @@ def solve_entropic(
             f"marginal violation {violation:.3e} after {max_iter} iterations",
             violation=violation,
         )
+    with np.errstate(invalid="ignore"):
+        plan = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+    plan = np.nan_to_num(plan, nan=0.0)
     entries = tuple(
         (int(i), int(j), float(plan[i, j]))
         for i, j in np.argwhere(plan > 1e-18)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,17 @@ def canonical(tmp_path):
     )
     assert code == 0
     return out
+
+
+def test_cli_import_loads_no_scipy():
+    # gen, verify and entropic solves never need scipy; exact solves import it lazily
+    src = Path(odtalloc.__file__).resolve().parents[1]
+    code = "import sys, odtalloc.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestGen:
@@ -348,6 +363,18 @@ class TestVerify:
             "verify", "--check", check, "--samples", samples, "--out", str(tmp_path / "v"),
         ) == 2
         assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-1"])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
+        inst = tmp_path / "inst"
+        run("gen", "--kind", "gaussian_mixture", "--dim", "1", "--tasks", "12",
+            "--agents", "9", "--seed", "5", "--out", str(inst))
+        assert run(
+            "verify", "--check", "nestedness", "--tasks", str(inst / "tasks.csv"),
+            "--agents", str(inst / "agents.csv"), "--grid", grid, "--out", str(tmp_path / "v"),
+        ) == 2
+        assert "--grid" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
     def test_stability_needs_files(self, capsys):
