@@ -55,8 +55,8 @@ def verify_twist(dim: int, samples: int, seed: int = 0) -> ConditionReport:
     |y - y'|, which is the constant 2*sqrt(2) for this cost.  Pairs with
     |y - y'| < 1e-9 are rejected and redrawn.
     """
-    if samples < 1:
-        raise DimensionMismatch("need at least one sample")
+    if dim < 1 or samples < 1:
+        raise DimensionMismatch(f"need dim >= 1 and samples >= 1, got {dim} and {samples}")
     rng = rng_stream(seed)
     worst = math.inf
     witness = None
@@ -83,8 +83,8 @@ def verify_nondegeneracy(dim: int, samples: int, seed: int = 0) -> ConditionRepo
     regardless of the evaluation point; the numeric rank threshold is
     1e-8 times the largest singular value.
     """
-    if samples < 1:
-        raise DimensionMismatch("need at least one sample")
+    if dim < 1 or samples < 1:
+        raise DimensionMismatch(f"need dim >= 1 and samples >= 1, got {dim} and {samples}")
     rng = rng_stream(seed)
     worst = math.inf
     witness = None
@@ -115,6 +115,8 @@ def verify_monge(samples: int, seed: int = 0) -> ConditionReport:
     Draws ordered pairs s < s', y < y' and records the largest
     c(s,y) + c(s',y') - c(s,y') - c(s',y), which is -(s' - s)(y' - y) <= 0.
     """
+    if samples < 1:
+        raise DimensionMismatch(f"need samples >= 1, got {samples}")
     rng = rng_stream(seed)
     worst = -math.inf
     witness = None

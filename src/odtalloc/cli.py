@@ -1,9 +1,9 @@
 """Command-line front end: scenario generation, solving, and verification.
 
 Every command writes machine-readable JSON/CSV files plus one human
-summary line on stdout.  Exit codes are a stable contract: 0 for
-success/pass, 1 for a domain failure (solver error, failed check), 2 for
-flag or file errors.
+summary line on stdout.  Exit codes are a stable contract, decided only in
+``main``: 0 for success/pass, 1 only when a solver gives up or a check
+fails, 2 for every rejected flag, file or input.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .analysis import (
     verify_twist,
 )
 from .cost import cost_matrix
-from .errors import AllocationError, InvalidSpec, ParseError
+from .errors import AllocationError, InvalidSpec, IterationLimit
 from .measures import (
     DiscreteMeasure,
     TaskSet,
@@ -69,12 +69,7 @@ def _resolve_seed(value) -> int:
 
 
 def _load_inputs(args) -> tuple[TaskSet, DiscreteMeasure]:
-    try:
-        tasks = load_tasks_csv(args.tasks)
-        agents = load_agents_csv(args.agents)
-    except (AllocationError, OSError) as exc:
-        raise _UsageFailure(str(exc)) from exc
-    return tasks, agents
+    return load_tasks_csv(args.tasks), load_agents_csv(args.agents)
 
 
 def _write_json(path, payload) -> None:
@@ -270,8 +265,6 @@ def cmd_verify(args, argv) -> int:
         if not (args.tasks and args.agents):
             raise _UsageFailure("--check nestedness needs --tasks and --agents")
         tasks, agents = _load_inputs(args)
-        if tasks.dim != 1 or agents.dim != 1:
-            raise _UsageFailure("--check nestedness needs 1-D instance files")
         inputs = [args.tasks, args.agents]
         report = check_nestedness_1d(tasks, agents, grid=args.grid).to_json()
     else:  # stability
@@ -355,15 +348,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args, list(argv))
-    except _UsageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AllocationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except IterationLimit as exc:  # the one domain failure: a solver gave up
+        print(f"error: IterationLimit: {exc}", file=sys.stderr)
         return 1
+    except (_UsageFailure, AllocationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

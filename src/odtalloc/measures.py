@@ -105,7 +105,7 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class TaskSet:
-    """Weighted origin-destination pairs; the joint atom (o_i, d_i) lives in R^{2n}."""
+    """Weighted origin-destination pairs, validated as their joint measure on R^{2n}."""
 
     origins: np.ndarray
     destinations: np.ndarray
@@ -116,23 +116,16 @@ class TaskSet:
     def __post_init__(self):
         o = np.atleast_2d(np.asarray(self.origins, dtype=float))
         d = np.atleast_2d(np.asarray(self.destinations, dtype=float))
-        if o.size == 0:
-            raise DimensionMismatch("a task set needs at least one task")
         if o.shape != d.shape:
             raise DimensionMismatch(
                 f"origins {o.shape} and destinations {d.shape} differ"
             )
-        if not (np.all(np.isfinite(o)) and np.all(np.isfinite(d))):
-            raise ParseError("non-finite coordinate in task set")
-        w, total = _prepare_weights(self.weights, o.shape[0])
-        _check_ids(self.ids, o.shape[0])
-        o.setflags(write=False)
-        d.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "origins", o)
-        object.__setattr__(self, "destinations", d)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "raw_total", total)
+        joint = DiscreteMeasure(np.hstack([o, d]), self.weights, self.ids)
+        n = o.shape[1]
+        object.__setattr__(self, "origins", joint.points[:, :n])
+        object.__setattr__(self, "destinations", joint.points[:, n:])
+        object.__setattr__(self, "weights", joint.weights)
+        object.__setattr__(self, "raw_total", joint.raw_total)
 
     @property
     def dim(self) -> int:

@@ -62,10 +62,17 @@ class ScenarioSpec:
             spread = _floats(self.params.get("spread", 1.0))
             if spread is None or spread.ndim != 0 or not spread > 0.0:
                 raise InvalidSpec("spread must be positive", field="spread")
+            counts = {}
             for key in ("means_origin", "means_destination", "means_agent"):
                 means = _floats(self.params.get(key, [[0.0] * self.dim]))
                 if means is None or means.shape[1:] != (self.dim,) or len(means) == 0:
                     raise InvalidSpec(f"{key} entries must be {self.dim}-vectors", field=key)
+                counts[key] = len(means)
+            if counts["means_origin"] != counts["means_destination"]:
+                raise InvalidSpec(
+                    "means_origin and means_destination need one entry per component",
+                    field="means_destination",
+                )
         if self.kind == "city_box":
             if self.dim != 2:
                 raise InvalidSpec("city_box instances are 2-D", field="dim")
@@ -114,11 +121,6 @@ def _gaussian_mixture(spec: ScenarioSpec):
     means_o = np.asarray(spec.params.get("means_origin", zero), dtype=float)
     means_d = np.asarray(spec.params.get("means_destination", zero), dtype=float)
     means_a = np.asarray(spec.params.get("means_agent", zero), dtype=float)
-    if means_o.shape[0] != means_d.shape[0]:
-        raise InvalidSpec(
-            "means_origin and means_destination need one entry per component",
-            field="means_destination",
-        )
     spread = float(spec.params.get("spread", 1.0))
     root = rng_stream(spec.seed)
     task_rng = root.split(0)

@@ -377,6 +377,10 @@ def solve_entropic(
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     C = cost.values
     with np.errstate(divide="ignore"):
@@ -522,6 +526,8 @@ def check_stability(
     ``tol`` is relative to max(1, max|c_ij|), the scale the simplex prices with:
     costs near 1e8 (city boxes in meters) have a float spacing above 1e-8.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if duals.u.size != cost.n_tasks or duals.v.size != cost.n_agents:
         raise DimensionMismatch("dual sizes do not match the cost matrix")
     bound = tol * max(1.0, float(np.abs(cost.values).max()))

@@ -107,6 +107,11 @@ class TestMonge:
         assert s_lo <= s_hi and y_lo <= y_hi
         assert abs(report.worst_case + (s_hi - s_lo) * (y_hi - y_lo)) <= 1e-12
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_requires_samples(self, samples):
+        with pytest.raises(DimensionMismatch):
+            verify_monge(samples)
+
     def test_json_shape(self):
         payload = verify_monge(10, seed=5).to_json()
         assert payload["condition"] == "monge" and payload["samples"] == 10

@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import odtalloc.solver
 from odtalloc.cli import main
@@ -29,15 +32,46 @@ def canonical(tmp_path):
     return out
 
 
+SRC = Path(odtalloc.__file__).resolve().parents[1]
+
+
 def test_cli_import_loads_no_scipy():
     # gen, verify and entropic solves never need scipy; exact solves import it lazily
-    src = Path(odtalloc.__file__).resolve().parents[1]
     code = "import sys, odtalloc.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
     )
     assert done.stdout.strip() == "[]"
+
+
+@st.composite
+def _table(draw, names):
+    """An ``id,<names>,weight`` CSV text; in a third of the tables one row lacks a cell,
+    has one more, or holds a bad value."""
+    number = st.integers(-9, 9).map(str) | st.floats(-10.0, 10.0).map(repr)
+    rows = [
+        [f"r{i}", *(draw(number) for _ in names), repr(draw(st.floats(0.1, 1.0)))]
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    flaw = draw(st.sampled_from([""] * 14 + ["drop", "extra", "x", "nan", "-1", "0", "1e200"]))
+    cells = draw(st.sampled_from(rows))
+    if flaw == "drop":
+        cells.pop()
+    elif flaw == "extra":
+        cells.append("1")
+    elif flaw:
+        cells[draw(st.integers(1, len(cells) - 1))] = flaw
+    return "".join(",".join(row) + "\n" for row in [["id", *names, "weight"], *rows])
+
+
+@st.composite
+def _csv_pairs(draw):
+    """Tasks and agents CSV texts with 1-3 coordinates a side; half the pairs differ in it."""
+    task_dim = draw(st.integers(1, 3))
+    agent_dim = draw(st.sampled_from([task_dim, task_dim % 3 + 1]))
+    tasks = draw(_table([f"{end}{k + 1}" for end in "od" for k in range(task_dim)]))
+    return tasks, draw(_table([f"y{k + 1}" for k in range(agent_dim)]))
 
 
 class TestGen:
@@ -231,6 +265,33 @@ class TestSolve:
         ) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "agents_text",
+        ["id,y1,y2,weight\na0,0,0,1\na1,1,1,1\n", "id,y1,weight\na0,1e200,1\na1,0,1\n"],
+        ids=["dimension_mismatch", "cost_overflow"],
+    )
+    def test_unsolvable_input_is_usage_error(self, canonical, tmp_path, capsys, agents_text):
+        agents = tmp_path / "agents.csv"
+        agents.write_text(agents_text)
+        assert run(
+            "solve", "--tasks", str(canonical / "tasks.csv"), "--agents", str(agents),
+            "--out", str(tmp_path / "sol"),
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sol").exists()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_csv_pairs())
+    def test_drawn_csvs_solve_or_are_usage_errors(self, pair):
+        # 1 is kept for a solver that gives up, which no instance this small reaches
+        with tempfile.TemporaryDirectory() as scratch:
+            tasks, agents = Path(scratch, "tasks.csv"), Path(scratch, "agents.csv")
+            tasks.write_text(pair[0])
+            agents.write_text(pair[1])
+            code = run("solve", "--tasks", str(tasks), "--agents", str(agents),
+                       "--out", str(Path(scratch, "sol")))
+        assert code in (0, 2)
+
     def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
         # 8 tasks, 7 agents: uniform square input is an assignment and never pivots
         inst = tmp_path / "inst"
@@ -377,12 +438,35 @@ class TestVerify:
         assert "--grid" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize(
+        "check, dim", [("twist", "0"), ("twist", "-2"), ("nondegeneracy", "0")]
+    )
+    def test_bad_dim_is_usage_error(self, tmp_path, check, dim):
+        # in a subprocess with a timeout, so a check that never ends fails instead of stalling
+        done = subprocess.run(
+            [sys.executable, "-m", "odtalloc.cli", "verify", "--check", check, "--dim", dim,
+             "--samples", "5", "--out", str(tmp_path / "v")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "dim" in done.stderr
+        assert not (tmp_path / "v").exists()
+
+    def test_nestedness_needs_1d_files(self, tmp_path, capsys):
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "gaussian_mixture", "--out", str(inst)) == 0
+        assert run(
+            "verify", "--check", "nestedness", "--tasks", str(inst / "tasks.csv"),
+            "--agents", str(inst / "agents.csv"), "--out", str(tmp_path / "v"),
+        ) == 2
+        assert "1-D" in capsys.readouterr().err
+
     def test_stability_needs_files(self, capsys):
         assert run("verify", "--check", "stability") == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "case", ["mass_not_a_number", "no_objective", "no_dual_u", "not_utf8"]
+        "case", ["mass_not_a_number", "no_objective", "no_dual_u", "not_utf8", "short_dual_u"]
     )
     def test_malformed_plan_is_usage_error(self, canonical, tmp_path, capsys, case):
         sol = tmp_path / "sol"
@@ -395,6 +479,8 @@ class TestVerify:
             del payload["objective"]
         elif case == "no_dual_u":
             del payload["duals"]["u"]
+        elif case == "short_dual_u":
+            payload["duals"]["u"].pop()
         data = json.dumps(payload).encode()
         if case == "not_utf8":
             data = b"\xff" + data
@@ -405,7 +491,8 @@ class TestVerify:
             "--tasks", str(canonical / "tasks.csv"),
             "--agents", str(canonical / "agents.csv"), "--out", str(tmp_path / "v"),
         ) == 2
-        assert "plan file" in capsys.readouterr().err
+        expected = "dual sizes" if case == "short_dual_u" else "plan file"
+        assert expected in capsys.readouterr().err
 
     def test_plan_marginals_revalidated(self, canonical, tmp_path):
         sol = tmp_path / "sol"

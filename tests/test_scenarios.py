@@ -174,6 +174,11 @@ class TestSpecValidation:
             ("city_box", {"box": [0, 0, 200, 10], "units": "degrees"}, "box"),
             ("city_box", {"box": [0, 0, 170, 95], "units": "degrees"}, "box"),
             ("city_box", {"box": [-181, -90, 0, 0], "units": "degrees"}, "box"),
+            (
+                "gaussian_mixture",
+                {"means_origin": [[0, 0], [1, 1]], "means_destination": [[0, 0]]},
+                "means_destination",
+            ),
         ],
     )
     def test_malformed_params_name_the_field(self, kind, params, field):

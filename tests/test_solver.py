@@ -326,6 +326,12 @@ class TestStability:
         report = check_stability(plan, DualPotentials([1.0], [3.0]), CostMatrix([[4.0]]))
         assert report.passed
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        plan, duals = solve_exact(CANONICAL, HALF, HALF)
+        with pytest.raises(ValueError):
+            check_stability(plan, duals, CANONICAL, tol=tol)
+
 
 class TestPurity:
     def test_permutation_plan(self):
@@ -397,8 +403,15 @@ class TestEntropic:
         plan = solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps)
         assert plan.entries == entries
         assert plan.objective == objective
-        with pytest.raises(IterationLimit):
+        with pytest.raises(IterationLimit if sweeps > 1 else ValueError):  # max_iter 0 is invalid
             solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps - 1)
+
+    @pytest.mark.parametrize(
+        "tol, max_iter", [(np.nan, 10), (-1.0, 10), (0.0, 10), (np.inf, 10), (1e-8, 0), (1e-8, -5)]
+    )
+    def test_bad_tol_or_max_iter_rejected(self, tol, max_iter):
+        with pytest.raises(ValueError):
+            solve_entropic(CANONICAL, HALF, HALF, epsilon=0.05, tol=tol, max_iter=max_iter)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_lse_inputs())
@@ -538,5 +551,7 @@ class TestSolve:
         exact = solve(tasks, agents, "exact")
         reduced = solve(tasks, agents, "reduced")
         assert abs(exact.objective - reduced.objective) <= 1e-9 * max(1.0, abs(exact.objective))
-        assert check_stability(exact.plan, exact.duals, cost).passed
-        assert check_stability(reduced.plan, reduced.duals, cost).passed
+        for solution in (exact, reduced):
+            assert check_stability(solution.plan, solution.duals, cost).passed
+            assert np.abs(solution.plan.row_sums() - tasks.weights).max() <= 1e-9
+            assert np.abs(solution.plan.col_sums() - agents.weights).max() <= 1e-9
