@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--agents", required=True)
     solve.add_argument("--method", choices=METHODS, default="exact")
     solve.add_argument("--epsilon", type=float, default=None,
-                       help="entropic regularization (default: 1e-3 x cost spread)")
+                       help="entropic regularization "
+                            "(default: 1e-3 x cost spread, at least 1e-6 x max cost)")
     solve.add_argument("--tol", type=float, default=1e-8)
     solve.add_argument("--max-iter", type=int, default=10000)
     solve.add_argument("--dump-cost", type=str, default=None,

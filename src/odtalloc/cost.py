@@ -102,10 +102,11 @@ def cost_matrix(tasks: TaskSet, agents: DiscreteMeasure) -> CostMatrix:
     if tasks.dim != agents.dim:
         raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
     o, d, y = tasks.origins, tasks.destinations, agents.points
-    pickup = ((o[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-    shipping = ((o - d) ** 2).sum(axis=1)[:, None]
-    returning = ((d[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-    return CostMatrix(pickup + shipping + returning)
+    with np.errstate(over="ignore"):  # an overflow is inf, which CostMatrix rejects
+        pickup = ((o[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        shipping = ((o - d) ** 2).sum(axis=1)[:, None]
+        returning = ((d[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        return CostMatrix(pickup + shipping + returning)
 
 
 def reduced_cost_matrix(index_measure: DiscreteMeasure, agents: DiscreteMeasure) -> CostMatrix:
@@ -114,7 +115,8 @@ def reduced_cost_matrix(index_measure: DiscreteMeasure, agents: DiscreteMeasure)
         raise DimensionMismatch(
             f"index dim {index_measure.dim} != agents dim {agents.dim}"
         )
-    return CostMatrix(-(index_measure.points @ agents.points.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # CostMatrix rejects inf and nan
+        return CostMatrix(-(index_measure.points @ agents.points.T))
 
 
 def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +124,12 @@ def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray,
 
     c_ij = alpha_i + beta_j + 2 c_hat_ij, with c_hat_ij = -(o_i + d_i) . y_j,
     alpha_i = 2|o_i|^2 + 2|d_i|^2 - 2 o_i.d_i and beta_j = 2|y_j|^2.
+    An overflow gives an infinite term, which ``solve`` rejects.
     """
     o, d = tasks.origins, tasks.destinations
-    alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
-    beta = 2.0 * (agents.points**2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
+        beta = 2.0 * (agents.points**2).sum(axis=1)
     return alpha, beta
 
 

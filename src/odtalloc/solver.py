@@ -12,8 +12,11 @@ and Bland's rule takes over after a run of degenerate pivots so
 termination is guaranteed.  The entropic path is
 log-domain Sinkhorn scaling (stabilised as in Schmitzer 2019) on an
 in-module log-sum-exp kernel that gives scipy's results bit for bit; its
-convergence check reuses the next sweep's log-sum-exp, and the dense plan
-is built once, at exit.  Only the assignment path imports scipy, inside
+convergence check reuses the next sweep's log-sum-exp.  Once the sweeps
+stall, Newton steps on the dual finish the solve (Sinkhorn-Newton, Brauer,
+Clason, Lorenz & Wirth 2017): a Schur-complement solve with numpy's LAPACK
+and a line search on the max marginal violation; an attempt that fails
+hands back to the sweeps.  Only the assignment path imports scipy, inside
 the function.  Both return plans whose row/column sums reproduce the
 prescribed marginals.  ``solve`` is the one entry point for a task set and
 agents: it builds the cost, runs a method and certifies.
@@ -33,6 +36,10 @@ from .rng import rng_stream
 _MASS_DROP = 1e-14  # plan entries at or below this are not stored
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
 _MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
+_STALL_SWEEPS = 50  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
+_NEWTON_STEPS = 30  # Newton steps per attempt before the attempt is given up
+_NEWTON_MIN_STEP = 2.0**-20  # the line search gives up below this step length
+_NEWTON_RIDGE = 1e-10  # diagonal ridge of the Newton system, relative to the largest marginal
 
 METHODS = ("exact", "entropic", "reduced")
 
@@ -356,6 +363,89 @@ def _logsumexp(a: np.ndarray, axis: int, mask: np.ndarray) -> np.ndarray:
         return (np.log1p(s) + np.log(m) + a_max).reshape(-1)
 
 
+def _entropic_plan(f, g, C, epsilon, out=None) -> np.ndarray:
+    """The dense plan exp((f_i + g_j - C_ij) / eps), written into ``out`` if given.
+
+    A -inf potential gives a zero row or column.  An entry that overflows,
+    as a Newton trial step can make it, is kept at the largest float, which
+    the step's line search then rejects.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.add(f[:, None], g[None, :], out=out)
+        np.subtract(out, C, out=out)
+        np.divide(out, epsilon, out=out)
+        np.exp(out, out=out)
+    return np.nan_to_num(out, nan=0.0, copy=False)
+
+
+def _marginals(P, mu, nu):
+    """Row sums, column sums and the max marginal violation of a dense plan."""
+    with np.errstate(over="ignore"):  # sums of overflowed entries are inf: a worse violation
+        r, c = P.sum(axis=1), P.sum(axis=0)
+    return r, c, max(float(np.abs(r - mu).max()), float(np.abs(c - nu).max()))
+
+
+def _newton_direction(P, r, c, a, b, epsilon, scratch):
+    """Solve [[diag(r), P], [P^T, diag(c)]] (df, dg) = eps (a, b), both diagonals ridged.
+
+    The one system solved is the Schur complement onto the columns,
+    diag(c) - P^T diag(1/r) P, so the side with fewer points is put in the
+    columns.  The ridge, 1e-10 x max(r, c), fixes the (1, -1) null direction
+    of the potentials and keeps rows of P that underflowed to 0 solvable.
+    ``scratch`` is a free buffer of P's shape.
+    """
+    if P.shape[0] < P.shape[1]:
+        dg, df = _newton_direction(P.T, c, r, b, a, epsilon, scratch.T)
+        return df, dg
+    ridge = _NEWTON_RIDGE * max(float(r.max()), float(c.max()))
+    r = r + ridge
+    scaled = np.divide(P, r[:, None], out=scratch)
+    schur = P.T @ scaled
+    np.negative(schur, out=schur)
+    schur[np.diag_indices_from(schur)] += c + ridge
+    dg = np.linalg.solve(schur, epsilon * (b - scaled.T @ a))
+    df = (epsilon * a - P @ dg) / r
+    return df, dg
+
+
+def _newton_finish(f, g, C, mu, nu, epsilon, tol, scratch):
+    """Newton's method on the dual from stalled Sinkhorn potentials (Brauer et al. 2017).
+
+    The root sought is P1 = mu, P^T 1 = nu for P = ``_entropic_plan(f, g)``,
+    whose Jacobian in (f, g) is [[diag(P1), P], [P^T, diag(P^T 1)]] / eps.
+    Each step backtracks until the max marginal violation, the quantity
+    ``tol`` bounds, falls.  Returns the plan once that violation is below
+    ``tol``; returns None when a step cannot lower it or ``_NEWTON_STEPS``
+    steps do not reach ``tol``.  The caller's potentials are not touched;
+    ``scratch``, a buffer of C's shape, is overwritten.
+    """
+    P, trial = _entropic_plan(f, g, C, epsilon), scratch
+    r, c, violation = _marginals(P, mu, nu)
+    for _ in range(_NEWTON_STEPS):
+        if violation < tol:
+            return P
+        try:
+            with np.errstate(all="ignore"):
+                df, dg = _newton_direction(P, r, c, mu - r, nu - c, epsilon, trial)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.all(np.isfinite(df)) and np.all(np.isfinite(dg))):
+            return None
+        step = 1.0
+        while True:
+            trial_f, trial_g = f + step * df, g + step * dg
+            _entropic_plan(trial_f, trial_g, C, epsilon, out=trial)
+            trial_r, trial_c, trial_violation = _marginals(trial, mu, nu)
+            if trial_violation < violation:
+                break
+            step *= 0.5
+            if step < _NEWTON_MIN_STEP:
+                return None
+        f, g, r, c, violation = trial_f, trial_g, trial_r, trial_c, trial_violation
+        P, trial = trial, P
+    return P if violation < tol else None
+
+
 def solve_entropic(
     cost: CostMatrix,
     mu_w,
@@ -371,9 +461,18 @@ def solve_entropic(
     check costs no extra pass over the m x n grid: a row sum is
     exp(f_i / eps + lse_i), where lse_i is the log-sum-exp the next f-update
     needs anyway, and a column sum is exp(g_j / eps + lse_j) with the
-    log-sum-exp the g-update just used.  The dense plan is built once, on
-    exit.  The reported objective is against the original cost matrix, with
-    no entropy term.
+    log-sum-exp the g-update just used.
+
+    At small ``epsilon`` the sweeps fall into a slow 1/k tail.  When the
+    violation has not halved over the last ``_STALL_SWEEPS`` sweeps, and no
+    attempt ran in that span, ``_newton_finish`` takes Newton steps on the
+    dual from the current potentials.  It returns a plan whose own row and
+    column sums are within ``tol``, or gives up, and then the sweeps go on
+    from where they were.  A solve the sweeps finish before any attempt
+    succeeds gives the plan of the sweeps alone, bit for bit.  ``max_iter``
+    counts sweeps only.  The dense plan is built once, on exit, and the
+    reported objective is against the original cost matrix, with no
+    entropy term.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -395,8 +494,9 @@ def solve_entropic(
         return _logsumexp(work, 1, mask)
 
     lse_row = row_lse(np.zeros(nu.size))
-    violation = np.inf
-    for _ in range(max_iter):
+    violations = []
+    last_attempt = 0
+    for sweep in range(1, max_iter + 1):
         f = epsilon * (log_mu - lse_row)
         np.divide(np.subtract(f[:, None], C, out=work), epsilon, out=work)
         lse_col = _logsumexp(work, 0, mask)
@@ -407,15 +507,21 @@ def solve_entropic(
             float(np.abs(np.exp(g / epsilon + lse_col) - nu).max()),
         )
         if violation < tol:
+            plan = _entropic_plan(f, g, C, epsilon)
             break
+        violations.append(violation)
+        if sweep - last_attempt > _STALL_SWEEPS and (
+            violation > 0.5 * violations[-1 - _STALL_SWEEPS]
+        ):
+            last_attempt = sweep
+            plan = _newton_finish(f, g, C, mu, nu, epsilon, tol, work)
+            if plan is not None:
+                break
     else:
         raise IterationLimit(
             f"marginal violation {violation:.3e} after {max_iter} iterations",
             violation=violation,
         )
-    with np.errstate(invalid="ignore"):
-        plan = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-    plan = np.nan_to_num(plan, nan=0.0)
     entries = tuple(
         (int(i), int(j), float(plan[i, j]))
         for i, j in np.argwhere(plan > 1e-18)
@@ -606,15 +712,17 @@ def solve(
     ``exact`` runs the simplex on the trip-cost matrix.  ``reduced`` runs it
     on the rank-n cost of s = o + d and lifts objective and duals back
     through ``marginal_terms``.  ``entropic`` runs Sinkhorn on the trip-cost
-    matrix; ``epsilon`` defaults to 1e-3 x the cost spread, and ``tol`` and
-    ``max_iter`` apply to it alone.
+    matrix; ``epsilon`` defaults to 1e-3 x the cost spread, but no less than
+    1e-6 x the largest |cost|, and ``tol`` and ``max_iter`` apply to it alone.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "reduced":
         reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
-        plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
         alpha, beta = marginal_terms(tasks, agents)
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+            raise DimensionMismatch("cost matrix has non-finite entries")  # as the full cost would
+        plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
         return Solution(
             plan,
             reduction_constant(tasks, agents) + 2.0 * plan.objective,
@@ -627,7 +735,11 @@ def solve(
         unique = support_is_unique(cost, tasks.weights, agents.weights, plan)
         return Solution(plan, plan.objective, duals, unique)
     if epsilon is None:
-        epsilon = 1e-3 * max(float(cost.values.max() - cost.values.min()), 1e-12)
+        # (f + g - c) / eps carries a rounding error near 1e-16 x max|c| / eps, which the
+        # floor keeps near 1e-10, well below tol; a constant cost has spread 0
+        values = cost.values
+        scale = max(float(values.max() - values.min()), 1e-3 * float(np.abs(values).max()), 1e-12)
+        epsilon = 1e-3 * scale
     plan = solve_entropic(
         cost, tasks.weights, agents.weights, epsilon=epsilon, tol=tol, max_iter=max_iter
     )

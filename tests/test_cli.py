@@ -15,6 +15,7 @@ import odtalloc.solver
 from odtalloc.cli import main
 from odtalloc.cost import cost_matrix
 from odtalloc.measures import load_agents_csv, load_tasks_csv
+from odtalloc.solver import METHODS
 
 
 def run(*argv):
@@ -72,6 +73,23 @@ def _csv_pairs(draw):
     agent_dim = draw(st.sampled_from([task_dim, task_dim % 3 + 1]))
     tasks = draw(_table([f"{end}{k + 1}" for end in "od" for k in range(task_dim)]))
     return tasks, draw(_table([f"y{k + 1}" for k in range(agent_dim)]))
+
+
+@st.composite
+def _instance_csvs(draw):
+    """Well-formed tasks and agents CSV texts: 1-5 rows a side, 1-3 coordinates, any weights."""
+    dim = draw(st.integers(1, 3))
+    number = st.floats(-10.0, 10.0).map(repr)
+
+    def table(prefix, names):
+        rows = [
+            [f"{prefix}{i}", *(draw(number) for _ in names), repr(draw(st.floats(0.1, 1.0)))]
+            for i in range(draw(st.integers(1, 5)))
+        ]
+        return "".join(",".join(row) + "\n" for row in [["id", *names, "weight"], *rows])
+
+    tasks = table("t", [f"{end}{k + 1}" for end in "od" for k in range(dim)])
+    return tasks, table("a", [f"y{k + 1}" for k in range(dim)])
 
 
 class TestGen:
@@ -291,6 +309,36 @@ class TestSolve:
             code = run("solve", "--tasks", str(tasks), "--agents", str(agents),
                        "--out", str(Path(scratch, "sol")))
         assert code in (0, 2)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_cost_is_one_error_line(self, canonical, tmp_path, method):
+        # the reduced path's own cost stays finite, its marginal terms do not; in a
+        # subprocess, so numpy warnings reach the stderr that is checked
+        agents = tmp_path / "agents.csv"
+        agents.write_text("id,y1,weight\na0,1e200,1\na1,0,1\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "odtalloc.cli", "solve", "--tasks", str(canonical / "tasks.csv"),
+             "--agents", str(agents), "--method", method, "--out", str(tmp_path / "sol")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: cost matrix has non-finite entries\n"
+        assert not (tmp_path / "sol").exists()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_instance_csvs())
+    def test_repeated_solves_write_identical_files(self, pair):
+        with tempfile.TemporaryDirectory() as scratch:
+            tasks, agents = Path(scratch, "tasks.csv"), Path(scratch, "agents.csv")
+            tasks.write_text(pair[0])
+            agents.write_text(pair[1])
+            for method in METHODS:
+                outs = [Path(scratch, f"{method}{k}") for k in range(2)]
+                for out in outs:
+                    assert run("solve", "--tasks", str(tasks), "--agents", str(agents),
+                               "--method", method, "--out", str(out)) == 0
+                for name in ("plan.json", "plot.csv"):
+                    assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
         # 8 tasks, 7 agents: uniform square input is an assignment and never pivots
