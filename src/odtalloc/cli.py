@@ -73,9 +73,10 @@ def _load_inputs(args) -> tuple[TaskSet, DiscreteMeasure]:
 
 
 def _write_json(path, payload) -> None:
+    # one encode and one write: json.dump would issue a write per token
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_manifest(outdir, argv, inputs, seed, method, timings) -> None:
@@ -157,12 +158,13 @@ def _write_plot_csv(path, plan, tasks, agents) -> None:
             ["task_id", "agent_id", "mass"]
             + [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
         )
-        for i, j, mass in plan.entries:
-            coords = (*tasks.origins[i], *tasks.destinations[i], *agents.points[j])
-            writer.writerow(
-                [tasks.ids[i], agents.ids[j], repr(float(mass))]
-                + [repr(float(x)) for x in coords]
-            )
+        # Python floats, which csv writes as their shortest round-trip repr
+        origins, destinations = tasks.origins.tolist(), tasks.destinations.tolist()
+        points = agents.points.tolist()
+        writer.writerows(
+            [tasks.ids[i], agents.ids[j], float(mass), *origins[i], *destinations[i], *points[j]]
+            for i, j, mass in plan.entries
+        )
 
 
 def cmd_solve(args, argv) -> int:
@@ -230,9 +232,10 @@ def _verify_stability(args) -> dict:
         report["note"] = "plan carries no dual certificate"
         return report
     stability = check_stability(plan, duals, cost_matrix(tasks, agents), tol=args.tol)
+    dense = plan.to_dense()
     marginal_err = max(
-        float(np.abs(plan.row_sums() - tasks.weights).max()),
-        float(np.abs(plan.col_sums() - agents.weights).max()),
+        float(np.abs(dense.sum(axis=1) - tasks.weights).max()),
+        float(np.abs(dense.sum(axis=0) - agents.weights).max()),
     )
     worst = max(stability.max_violation, stability.max_slack_on_support)
     report = ConditionReport(
@@ -303,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--units", choices=["meters", "degrees"], default=None)
     gen.add_argument("--params", type=str, default=None, help="extra params as JSON")
     gen.add_argument("--out", type=str, default=".")
-    gen.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="solve an instance from CSV files")
     solve.add_argument("--tasks", required=True)
@@ -317,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--dump-cost", type=str, default=None,
                        help="also write the trip-cost matrix as row-major JSON")
     solve.add_argument("--out", type=str, default=".")
-    solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="run a structural condition check")
     verify.add_argument(
@@ -335,20 +336,31 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=1e-8,
                         help="stability tolerance, relative: scaled by max(1, max|c_ij|)")
     verify.add_argument("--out", type=str, default=".")
-    verify.set_defaults(func=cmd_verify)
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code; never raises SystemExit.
+
+    The parser is built once per process and reused: parse_args keeps no
+    state between calls.  The command runs through its module-level name,
+    looked up per call, so a replaced ``cmd_*`` is the one that runs.
+    """
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    command = {"gen": cmd_gen, "solve": cmd_solve, "verify": cmd_verify}[args.command]
     try:
-        return args.func(args, list(argv))
+        return command(args, list(argv))
     except IterationLimit as exc:  # the one domain failure: a solver gave up
         print(f"error: IterationLimit: {exc}", file=sys.stderr)
         return 1

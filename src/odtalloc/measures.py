@@ -176,7 +176,8 @@ def _read_table(path, header_hint: str, min_columns: int, noun: str, check_width
     Blank and '#' lines are skipped.  The header must have at least
     ``min_columns`` columns; ``check_width(columns, lineno)`` may reject its
     coordinate count before any row is read.  Undecodable bytes and CSV
-    syntax errors raise ParseError.
+    syntax errors, such as an unclosed quote or text after a closing one,
+    raise ParseError.
     """
     rows = []
     try:
@@ -184,7 +185,8 @@ def _read_table(path, header_hint: str, min_columns: int, noun: str, check_width
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if stripped and not stripped.startswith("#"):
-                    rows.append((lineno, [cell.strip() for cell in next(csv.reader([line]))]))
+                    cells = next(csv.reader([line], strict=True))
+                    rows.append((lineno, [cell.strip() for cell in cells]))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:

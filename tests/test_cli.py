@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odtalloc.cli
 import odtalloc.solver
 from odtalloc.cli import main
 from odtalloc.cost import cost_matrix
@@ -232,8 +233,8 @@ class TestSolve:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "row", ["a0,0.0,nan", "a0,0.0,inf", "a0,1.0,1.0"],
-        ids=["nan_weight", "inf_weight", "duplicate_id"],
+        "row", ["a0,0.0,nan", "a0,0.0,inf", "a0,1.0,1.0", 'a1,0.0,"0.5', 'a1,"0.5"1,0.5'],
+        ids=["nan_weight", "inf_weight", "duplicate_id", "unclosed_quote", "text_after_quote"],
     )
     def test_malformed_agents_are_usage_errors(self, canonical, tmp_path, capsys, row):
         agents = tmp_path / "agents.csv"
@@ -376,6 +377,73 @@ class TestSolve:
         d2 = json.loads((out2 / "manifest.json").read_text())["inputs"]
         assert d1[str(tasks_file)] != d2[str(tasks_file)]
         assert d1[str(canonical / "agents.csv")] == d2[str(canonical / "agents.csv")]
+
+    def test_golden_output_bytes(self, tmp_path):
+        # unequal task weights take the transportation simplex; both quoted ids need RFC 4180
+        tasks, agents = tmp_path / "tasks.csv", tmp_path / "agents.csv"
+        tasks.write_text('id,o1,d1,weight\n"t,1",0.1,1,1\nt2,2,3.5,3\n')
+        agents.write_text('id,y1,weight\na1,0,1\n"a""2",3,1\n')
+        out = tmp_path / "sol"
+        assert run("solve", "--tasks", str(tasks), "--agents", str(agents), "--out", str(out)) == 0
+        assert run(
+            "verify", "--check", "stability", "--plan", str(out / "plan.json"),
+            "--tasks", str(tasks), "--agents", str(agents), "--out", str(out),
+        ) == 0
+        assert (out / "plan.json").read_bytes() == _GOLDEN_PLAN.encode()
+        assert (out / "plot.csv").read_bytes() == (
+            "task_id,agent_id,mass,o1,d1,y1\n"
+            '"t,1",a1,0.25,0.1,1.0,0.0\n'
+            "t2,a1,0.25,2.0,3.5,0.0\n"
+            't2,"a""2",0.5,2.0,3.5,3.0\n'
+        ).encode()
+        assert (out / "report.json").read_bytes() == _GOLDEN_REPORT.encode()
+
+
+_GOLDEN_PLAN = """{
+  "objective": 6.83,
+  "entries": [
+    {
+      "task": "t,1",
+      "agent": "a1",
+      "mass": 0.25
+    },
+    {
+      "task": "t2",
+      "agent": "a1",
+      "mass": 0.25
+    },
+    {
+      "task": "t2",
+      "agent": "a\\"2",
+      "mass": 0.5
+    }
+  ],
+  "duals": {
+    "u": [
+      0.0,
+      16.68
+    ],
+    "v": [
+      1.82,
+      -13.18
+    ]
+  },
+  "method": "exact",
+  "unique": true
+}
+"""
+
+_GOLDEN_REPORT = """{
+  "condition": "stability",
+  "passed": true,
+  "samples": 3,
+  "worst_case": 0.0,
+  "witness": null,
+  "max_violation": 0.0,
+  "max_slack_on_support": 0.0,
+  "max_marginal_error": 0.0
+}
+"""
 
 
 class TestVerify:
@@ -555,3 +623,59 @@ class TestVerify:
             "--tasks", str(canonical / "tasks.csv"),
             "--agents", str(canonical / "agents.csv"), "--out", str(tmp_path / "mv"),
         ) == 1
+
+
+class TestRepeatedCalls:
+    """Many main calls in one process share one parser; no call may see another's flags."""
+
+    def test_parser_built_once(self, canonical, tmp_path, monkeypatch):
+        built = []
+        build = odtalloc.cli.build_parser
+        monkeypatch.setattr(odtalloc.cli, "_parser", None)
+        monkeypatch.setattr(odtalloc.cli, "build_parser", lambda: built.append(1) or build())
+        for k in range(3):
+            assert run(
+                "solve", "--tasks", str(canonical / "tasks.csv"),
+                "--agents", str(canonical / "agents.csv"), "--out", str(tmp_path / f"s{k}"),
+            ) == 0
+        assert built == [1]
+
+    def test_flag_does_not_leak_into_next_call(self, canonical, tmp_path, monkeypatch):
+        epsilons = []
+        solve = odtalloc.cli.solve
+
+        def spy(tasks, agents, method, epsilon, *rest):
+            epsilons.append(epsilon)
+            return solve(tasks, agents, method, epsilon, *rest)
+
+        monkeypatch.setattr(odtalloc.cli, "solve", spy)
+        for extra in (["--epsilon", "0.05"], []):
+            assert run(
+                "solve", "--tasks", str(canonical / "tasks.csv"),
+                "--agents", str(canonical / "agents.csv"), "--method", "entropic",
+                *extra, "--out", str(tmp_path / "sol"),
+            ) == 0
+        assert epsilons == [0.05, None]  # None: the library's default epsilon
+
+    def test_rejected_flag_then_valid_call_matches_fresh_process(self, canonical, tmp_path, capsys):
+        files = ["--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv")]
+        assert run("solve", *files, "--max-iter", "many", "--out", str(tmp_path / "bad")) == 2
+        assert "--max-iter" in capsys.readouterr().err
+        assert run("solve", *files, "--out", str(tmp_path / "here")) == 0
+        subprocess.run(
+            [sys.executable, "-m", "odtalloc.cli", "solve", *files, "--out", str(tmp_path / "fresh")],
+            capture_output=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+        assert not (tmp_path / "bad").exists()
+        assert (tmp_path / "here" / "plan.json").read_bytes() == (
+            tmp_path / "fresh" / "plan.json"
+        ).read_bytes()
+
+    def test_command_resolved_by_name_per_call(self, canonical, tmp_path, monkeypatch):
+        files = ["--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv")]
+        assert run("solve", *files, "--out", str(tmp_path / "first")) == 0
+        calls = []
+        monkeypatch.setattr(odtalloc.cli, "cmd_solve", lambda args, argv: calls.append(argv) or 7)
+        assert run("solve", *files, "--out", str(tmp_path / "second")) == 7
+        assert calls == [["solve", *files, "--out", str(tmp_path / "second")]]
+        assert not (tmp_path / "second").exists()

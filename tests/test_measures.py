@@ -186,6 +186,17 @@ class TestCsvIo:
             load_agents_csv(path)
         assert err.value.row == 3
 
+    @pytest.mark.parametrize(
+        "row", ['t2,2.0,3.0,"0.5', 't2,"2.0"1,3.0,0.5'], ids=["unclosed_quote", "text_after_quote"]
+    )
+    def test_malformed_quote_is_parse_error(self, tmp_path, row):
+        # a lenient reader would load these as 0.5 and 2.01
+        path = tmp_path / "tasks.csv"
+        path.write_text(f"id,o1,d1,weight\nt1,0.0,1.0,0.5\n{row}\n")
+        with pytest.raises(ParseError, match="malformed CSV") as err:
+            load_tasks_csv(path)
+        assert err.value.row == 3
+
     def test_load_tasks_single(self, tmp_path):
         path = tmp_path / "tasks.csv"
         path.write_text("id,o1,d1,weight\nt1,1.0,0.0,1\n")
