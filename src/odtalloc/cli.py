@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--agents", type=int, default=10)
     gen.add_argument("--seed", type=int, default=None, help="fallback: ODTALLOC_SEED, then 0")
     gen.add_argument("--spread", type=float, default=None)
-    gen.add_argument("--box", type=str, default=None, help="min0,min1,max0,max1")
+    gen.add_argument("--box", type=str, default=None,
+                     help="min0,min1,max0,max1; a negative min0 needs the = form, "
+                          "--box=-0.1,51.4,0.1,51.6")
     gen.add_argument("--units", choices=["meters", "degrees"], default=None)
     gen.add_argument("--params", type=str, default=None, help="extra params as JSON")
     gen.add_argument("--out", type=str, default=".")

@@ -36,6 +36,7 @@ from .rng import rng_stream
 _MASS_DROP = 1e-14  # plan entries at or below this are not stored
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
 _MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
+_BLAND_AFTER = 3  # Bland's rule prices after this many x (m + n) degenerate pivots in a row
 _STALL_SWEEPS = 50  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
 _NEWTON_STEPS = 30  # Newton steps per attempt before the attempt is given up
 _NEWTON_MIN_STEP = 2.0**-20  # the line search gives up below this step length
@@ -193,16 +194,16 @@ class _SimplexState:
                     self._dual_of(b, a)
                     stack.append(b)
 
-    def _edge(self, a: int, b: int) -> tuple[int, int]:
-        return (a, b - self.m) if a < self.m else (b, a - self.m)
+    def pivot(self, enter_i: int, enter_j: int) -> float:
+        """Bring (enter_i, enter_j) into the basis; returns the moved mass.
 
-    def cycle(self, enter_i: int, enter_j: int) -> list[tuple[int, int]]:
-        """Cells of the unique basis cycle closed by the entering cell.
-
-        In cycle order starting at the entering cell: even positions
-        receive mass, odd positions donate.
+        The cycle closed by the entering cell is walked from both endpoints up
+        to their lowest common ancestor.  In cycle order, from the entering
+        cell, even cells receive mass and odd cells donate.
         """
-        a, b = enter_i, self.m + enter_j
+        m = self.m
+        enter_a, enter_b = enter_i, m + enter_j
+        a, b = enter_a, enter_b
         up_a, up_b = [a], [b]
         while self.depth[a] > self.depth[b]:
             a = self.parent[a]
@@ -215,40 +216,29 @@ class _SimplexState:
             b = self.parent[b]
             up_a.append(a)
             up_b.append(b)
-        node_path = up_a + up_b[-2::-1]  # enter_i .. lca .. m+enter_j
+        node_path = up_a + up_b[-2::-1]  # enter_a .. lca .. enter_b
         cells = [(enter_i, enter_j)]
-        cells.extend(self._edge(p, q) for p, q in zip(node_path, node_path[1:]))
-        return cells
-
-    def pivot(self, enter_i: int, enter_j: int) -> float:
-        """Bring (enter_i, enter_j) into the basis; returns the moved mass."""
-        cells = self.cycle(enter_i, enter_j)
+        cells.extend(
+            (p, q - m) if p < m else (q, p - m) for p, q in zip(node_path, node_path[1:])
+        )
         donors = cells[1::2]
         theta = min(self.mass[c] for c in donors)
         leave = min(c for c in donors if self.mass[c] <= theta)
-        for pos, cell in enumerate(cells):
-            if pos == 0:
-                continue
-            if pos % 2 == 1:
-                self.mass[cell] = max(0.0, self.mass[cell] - theta)
-            else:
-                self.mass[cell] += theta
+        for cell in donors:
+            self.mass[cell] = max(0.0, self.mass[cell] - theta)
+        for cell in cells[2::2]:
+            self.mass[cell] += theta
         self.mass[(enter_i, enter_j)] = theta
         del self.mass[leave]
 
-        # tree surgery: the leaving edge cuts off the subtree below child; re-hang
-        # it from the entering endpoint inside it, found by walking up to child's depth
-        leave_a, leave_b = leave[0], self.m + leave[1]
-        child = leave_a if self.depth[leave_a] > self.depth[leave_b] else leave_b
-        enter_a, enter_b = enter_i, self.m + enter_j
-        node = enter_a
-        while self.depth[node] > self.depth[child]:
-            node = self.parent[node]
+        # tree surgery: the leaving edge cuts off the entering endpoint on its leg of
+        # the cycle; re-hang that endpoint's side below the other endpoint
+        leave_a, leave_b = leave[0], m + leave[1]
         self.adj[leave_a].discard(leave_b)
         self.adj[leave_b].discard(leave_a)
         self.adj[enter_a].add(enter_b)
         self.adj[enter_b].add(enter_a)
-        if node == child:
+        if cells.index(leave) < len(up_a):  # on the enter_a .. lca leg
             self._root_from(enter_a, enter_b)
         else:
             self._root_from(enter_b, enter_a)
@@ -260,7 +250,7 @@ def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     state = _SimplexState(cost, mu, nu)
     m, n = cost.shape
     tol = 1e-11 * max(1.0, float(np.abs(cost).max()))
-    bland_trigger = 3 * (m + n)
+    bland_trigger = _BLAND_AFTER * (m + n)
     degenerate_run = 0
     reduced = np.empty_like(cost)
 
@@ -268,15 +258,12 @@ def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
         np.subtract(cost, state.u[:, None], out=reduced)
         np.subtract(reduced, state.v[None, :], out=reduced)
         if degenerate_run >= bland_trigger:
-            candidates = np.argwhere(reduced < -tol)
-            if candidates.size == 0:
-                return state.mass, state.u, state.v
-            enter_i, enter_j = map(int, candidates[0])  # row-major smallest
+            flat = int(np.argmax(reduced < -tol))  # row-major first improving cell
         else:
             flat = int(np.argmin(reduced))
-            enter_i, enter_j = divmod(flat, n)
-            if reduced[enter_i, enter_j] >= -tol:
-                return state.mass, state.u, state.v
+        enter_i, enter_j = divmod(flat, n)
+        if reduced[enter_i, enter_j] >= -tol:
+            return state.mass, state.u, state.v
         theta = state.pivot(enter_i, enter_j)
         degenerate_run = degenerate_run + 1 if theta <= 1e-15 else 0
     raise IterationLimit(f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots")
@@ -673,15 +660,19 @@ def purity(plan: TransportPlan, tol: float = 1e-9) -> float:
 def support_is_unique(cost: CostMatrix, mu_w, nu_w, plan: TransportPlan) -> bool:
     """Perturbation surrogate for uniqueness of the optimal support.
 
-    Re-solves with entry-wise cost perturbation 1e-10 U(0,1) from a fixed
-    seed; reports unique only when the support is unchanged.  Discrete
-    instances can tie, so this is a pragmatic check, not a proof.
+    Re-solves with entry-wise cost perturbation 1e-10 x max(1, max|c_ij|) x
+    U(0,1) from a fixed seed; reports unique only when the support is
+    unchanged.  The scale is the one the simplex prices with (its tolerance
+    is 1e-11 of it), so the noise clears that tolerance and the float
+    spacing at any cost magnitude.  Discrete instances can tie, so this is
+    a pragmatic check, not a proof.
     """
     rng = rng_stream(_UNIQUENESS_SEED)
     noise = np.array(rng.uniforms(cost.n_tasks * cost.n_agents)).reshape(
         cost.n_tasks, cost.n_agents
     )
-    perturbed = CostMatrix(cost.values + 1e-10 * noise)
+    scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
+    perturbed = CostMatrix(cost.values + scale * noise)
     re_plan, _ = solve_exact(perturbed, mu_w, nu_w)
     return re_plan.support() == plan.support()
 

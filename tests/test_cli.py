@@ -139,6 +139,41 @@ class TestGen:
                    "--out", str(tmp_path / "x")) == 2
         assert "invalid scenario (params)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, params, flags, key, value",
+        [
+            ("gaussian_mixture", '{"spread": 3.0}', ["--spread", "0.5"], "spread", 0.5),
+            ("city_box", '{"box": [0, 0, 1, 1]}', ["--box=-5,-5,5,5"], "box", [-5.0, -5, 5, 5]),
+            ("city_box", '{"units": "degrees"}', ["--units", "meters"], "units", "meters"),
+        ],
+    )
+    def test_flag_overrides_params_key(self, tmp_path, kind, params, flags, key, value):
+        out = tmp_path / "x"
+        assert run("gen", "--kind", kind, "--params", params, *flags, "--out", str(out)) == 0
+        assert json.loads((out / "spec.json").read_text())["params"][key] == value
+
+    def test_city_box_points_lie_in_box(self, tmp_path):
+        # a box west of Greenwich: the = form keeps argparse from reading -0.1 as a flag
+        out = tmp_path / "x"
+        assert run("gen", "--kind", "city_box", "--tasks", "20", "--agents", "15",
+                   "--box=-0.1,51.4,0.1,51.6", "--units", "meters", "--out", str(out)) == 0
+        tasks, agents = load_tasks_csv(out / "tasks.csv"), load_agents_csv(out / "agents.csv")
+        for points in (tasks.origins, tasks.destinations, agents.points):
+            assert np.all((points >= [-0.1, 51.4]) & (points <= [0.1, 51.6]))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--box", "a,b"], "error: --box 'a,b' is not a comma list of numbers"),
+            (["--params", "{"], "error: --params is not valid JSON"),
+            # without the = form argparse reads a negative min0 as a flag
+            (["--box", "-0.1,51.4,0.1,51.6"], "argument --box: expected one argument"),
+        ],
+    )
+    def test_malformed_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        assert run("gen", "--kind", "city_box", *flags, "--out", str(tmp_path / "x")) == 2
+        assert message in capsys.readouterr().err
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ODTALLOC_SEED", "42")
         out = tmp_path / "env"

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logsumexp
 
+import odtalloc.solver
 from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix
 from odtalloc.errors import IterationLimit, MassMismatch, TooLarge
 from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
@@ -206,6 +207,25 @@ class TestSolveExact:
                 assert abs(plan.objective - 1.0) <= 1e-12
                 assert check_stability(plan, duals, cost).passed
 
+    def test_blands_rule_matches_default_pricing(self, monkeypatch):
+        # integer costs and weights give long degenerate runs; _BLAND_AFTER = 0 prices
+        # every pivot by Bland's rule, which the default threshold seldom reaches
+        rng = rng_stream(107)
+        instances = []
+        for trial in range(60):
+            m, n = 1 + trial % 19, 1 + (trial * 7) % 19
+            cost = CostMatrix(np.floor(5 * np.array(rng.uniforms(m * n))).reshape(m, n))
+            mu = 1 + np.floor(4 * np.array(rng.uniforms(m)))
+            nu = 1 + np.floor(4 * np.array(rng.uniforms(n)))
+            instances.append((cost, mu * nu.sum(), nu * mu.sum()))
+        defaults = [_simplex(*instance)[0] for instance in instances]
+        monkeypatch.setattr(odtalloc.solver, "_BLAND_AFTER", 0)
+        for (cost, mu, nu), default in zip(instances, defaults):
+            plan, duals = _simplex(cost, mu, nu)
+            bound = 1e-12 * max(1.0, abs(default.objective))
+            assert abs(plan.objective - default.objective) <= bound
+            assert check_stability(plan, duals, cost).passed
+
     def test_uniform_instances_are_pure_permutations(self):
         rng = rng_stream(104)
         for size in (3, 5, 8):
@@ -270,7 +290,8 @@ class TestAssignmentPath:
         assert duals.u[0] == 0.0
         # the simplex's own uniqueness surrogate: the same perturbation, re-solved by the simplex
         noise = np.array(rng_stream(_UNIQUENESS_SEED).uniforms(cost.values.size))
-        perturbed = CostMatrix(cost.values + 1e-10 * noise.reshape(cost.values.shape))
+        scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
+        perturbed = CostMatrix(cost.values + scale * noise.reshape(cost.values.shape))
         if _simplex(perturbed, w, w)[0].support() == reference.support():
             assert plan.entries == reference.entries
 
@@ -453,11 +474,18 @@ class TestEntropic:
         assert np.abs(plan.col_sums() - agents.weights).max() < 1e-8
 
     @pytest.mark.parametrize(
-        "tol, max_iter", [(np.nan, 10), (-1.0, 10), (0.0, 10), (np.inf, 10), (1e-8, 0), (1e-8, -5)]
+        "tol, max_iter, epsilon",
+        [
+            pytest.param(tol, max_iter, 0.05, id=f"{tol}-{max_iter}")
+            for tol, max_iter in [
+                (np.nan, 10), (-1.0, 10), (0.0, 10), (np.inf, 10), (1e-8, 0), (1e-8, -5)
+            ]
+        ]
+        + [pytest.param(1e-8, 10, eps, id=f"epsilon_{eps}") for eps in (np.nan, np.inf, 0.0, -1.0)],
     )
-    def test_bad_tol_or_max_iter_rejected(self, tol, max_iter):
+    def test_bad_tol_or_max_iter_rejected(self, tol, max_iter, epsilon):
         with pytest.raises(ValueError):
-            solve_entropic(CANONICAL, HALF, HALF, epsilon=0.05, tol=tol, max_iter=max_iter)
+            solve_entropic(CANONICAL, HALF, HALF, epsilon=epsilon, tol=tol, max_iter=max_iter)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_lse_inputs())
@@ -518,23 +546,12 @@ class TestReduction:
         plan, _ = solve_exact(cost, w, w)
         assert not support_is_unique(cost, w, w, plan)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: the 1e-10 perturbation is below the float spacing at 1e8, "
-        "so the re-solve sees the same matrix and reports a tie as unique",
-    )
     def test_tied_instance_not_unique_at_large_costs(self):
         cost = CostMatrix(np.full((4, 4), 1e8))
         w = np.full(4, 0.25)
         plan, _ = solve_exact(cost, w, w)
         assert not support_is_unique(cost, w, w, plan)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: the simplex stops at reduced costs above -1e-11 x max|c|, "
-        "which the 1e-10 perturbation does not get past, so the re-solve keeps the "
-        "primary support and reports a tie as unique",
-    )
     @pytest.mark.parametrize("scale", [1.0, 10.0, 1000.0])
     def test_tied_general_weights_not_unique(self, scale):
         # c_ij = scale * (i + j): every feasible plan has the same objective
