@@ -180,17 +180,28 @@ def _read_table(path, header_hint: str, min_columns: int, noun: str, check_width
     raise ParseError.
     """
     rows = []
+    numbers = []  # the file's line number of each line handed to the reader
+
+    def data_lines(fh):
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                numbers.append(lineno)
+                yield line
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    cells = next(csv.reader([line], strict=True))
-                    rows.append((lineno, [cell.strip() for cell in cells]))
+            reader = csv.reader(data_lines(fh), strict=True)
+            for cells in reader:
+                if reader.line_num > len(rows) + 1:
+                    raise csv.Error  # the row took in the next line: reported below
+                rows.append((numbers[len(rows)], [cell.strip() for cell in cells]))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        raise ParseError(f"malformed CSV ({exc})", row=lineno) from None
+        if reader.line_num > len(rows) + 1:
+            exc = "a quoted field runs past the end of its line"
+        raise ParseError(f"malformed CSV ({exc})", row=numbers[len(rows)]) from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     lineno, header = rows[0]

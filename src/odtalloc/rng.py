@@ -58,17 +58,20 @@ class RngStream:
         """One double in [0, 1) from the top 53 bits of a draw."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniforms(self, k: int) -> list[float]:
-        """k draws of ``uniform``, bit for bit; from 64 on, in wrapping uint64 numpy."""
+    def uniforms(self, k: int) -> np.ndarray:
+        """k draws of ``uniform``, bit for bit, as a float64 array of shape (k,).
+
+        From 64 draws on they are computed in wrapping uint64 numpy.
+        """
         if k < _VECTOR_MIN:
-            return [self.uniform() for _ in range(k)]
+            return np.array([self.uniform() for _ in range(k)], dtype=float)
         counters = np.arange(1, k + 1, dtype=np.uint64) + np.uint64(self.counter & _MASK)
         self.counter += k
         z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
-        return ((z >> np.uint64(11)).astype(float) * 2.0**-53).tolist()
+        return (z >> np.uint64(11)).astype(float) * 2.0**-53
 
     def normals(self, k: int) -> list[float]:
         """k standard normals via Box-Muller, two uniforms per pair."""

@@ -149,7 +149,7 @@ def _city_box(spec: ScenarioSpec):
     agent_rng = root.split(1)
 
     def draw(rng: RngStream) -> np.ndarray:
-        u = np.array(rng.uniforms(2))
+        u = rng.uniforms(2)
         return low + u * (high - low)
 
     origins = np.array([draw(task_rng) for _ in range(spec.n_tasks)])

@@ -276,22 +276,30 @@ def _assignment(cost: np.ndarray, mu: np.ndarray):
     reads u_i <= u_k + c_i,sigma(k) - c_k,sigma(k), a shortest-path problem over
     the rows that has no negative cycle because sigma is optimal.  Bellman-Ford
     from u = 0 settles it in at most n - 1 rounds; the round cap stops a
-    negative cycle made of rounding error.  u_0 = 0, as the simplex anchors it.
+    negative cycle made of rounding error.  The first round is the row
+    minimum of the edges from u = 0.  A later round can lower u_i only through
+    a row k whose u_k fell in the round before, since every other path was in
+    the last minimum already, so it relaxes through those rows alone.  Each
+    round's u is bit for bit the one a round through all rows gives: a
+    minimum is exact, and the self edge c_i,sigma(i) - c_i,sigma(i) = 0 keeps
+    u_i in row i's minimum.  u_0 = 0, as the simplex anchors it.
     """
     from scipy.optimize import linear_sum_assignment  # ~0.2 s to import: only when used
 
     n = cost.shape[0]
     _, sigma = linear_sum_assignment(cost)
     on_support = cost[np.arange(n), sigma]
-    edge = cost[:, sigma] - on_support[None, :]  # edge[i, k] = c_i,sigma(k) - c_k,sigma(k)
-    paths = np.empty_like(edge)
-    u = np.zeros(n)
-    for _ in range(n):
-        np.add(edge, u[None, :], out=paths)
-        relaxed = paths.min(axis=1)
-        if np.array_equal(relaxed, u):
+    edge = cost.T[sigma] - on_support[:, None]  # edge[k, i] = c_i,sigma(k) - c_k,sigma(k)
+    u = edge.min(axis=0) + 0.0  # as edge + 0.0 would, + 0.0 turns a -0.0 minimum into 0.0
+    moved = np.flatnonzero(u < 0.0)
+    for _ in range(n - 1):
+        if moved.size == 0:
             break
-        u = relaxed
+        paths = edge[moved]  # a copy: fancy indexing
+        paths += u[moved, None]
+        relaxed = paths.min(axis=0)
+        moved = np.flatnonzero(relaxed < u)
+        np.minimum(u, relaxed, out=u)
     u -= u[0]
     v = np.empty(n)
     v[sigma] = on_support - u
@@ -657,23 +665,29 @@ def purity(plan: TransportPlan, tol: float = 1e-9) -> float:
     return pure / total
 
 
-def support_is_unique(cost: CostMatrix, mu_w, nu_w, plan: TransportPlan) -> bool:
+def support_is_unique(
+    cost: CostMatrix, mu_w, nu_w, plan: TransportPlan, duals: DualPotentials
+) -> bool:
     """Perturbation surrogate for uniqueness of the optimal support.
 
-    Re-solves with entry-wise cost perturbation 1e-10 x max(1, max|c_ij|) x
-    U(0,1) from a fixed seed; reports unique only when the support is
-    unchanged.  The scale is the one the simplex prices with (its tolerance
-    is 1e-11 of it), so the noise clears that tolerance and the float
-    spacing at any cost magnitude.  Discrete instances can tie, so this is
-    a pragmatic check, not a proof.
+    Re-solves on the reduced costs c_ij - u_i - v_j of ``plan``'s duals plus
+    an entry-wise perturbation 1e-10 x max(1, max|c_ij|) x U(0,1) from a
+    fixed seed, and reports unique only when the support is unchanged.  A
+    row or column shift changes every feasible plan's cost by the same
+    constant, so the reduced costs have the optimal set of ``cost``; the
+    re-solve starts near zero on ``plan``'s support, where an assignment
+    re-solve ends its augmenting paths at once.  The scale is the one the
+    simplex prices with (its tolerance is 1e-11 of it), so the noise clears
+    that tolerance and the float spacing at any cost magnitude.  Discrete
+    instances can tie, so this is a pragmatic check, not a proof.
     """
-    rng = rng_stream(_UNIQUENESS_SEED)
-    noise = np.array(rng.uniforms(cost.n_tasks * cost.n_agents)).reshape(
-        cost.n_tasks, cost.n_agents
-    )
     scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
-    perturbed = CostMatrix(cost.values + scale * noise)
-    re_plan, _ = solve_exact(perturbed, mu_w, nu_w)
+    noise = rng_stream(_UNIQUENESS_SEED).uniforms(cost.n_tasks * cost.n_agents)
+    noise *= scale
+    perturbed = np.subtract(cost.values, duals.u[:, None])
+    perturbed -= duals.v[None, :]
+    perturbed += noise.reshape(cost.n_tasks, cost.n_agents)
+    re_plan, _ = solve_exact(CostMatrix(perturbed), mu_w, nu_w)
     return re_plan.support() == plan.support()
 
 
@@ -700,9 +714,12 @@ def solve(
 ) -> Solution:
     """Allocate ``agents`` to ``tasks`` by one of ``METHODS``.
 
-    ``exact`` runs the simplex on the trip-cost matrix.  ``reduced`` runs it
-    on the rank-n cost of s = o + d and lifts objective and duals back
-    through ``marginal_terms``.  ``entropic`` runs Sinkhorn on the trip-cost
+    ``exact`` runs ``solve_exact`` on the trip-cost matrix: an assignment
+    when the instance is uniform and square, the simplex otherwise.
+    ``reduced`` runs it on the rank-n cost of s = o + d and lifts objective
+    and duals back through ``marginal_terms``.  Both pass the duals of the
+    matrix they solved (for ``reduced``, before the lift) to
+    ``support_is_unique``.  ``entropic`` runs Sinkhorn on the trip-cost
     matrix; ``epsilon`` defaults to 1e-3 x the cost spread, but no less than
     1e-6 x the largest |cost|, and ``tol`` and ``max_iter`` apply to it alone.
     """
@@ -718,12 +735,12 @@ def solve(
             plan,
             reduction_constant(tasks, agents) + 2.0 * plan.objective,
             DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v),
-            support_is_unique(reduced, tasks.weights, agents.weights, plan),
+            support_is_unique(reduced, tasks.weights, agents.weights, plan, duals),
         )
     cost = cost_matrix(tasks, agents)
     if method == "exact":
         plan, duals = solve_exact(cost, tasks.weights, agents.weights)
-        unique = support_is_unique(cost, tasks.weights, agents.weights, plan)
+        unique = support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
         return Solution(plan, plan.objective, duals, unique)
     if epsilon is None:
         # (f + g - c) / eps carries a rounding error near 1e-16 x max|c| / eps, which the

@@ -96,9 +96,9 @@ def test_criterion_2_reduction_equivalence():
         reduced = solve(tasks, agents, "reduced")
         plan_red, objective_full = reduced.plan, reduced.objective
         full_cost = cost_matrix(tasks, agents)
-        plan_exact, _ = solve_exact(full_cost, tasks.weights, agents.weights)
+        plan_exact, duals_exact = solve_exact(full_cost, tasks.weights, agents.weights)
         worst = max(worst, abs(objective_full - plan_exact.objective))
-        if support_is_unique(full_cost, tasks.weights, agents.weights, plan_exact):
+        if support_is_unique(full_cost, tasks.weights, agents.weights, plan_exact, duals_exact):
             unique_count += 1
             if plan_red.support() != plan_exact.support():
                 support_mismatches += 1

@@ -197,6 +197,19 @@ class TestCsvIo:
             load_tasks_csv(path)
         assert err.value.row == 3
 
+    @pytest.mark.parametrize(
+        "rows", ['t2,2.0,3.0,"0.5\nt3,1.0,1.0,0.5', 't2,2.0,3.0,"0.5\n\n# note\n"'],
+        ids=["unclosed_before_a_row", "closed_on_a_later_line"],
+    )
+    def test_quoted_field_past_its_line_is_parse_error(self, tmp_path, rows):
+        # one reader reads the whole file; a row may not take in the lines after it, which
+        # a reader without the line count check would load as 0.5 in the second case
+        path = tmp_path / "tasks.csv"
+        path.write_text(f"id,o1,d1,weight\nt1,0.0,1.0,0.5\n{rows}\n")
+        with pytest.raises(ParseError, match="malformed CSV") as err:
+            load_tasks_csv(path)
+        assert err.value.row == 3
+
     def test_load_tasks_single(self, tmp_path):
         path = tmp_path / "tasks.csv"
         path.write_text("id,o1,d1,weight\nt1,1.0,0.0,1\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from odtalloc.errors import InvalidSpec
 from odtalloc.measures import write_agents_csv, write_tasks_csv
@@ -14,12 +14,12 @@ class TestRngStream:
     def test_same_seed_same_stream(self):
         a = rng_stream(12345)
         b = rng_stream(12345)
-        assert a.uniforms(1000) == b.uniforms(1000)
+        assert_array_equal(a.uniforms(1000), b.uniforms(1000), strict=True)
 
     def test_different_seeds_differ_early(self):
         a = rng_stream(1).uniforms(10)
         b = rng_stream(2).uniforms(10)
-        assert a != b
+        assert a.tolist() != b.tolist()
 
     def test_uniform_range(self):
         rng = rng_stream(9)
@@ -54,7 +54,9 @@ class TestRngStream:
     def test_uniforms_match_per_draw_sequence(self, k, counter):
         batched = RngStream(2024, counter)
         single = RngStream(2024, counter)
-        assert batched.uniforms(k) == [single.uniform() for _ in range(k)]
+        draws = batched.uniforms(k)
+        assert draws.dtype == np.float64 and draws.shape == (k,)
+        assert draws.tolist() == [single.uniform() for _ in range(k)]
         assert batched.counter == single.counter == counter + k
 
     def test_split_streams_are_independent_of_parent_state(self):
@@ -62,7 +64,7 @@ class TestRngStream:
         early_child = parent.split(4)
         parent.uniforms(100)
         late_child = parent.split(4)
-        assert early_child.uniforms(10) == late_child.uniforms(10)
+        assert_array_equal(early_child.uniforms(10), late_child.uniforms(10), strict=True)
 
 
 class TestGridScenario:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 import odtalloc.solver
@@ -16,6 +17,7 @@ from odtalloc.solver import (
     _UNIQUENESS_SEED,
     DualPotentials,
     TransportPlan,
+    _assignment,
     _logsumexp,
     _plan_from_mass,
     _transportation_simplex,
@@ -55,6 +57,35 @@ def _simplex(cost, mu, nu):
     """The simplex alone: solve_exact sends uniform square input to the assignment path."""
     mass, u, v = _transportation_simplex(cost.values, mu, nu)
     return _plan_from_mass(mass, cost.values, cost.n_tasks, cost.n_agents), DualPotentials(u, v)
+
+
+def _all_rows_assignment(cost, mu):
+    """The assignment path with Bellman-Ford relaxing through every row in every round."""
+    n = cost.shape[0]
+    _, sigma = linear_sum_assignment(cost)
+    on_support = cost[np.arange(n), sigma]
+    edge = cost[:, sigma] - on_support[None, :]
+    paths = np.empty_like(edge)
+    u = np.zeros(n)
+    for _ in range(n):
+        np.add(edge, u[None, :], out=paths)
+        relaxed = paths.min(axis=1)
+        if np.array_equal(relaxed, u):
+            break
+        u = relaxed
+    u -= u[0]
+    v = np.empty(n)
+    v[sigma] = on_support - u
+    mass = {(i, int(sigma[i])): mu[i] for i in range(n)}
+    return mass, u, v
+
+
+def _perturbed_cost_unique(cost, mu, nu, plan):
+    """The uniqueness surrogate that re-solves the perturbed cost itself, not its reduced costs."""
+    noise = np.array(rng_stream(_UNIQUENESS_SEED).uniforms(cost.values.size))
+    scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
+    perturbed = CostMatrix(cost.values + scale * noise.reshape(cost.values.shape))
+    return solve_exact(perturbed, mu, nu)[0].support() == plan.support()
 
 
 def _reference_sinkhorn(cost, mu, nu, epsilon, tol):
@@ -294,6 +325,32 @@ class TestAssignmentPath:
         perturbed = CostMatrix(cost.values + scale * noise.reshape(cost.values.shape))
         if _simplex(perturbed, w, w)[0].support() == reference.support():
             assert plan.entries == reference.entries
+
+    def test_duals_match_all_rows_bellman_ford(self):
+        # relaxing only through the rows whose u fell gives the all-rows u and v bit for bit
+        rng = rng_stream(108)
+        for trial in range(1200):
+            size = 1 + trial % 40
+            kind = trial % 3
+            if kind == 0:  # integer ties, scaled; some zero costs are -0.0
+                values = np.floor(4 * rng.uniforms(size * size)).reshape(size, size)
+                values *= 10.0 ** (-3 + 11 * rng.uniform())
+                values[(values == 0.0) & (rng.uniforms(size * size).reshape(size, size) < 0.5)] = -0.0
+            elif kind == 1:  # rank 2, as the reduced cost of 2-D points
+                x = np.array(rng.normals(2 * size)).reshape(size, 2)
+                y = np.array(rng.normals(2 * size)).reshape(size, 2)
+                values = -(x @ y.T)
+            else:  # city-box magnitudes, where the float spacing is near 1e-8
+                values = 1e8 + 1e8 * rng.uniforms(size * size).reshape(size, size)
+            w = np.full(size, 1.0 / size)
+            mass, u, v = _assignment(values, w)
+            ref_mass, ref_u, ref_v = _all_rows_assignment(values, w)
+            assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
+            assert list(mass.items()) == list(ref_mass.items())
+            assert all(mass[cell].hex() == ref_mass[cell].hex() for cell in mass)
+            cost = CostMatrix(values)
+            plan = _plan_from_mass(mass, values, size, size)
+            assert check_stability(plan, DualPotentials(u, v), cost).passed
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -536,21 +593,21 @@ class TestReduction:
         tasks = TaskSet([[0.0], [1.0]], [[0.0], [1.0]])
         agents = DiscreteMeasure([[0.0], [1.0]])
         cost = cost_matrix(tasks, agents)
-        plan, _ = solve_exact(cost, tasks.weights, agents.weights)
-        assert support_is_unique(cost, tasks.weights, agents.weights, plan)
+        plan, duals = solve_exact(cost, tasks.weights, agents.weights)
+        assert support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
 
     def test_tied_instance_not_unique(self):
         # constant cost: every coupling optimal, perturbation moves the support
         cost = CostMatrix(np.ones((4, 4)))
         w = np.full(4, 0.25)
-        plan, _ = solve_exact(cost, w, w)
-        assert not support_is_unique(cost, w, w, plan)
+        plan, duals = solve_exact(cost, w, w)
+        assert not support_is_unique(cost, w, w, plan, duals)
 
     def test_tied_instance_not_unique_at_large_costs(self):
         cost = CostMatrix(np.full((4, 4), 1e8))
         w = np.full(4, 0.25)
-        plan, _ = solve_exact(cost, w, w)
-        assert not support_is_unique(cost, w, w, plan)
+        plan, duals = solve_exact(cost, w, w)
+        assert not support_is_unique(cost, w, w, plan, duals)
 
     @pytest.mark.parametrize("scale", [1.0, 10.0, 1000.0])
     def test_tied_general_weights_not_unique(self, scale):
@@ -559,8 +616,27 @@ class TestReduction:
         cost = CostMatrix(scale * (rows + cols))
         mu = np.array([0.1, 0.2, 0.3, 0.4])
         nu = np.array([0.25, 0.15, 0.2, 0.1, 0.3])
-        plan, _ = solve_exact(cost, mu, nu)
-        assert not support_is_unique(cost, mu, nu, plan)
+        plan, duals = solve_exact(cost, mu, nu)
+        assert not support_is_unique(cost, mu, nu, plan, duals)
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform_square", "general_weights"])
+    def test_unique_matches_perturbed_cost_resolve(self, uniform):
+        # shifting rows and columns leaves the optimal set alone: re-solving the reduced
+        # costs reports what re-solving the cost itself does on generic mixtures
+        rng = rng_stream(303 if uniform else 304)
+        for trial in range(24):
+            size = 2 + (trial * 7) % 29
+            m, n = (size, size) if uniform else (size, 2 + (trial * 5) % 23)
+            tasks, agents = generate(ScenarioSpec("gaussian_mixture", 1 + trial % 3, m, n, 500 + trial))
+            if not uniform:
+                tasks = TaskSet(tasks.origins, tasks.destinations, rng.uniforms(m) + 0.2)
+                agents = DiscreteMeasure(agents.points, rng.uniforms(n) + 0.2)
+            costs = (cost_matrix(tasks, agents), reduced_cost_matrix(index_pushforward(tasks), agents))
+            for cost in costs:
+                plan, duals = solve_exact(cost, tasks.weights, agents.weights)
+                assert support_is_unique(cost, tasks.weights, agents.weights, plan, duals) == (
+                    _perturbed_cost_unique(cost, tasks.weights, agents.weights, plan)
+                )
 
 
 @st.composite
@@ -586,7 +662,8 @@ class TestSolve:
         assert solution.plan == plan and solution.objective == plan.objective
         assert_array_equal(solution.duals.u, duals.u)
         assert_array_equal(solution.duals.v, duals.v)
-        assert solution.unique == support_is_unique(cost, tasks.weights, agents.weights, plan)
+        unique = support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
+        assert solution.unique == unique
 
     def test_reduced_duals_certify_the_trip_cost(self):
         tasks, agents = _random_instance(rng_stream(402), 9, 8, uniform=False)
