@@ -303,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None, help="fallback: ODTALLOC_SEED, then 0")
     gen.add_argument("--spread", type=float, default=None)
     gen.add_argument("--box", type=str, default=None,
-                     help="min0,min1,max0,max1; a negative min0 needs the = form, "
-                          "--box=-0.1,51.4,0.1,51.6")
+                     help="min0,min1,max0,max1, e.g. --box -0.1,51.4,0.1,51.6")
     gen.add_argument("--units", choices=["meters", "degrees"], default=None)
     gen.add_argument("--params", type=str, default=None, help="extra params as JSON")
     gen.add_argument("--out", type=str, default=".")
@@ -344,6 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None  # built by the first main call
 
 
+def _joined_box(argv: list[str]) -> list[str]:
+    """``argv`` with ``--box <value>`` written ``--box=<value>`` where the value is negative.
+
+    argparse reads a value that starts with '-' and is not a plain negative
+    number, such as the box -0.1,51.4,0.1,51.6 west of Greenwich, as a flag.
+    A value counts as negative when '-' is followed by a digit or '.'.
+    """
+    joined = []
+    for token in argv:
+        negative = len(token) > 1 and token[0] == "-" and token[1] in "0123456789."
+        if negative and joined and joined[-1] == "--box":
+            joined[-1] = "--box=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code; never raises SystemExit.
 
@@ -357,7 +373,7 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parser.parse_args(_joined_box(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     command = {"gen": cmd_gen, "solve": cmd_solve, "verify": cmd_verify}[args.command]

@@ -97,16 +97,34 @@ class CostMatrix:
         return self.values.shape[1]
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 of every pair of rows, summed coordinate by coordinate.
+
+    Up to 7 coordinates this gives the bits of the broadcast form
+    ``((a[:, None] - b[None]) ** 2).sum(axis=2)``, whose sum adds the
+    coordinates in order; from 8 on numpy unrolls that sum and orders the
+    additions differently.  No (m, n, dim) temporary is made.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(out, out=out)
+    term = np.empty_like(out)
+    for k in range(1, a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=term)
+        np.square(term, out=term)
+        out += term
+    return out
+
+
 def cost_matrix(tasks: TaskSet, agents: DiscreteMeasure) -> CostMatrix:
-    """Trip cost of every (task, agent) pair."""
+    """Trip cost of every (task, agent) pair, summed as (pickup + shipping) + return."""
     if tasks.dim != agents.dim:
         raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
     o, d, y = tasks.origins, tasks.destinations, agents.points
     with np.errstate(over="ignore"):  # an overflow is inf, which CostMatrix rejects
-        pickup = ((o[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-        shipping = ((o - d) ** 2).sum(axis=1)[:, None]
-        returning = ((d[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-        return CostMatrix(pickup + shipping + returning)
+        total = _squared_distances(o, y)  # pickup
+        total += ((o - d) ** 2).sum(axis=1)[:, None]  # shipping
+        total += _squared_distances(d, y)  # returning
+        return CostMatrix(total)
 
 
 def reduced_cost_matrix(index_measure: DiscreteMeasure, agents: DiscreteMeasure) -> CostMatrix:

@@ -61,17 +61,27 @@ class RngStream:
     def uniforms(self, k: int) -> np.ndarray:
         """k draws of ``uniform``, bit for bit, as a float64 array of shape (k,).
 
-        From 64 draws on they are computed in wrapping uint64 numpy.
+        From 64 draws on they are computed in wrapping uint64 numpy, in place
+        on one buffer of draws and one of shifted copies.
         """
         if k < _VECTOR_MIN:
             return np.array([self.uniform() for _ in range(k)], dtype=float)
-        counters = np.arange(1, k + 1, dtype=np.uint64) + np.uint64(self.counter & _MASK)
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z += np.uint64(self.counter & _MASK)
         self.counter += k
-        z = np.uint64(self.seed) + counters * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        return (z >> np.uint64(11)).astype(float) * 2.0**-53
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.seed)
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=shifted)
+            z ^= shifted
+            z *= np.uint64(mix)
+        np.right_shift(z, np.uint64(31), out=shifted)
+        z ^= shifted
+        z >>= np.uint64(11)
+        out = z.astype(float)
+        out *= 2.0**-53
+        return out
 
     def normals(self, k: int) -> list[float]:
         """k standard normals via Box-Muller, two uniforms per pair."""

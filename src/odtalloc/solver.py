@@ -14,9 +14,11 @@ log-domain Sinkhorn scaling (stabilised as in Schmitzer 2019) on an
 in-module log-sum-exp kernel that gives scipy's results bit for bit; its
 convergence check reuses the next sweep's log-sum-exp.  Once the sweeps
 stall, Newton steps on the dual finish the solve (Sinkhorn-Newton, Brauer,
-Clason, Lorenz & Wirth 2017): a Schur-complement solve with numpy's LAPACK
-and a line search on the max marginal violation; an attempt that fails
-hands back to the sweeps.  Only the assignment path imports scipy, inside
+Clason, Lorenz & Wirth 2017): a Schur-complement solve with numpy's LAPACK,
+a trust radius on each step's first trial, and a line search that takes a
+fall of the max marginal violation or an Armijo rise of the dual; an
+attempt that fails hands back to the sweeps, and the wait before the next
+doubles.  Only the assignment path imports scipy, inside
 the function.  Both return plans whose row/column sums reproduce the
 prescribed marginals.  ``solve`` is the one entry point for a task set and
 agents: it builds the cost, runs a method and certifies.
@@ -37,9 +39,12 @@ _MASS_DROP = 1e-14  # plan entries at or below this are not stored
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
 _MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
 _BLAND_AFTER = 3  # Bland's rule prices after this many x (m + n) degenerate pivots in a row
-_STALL_SWEEPS = 50  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
-_NEWTON_STEPS = 30  # Newton steps per attempt before the attempt is given up
-_NEWTON_MIN_STEP = 2.0**-20  # the line search gives up below this step length
+_STALL_SWEEPS = 10  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
+_NEWTON_STEPS = 60  # Newton steps per attempt before the attempt is given up
+_NEWTON_REACH = 5.0  # a step's first trial moves no potential by more than this x eps
+_NEWTON_ARMIJO = 1e-4  # a trial that raises the dual by this share of its first-order gain is taken
+_NEWTON_HALVINGS = 20  # trials per step before the attempt is given up
+_DUAL_ROUNDING = 2.0**-44  # a change of the dual below this share of eps x sum(P) is rounding
 _NEWTON_RIDGE = 1e-10  # diagonal ridge of the Newton system, relative to the largest marginal
 
 METHODS = ("exact", "entropic", "reduced")
@@ -361,22 +366,19 @@ def _logsumexp(a: np.ndarray, axis: int, mask: np.ndarray) -> np.ndarray:
 def _entropic_plan(f, g, C, epsilon, out=None) -> np.ndarray:
     """The dense plan exp((f_i + g_j - C_ij) / eps), written into ``out`` if given.
 
-    A -inf potential gives a zero row or column.  An entry that overflows,
-    as a Newton trial step can make it, is kept at the largest float, which
-    the step's line search then rejects.
+    A -inf potential gives a zero row or column.  A Newton trial can overflow
+    an entry to inf (or meet inf - inf, nan), under the caller's error state;
+    its sums are then inf or nan, which the line search rejects.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add(f[:, None], g[None, :], out=out)
-        np.subtract(out, C, out=out)
-        np.divide(out, epsilon, out=out)
-        np.exp(out, out=out)
-    return np.nan_to_num(out, nan=0.0, copy=False)
+    out = np.add(f[:, None], g[None, :], out=out)
+    np.subtract(out, C, out=out)
+    np.divide(out, epsilon, out=out)
+    return np.exp(out, out=out)
 
 
 def _marginals(P, mu, nu):
     """Row sums, column sums and the max marginal violation of a dense plan."""
-    with np.errstate(over="ignore"):  # sums of overflowed entries are inf: a worse violation
-        r, c = P.sum(axis=1), P.sum(axis=0)
+    r, c = P.sum(axis=1), P.sum(axis=0)
     return r, c, max(float(np.abs(r - mu).max()), float(np.abs(c - nu).max()))
 
 
@@ -397,7 +399,7 @@ def _newton_direction(P, r, c, a, b, epsilon, scratch):
     scaled = np.divide(P, r[:, None], out=scratch)
     schur = P.T @ scaled
     np.negative(schur, out=schur)
-    schur[np.diag_indices_from(schur)] += c + ridge
+    schur.reshape(-1)[:: schur.shape[0] + 1] += c + ridge  # the diagonal, as a view
     dg = np.linalg.solve(schur, epsilon * (b - scaled.T @ a))
     df = (epsilon * a - P @ dg) / r
     return df, dg
@@ -406,38 +408,66 @@ def _newton_direction(P, r, c, a, b, epsilon, scratch):
 def _newton_finish(f, g, C, mu, nu, epsilon, tol, scratch):
     """Newton's method on the dual from stalled Sinkhorn potentials (Brauer et al. 2017).
 
-    The root sought is P1 = mu, P^T 1 = nu for P = ``_entropic_plan(f, g)``,
-    whose Jacobian in (f, g) is [[diag(P1), P], [P^T, diag(P^T 1)]] / eps.
-    Each step backtracks until the max marginal violation, the quantity
-    ``tol`` bounds, falls.  Returns the plan once that violation is below
-    ``tol``; returns None when a step cannot lower it or ``_NEWTON_STEPS``
-    steps do not reach ``tol``.  The caller's potentials are not touched;
-    ``scratch``, a buffer of C's shape, is overwritten.
+    The root sought is P1 = mu, P^T 1 = nu for P = ``_entropic_plan(f, g)``:
+    the maximum of the concave dual D(f, g) = f.mu + g.nu - eps sum(P), whose
+    gradient is (mu - P1, nu - P^T 1) and whose Hessian is minus
+    [[diag(P1), P], [P^T, diag(P^T 1)]] / eps.  Far from the maximum the
+    Newton direction can be huge (its largest component up to 1e9 x eps where
+    the sweeps stall), so each step's first trial is held to a trust radius:
+    it moves no potential by more than the radius, which starts at
+    ``_NEWTON_REACH`` x eps, where no plan entry can change by more than a
+    factor e^10.  A step taken at its first trial sets the radius to twice
+    its move, a step taken after halvings to its move, never below the
+    start.  A trial is accepted when the max marginal violation, the
+    quantity ``tol`` bounds, falls, or when D rises by at least
+    ``_NEWTON_ARMIJO`` of the first-order gain step x slope and by more than
+    its rounding: D guides the steps far from the maximum, where the
+    violation can stay flat for many steps, and the violation near it, where
+    D's change drowns in rounding.  Otherwise the step halves, at most
+    ``_NEWTON_HALVINGS`` times.
+
+    Returns the plan once its own violation is below ``tol``; returns None
+    when a step finds no acceptable trial or ``_NEWTON_STEPS`` steps do not
+    reach ``tol``.  The caller's potentials are not touched; ``scratch``, a
+    buffer of C's shape, is overwritten.
     """
-    P, trial = _entropic_plan(f, g, C, epsilon), scratch
-    r, c, violation = _marginals(P, mu, nu)
-    for _ in range(_NEWTON_STEPS):
-        if violation < tol:
-            return P
-        try:
-            with np.errstate(all="ignore"):
-                df, dg = _newton_direction(P, r, c, mu - r, nu - c, epsilon, trial)
-        except np.linalg.LinAlgError:
-            return None
-        if not (np.all(np.isfinite(df)) and np.all(np.isfinite(dg))):
-            return None
-        step = 1.0
-        while True:
-            trial_f, trial_g = f + step * df, g + step * dg
-            _entropic_plan(trial_f, trial_g, C, epsilon, out=trial)
-            trial_r, trial_c, trial_violation = _marginals(trial, mu, nu)
-            if trial_violation < violation:
-                break
-            step *= 0.5
-            if step < _NEWTON_MIN_STEP:
+    with np.errstate(all="ignore"):  # trials may overflow; the line search rejects them
+        P, trial = _entropic_plan(f, g, C, epsilon), scratch
+        r, c, violation = _marginals(P, mu, nu)
+        total = float(r.sum())
+        radius = _NEWTON_REACH * epsilon
+        for _ in range(_NEWTON_STEPS):
+            if violation < tol:
+                return P
+            a, b = mu - r, nu - c
+            try:
+                df, dg = _newton_direction(P, r, c, a, b, epsilon, trial)
+            except np.linalg.LinAlgError:
                 return None
-        f, g, r, c, violation = trial_f, trial_g, trial_r, trial_c, trial_violation
-        P, trial = trial, P
+            reach = max(float(np.abs(df).max()), float(np.abs(dg).max()))
+            if not reach < np.inf:  # also nan
+                return None
+            # D's change along (df, dg) is step x ascent - eps x (change of sum(P)),
+            # and step x slope to first order
+            ascent = float(df @ mu + dg @ nu)
+            slope = float(df @ a + dg @ b)
+            step = first = min(1.0, radius / reach) if reach > 0.0 else 1.0
+            for _ in range(_NEWTON_HALVINGS):
+                trial_f, trial_g = f + step * df, g + step * dg
+                _entropic_plan(trial_f, trial_g, C, epsilon, out=trial)
+                trial_r, trial_c, trial_violation = _marginals(trial, mu, nu)
+                trial_total = float(trial_r.sum())
+                gain = step * ascent - epsilon * (trial_total - total)
+                if trial_violation < violation or gain >= max(
+                    _NEWTON_ARMIJO * step * slope, _DUAL_ROUNDING * epsilon * total
+                ):
+                    break
+                step *= 0.5
+            else:
+                return None
+            radius = max(_NEWTON_REACH * epsilon, (2.0 if step == first else 1.0) * step * reach)
+            f, g, P, trial = trial_f, trial_g, trial, P
+            r, c, violation, total = trial_r, trial_c, trial_violation, trial_total
     return P if violation < tol else None
 
 
@@ -459,11 +489,14 @@ def solve_entropic(
     log-sum-exp the g-update just used.
 
     At small ``epsilon`` the sweeps fall into a slow 1/k tail.  When the
-    violation has not halved over the last ``_STALL_SWEEPS`` sweeps, and no
-    attempt ran in that span, ``_newton_finish`` takes Newton steps on the
-    dual from the current potentials.  It returns a plan whose own row and
-    column sums are within ``tol``, or gives up, and then the sweeps go on
-    from where they were.  A solve the sweeps finish before any attempt
+    violation has not halved over the last ``_STALL_SWEEPS`` sweeps,
+    ``_newton_finish`` takes Newton steps on the dual from the current
+    potentials.  It returns a plan whose own row and column sums are within
+    ``tol``, or gives up, and then the sweeps go on from where they were.
+    The first attempt can start at sweep ``_STALL_SWEEPS`` + 1, and each
+    failed one doubles the wait before the next, so a solve that ends in
+    ``IterationLimit`` makes at most 1 + log2(``max_iter`` /
+    ``_STALL_SWEEPS``) attempts.  A solve the sweeps finish before any attempt
     succeeds gives the plan of the sweeps alone, bit for bit.  ``max_iter``
     counts sweeps only.  The dense plan is built once, on exit, and the
     reported objective is against the original cost matrix, with no
@@ -490,7 +523,8 @@ def solve_entropic(
 
     lse_row = row_lse(np.zeros(nu.size))
     violations = []
-    last_attempt = 0
+    wait = _STALL_SWEEPS
+    next_attempt = wait + 1
     for sweep in range(1, max_iter + 1):
         f = epsilon * (log_mu - lse_row)
         np.divide(np.subtract(f[:, None], C, out=work), epsilon, out=work)
@@ -505,13 +539,12 @@ def solve_entropic(
             plan = _entropic_plan(f, g, C, epsilon)
             break
         violations.append(violation)
-        if sweep - last_attempt > _STALL_SWEEPS and (
-            violation > 0.5 * violations[-1 - _STALL_SWEEPS]
-        ):
-            last_attempt = sweep
+        if sweep >= next_attempt and violation > 0.5 * violations[-1 - _STALL_SWEEPS]:
             plan = _newton_finish(f, g, C, mu, nu, epsilon, tol, work)
             if plan is not None:
                 break
+            wait *= 2
+            next_attempt = sweep + wait
     else:
         raise IterationLimit(
             f"marginal violation {violation:.3e} after {max_iter} iterations",

@@ -153,7 +153,7 @@ class TestGen:
         assert json.loads((out / "spec.json").read_text())["params"][key] == value
 
     def test_city_box_points_lie_in_box(self, tmp_path):
-        # a box west of Greenwich: the = form keeps argparse from reading -0.1 as a flag
+        # a box west of Greenwich, given in the = form
         out = tmp_path / "x"
         assert run("gen", "--kind", "city_box", "--tasks", "20", "--agents", "15",
                    "--box=-0.1,51.4,0.1,51.6", "--units", "meters", "--out", str(out)) == 0
@@ -166,13 +166,22 @@ class TestGen:
         [
             (["--box", "a,b"], "error: --box 'a,b' is not a comma list of numbers"),
             (["--params", "{"], "error: --params is not valid JSON"),
-            # without the = form argparse reads a negative min0 as a flag
-            (["--box", "-0.1,51.4,0.1,51.6"], "argument --box: expected one argument"),
         ],
     )
     def test_malformed_flag_is_usage_error(self, tmp_path, capsys, flags, message):
         assert run("gen", "--kind", "city_box", *flags, "--out", str(tmp_path / "x")) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", ["-0.1,51.4,0.1,51.6", "-.5,-2,0.5,-1"])
+    def test_negative_box_value_reads_as_the_equals_form(self, tmp_path, box):
+        # argparse alone would read a value that starts with '-' as a flag
+        specs = []
+        for name, flags in (("natural", ["--box", box]), ("equals", [f"--box={box}"])):
+            out = tmp_path / name
+            assert run("gen", "--kind", "city_box", "--seed", "3", *flags, "--out", str(out)) == 0
+            specs.append((out / "spec.json").read_bytes())
+        assert specs[0] == specs[1]
+        assert json.loads(specs[0])["params"]["box"] == [float(v) for v in box.split(",")]
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ODTALLOC_SEED", "42")

@@ -171,6 +171,22 @@ class TestCostMatrix:
         with pytest.raises(DimensionMismatch):
             cost_matrix(TaskSet([[0.0]], [[1.0]]), DiscreteMeasure([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("dim", range(1, 8))
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_bits_of_the_broadcast_form(self, dim, scale):
+        # per-coordinate accumulation adds in the order numpy's sum over a short last axis
+        # does; from 8 coordinates on numpy unrolls that sum and the bits may differ
+        rng = rng_stream(4100 + dim)
+        for m, n in [(1, 1), (7, 5), (23, 31)]:
+            o, d, y = (np.array(rng.normals(k * dim)).reshape(k, dim) * scale for k in (m, m, n))
+            broadcast = (
+                ((o[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+                + ((o - d) ** 2).sum(axis=1)[:, None]
+                + ((d[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+            )
+            values = cost_matrix(TaskSet(o, d), DiscreteMeasure(y)).values
+            assert values.tobytes() == broadcast.tobytes()
+
 
 class TestReducedCost:
     def test_zero_index(self):

@@ -125,6 +125,12 @@ def _entropic_case(name):
         cost = cost_matrix(tasks, agents)
         mu = np.array([0.0, 0.3, 0.3, 0.4])
         return cost, mu, np.asarray(agents.weights), 0.05 * float(np.ptp(cost.values)), 1e-8
+    if name == "plateau":
+        # agent 1 is cheap only for task 2, which outweighs it: the optimum sends task 2's
+        # excess 0.03 to agent 0 at cost 4, and every other entry of agent 1 sits at
+        # exp(-5 / eps) = 0, so the potentials must travel far from where the sweeps stall
+        cost = CostMatrix([[0.0, 1.0], [1.0, 2.0], [4.0, 0.0]])
+        return cost, np.array([0.3, 0.45, 0.25]), np.array([0.78, 0.22]), 4e-3, 1e-8
     if name.startswith("mixture_"):
         # the benchmark's entropic instances: 2-D 10x10 mixtures, CLI defaults
         spec = ScenarioSpec("gaussian_mixture", 2, 10, 10, int(name.removeprefix("mixture_")))
@@ -493,13 +499,9 @@ class TestEntropic:
         dense = plan.to_dense()
         assert_allclose(plan.objective, float((dense * CANONICAL.values).sum()), rtol=1e-12)
 
-    @pytest.mark.parametrize(
-        "case",
-        ["canonical", "huge_epsilon", "zero_weight_task"]
-        + [f"criterion7_{size}" for size in (4, 5, 7)],
-    )
+    @pytest.mark.parametrize("case", ["canonical", "huge_epsilon", "zero_weight_task"])
     def test_matches_reference_loop(self, case):
-        # the sweeps finish these before a Newton attempt succeeds (criterion7_5 fails two)
+        # the sweeps finish these before the violation stalls, so no Newton attempt runs
         cost, mu, nu, epsilon, tol = _entropic_case(case)
         entries, objective, sweeps = _reference_sinkhorn(cost, mu, nu, epsilon, tol)
         plan = solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps)
@@ -508,7 +510,9 @@ class TestEntropic:
         with pytest.raises(IterationLimit if sweeps > 1 else ValueError):  # max_iter 0 is invalid
             solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps - 1)
 
-    @pytest.mark.parametrize("case", ["criterion7_6", "criterion7_8", "mixture_20", "mixture_34"])
+    @pytest.mark.parametrize(
+        "case", [f"criterion7_{size}" for size in range(4, 9)] + ["mixture_20", "mixture_34"]
+    )
     def test_newton_finish_matches_converged_reference(self, case):
         # Newton steps finish these in fewer sweeps than the reference takes, so the
         # plans differ in their bits but must be the same coupling within the tolerance
@@ -520,6 +524,45 @@ class TestEntropic:
         assert np.abs(plan.col_sums() - nu).max() < tol
         assert np.abs(plan.to_dense() - reference.to_dense()).max() <= 10 * tol
         assert abs(plan.objective - objective) <= 1e-7 * abs(objective)
+
+    @pytest.mark.parametrize(
+        "case", ["criterion7_6", "plateau"] + [f"mixture_{seed}" for seed in range(1, 13)]
+    )
+    def test_first_newton_attempt_finishes(self, case, monkeypatch):
+        # the sweeps stall far from the optimum here, where a Newton direction is up to
+        # 1e9 x eps long; the trust radius, which grows while its trials are taken, and
+        # the dual's ascent carry the attempt through
+        outcomes = []
+        finish = odtalloc.solver._newton_finish
+
+        def counted(*args):
+            plan = finish(*args)
+            outcomes.append(plan is not None)
+            return plan
+
+        monkeypatch.setattr(odtalloc.solver, "_newton_finish", counted)
+        cost, mu, nu, epsilon, tol = _entropic_case(case)
+        plan = solve_entropic(cost, mu, nu, epsilon, tol=tol)
+        assert outcomes == [True]
+        assert np.abs(plan.row_sums() - mu).max() < tol
+        assert np.abs(plan.col_sums() - nu).max() < tol
+
+    def test_failed_attempts_widen_the_wait(self, monkeypatch):
+        # tol below the rounding floor: every attempt fails, and each failure doubles the
+        # wait before the next, so attempts stay logarithmic in max_iter
+        attempts = 0
+        finish = odtalloc.solver._newton_finish
+
+        def counted(*args):
+            nonlocal attempts
+            attempts += 1
+            return finish(*args)
+
+        monkeypatch.setattr(odtalloc.solver, "_newton_finish", counted)
+        cost, mu, nu, epsilon, _ = _entropic_case("mixture_1")
+        with pytest.raises(IterationLimit):
+            solve_entropic(cost, mu, nu, epsilon, tol=1e-18, max_iter=2000)
+        assert 1 <= attempts <= 1 + np.log2(2000 / odtalloc.solver._STALL_SWEEPS)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_drawn_entropic_instances())
