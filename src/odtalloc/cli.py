@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
+import shlex
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,7 @@ from .errors import AllocationError, InvalidSpec, IterationLimit
 from .measures import (
     DiscreteMeasure,
     TaskSet,
+    _write_file,
     load_agents_csv,
     load_tasks_csv,
     write_agents_csv,
@@ -52,10 +56,6 @@ class _UsageFailure(Exception):
     """Internal marker: input file or flag problem, exit 2."""
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _resolve_seed(value) -> int:
     if value is not None:
         return value
@@ -68,21 +68,120 @@ def _resolve_seed(value) -> int:
         raise _UsageFailure(f"ODTALLOC_SEED={env!r} is not an integer") from None
 
 
-def _load_inputs(args) -> tuple[TaskSet, DiscreteMeasure]:
-    return load_tasks_csv(args.tasks), load_agents_csv(args.agents)
+def _read_input(path, inputs: dict) -> bytes:
+    """The bytes of an input file, opened once per command.
+
+    ``inputs`` maps each path read so far to its bytes; the manifest's
+    digests are of these bytes, the ones that were parsed.
+    """
+    data = inputs.get(path)
+    if data is None:
+        with open(path, "rb") as fh:
+            data = inputs[path] = fh.read()
+    return data
+
+
+def _load_inputs(args, inputs: dict) -> tuple[TaskSet, DiscreteMeasure]:
+    tasks = load_tasks_csv(args.tasks, _read_input(args.tasks, inputs))
+    return tasks, load_agents_csv(args.agents, _read_input(args.agents, inputs))
+
+
+class _NotPlain(Exception):
+    """Internal marker: a value ``_indented_json`` leaves to ``json.dumps``."""
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}.__getitem__
+# the JSON of a scalar, by exact type, as the json module writes it; json
+# writes a float subclass such as np.float64 by float.__repr__ too
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    float: _float_json,
+    np.float64: _float_json,
+    int: int.__repr__,
+    bool: _CONSTANTS,
+    type(None): _CONSTANTS,
+}
+
+
+def _encode(value, parts: list, newline: str) -> None:
+    """Append the ``indent=2`` JSON of ``value`` to ``parts``; ``newline`` ends with its indent.
+
+    Scalars inside a container are written in the container's loop, so only
+    containers recurse.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _NotPlain
+            to_json = _SCALAR_JSON.get(type(item))
+            if to_json is None:
+                parts.append(f"{separator}{encode_basestring_ascii(key)}: ")
+                _encode(item, parts, inner)
+            else:
+                parts.append(f"{separator}{encode_basestring_ascii(key)}: {to_json(item)}")
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            to_json = _SCALAR_JSON.get(type(item))
+            if to_json is None:
+                parts.append(separator)
+                _encode(item, parts, inner)
+            else:
+                parts.append(separator + to_json(item))
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        to_json = _SCALAR_JSON.get(kind)
+        if to_json is None:
+            raise _NotPlain
+        parts.append(to_json(value))
+
+
+def _indented_json(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, without json's indenting encoder.
+
+    ``indent`` makes the json module encode in Python, token by token, with
+    an isinstance chain per value; dispatching on exact types takes about
+    60-70% of its time.  A document holding any other type (another
+    subclass, a non-string key) goes to ``json.dumps`` whole, so its output
+    and its errors are json's own.
+    """
+    parts = []
+    try:
+        _encode(payload, parts, "\n")
+    except _NotPlain:
+        return json.dumps(payload, indent=2)
+    return "".join(parts)
 
 
 def _write_json(path, payload) -> None:
-    # one encode and one write: json.dump would issue a write per token
-    text = json.dumps(payload, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_file(path, (_indented_json(payload) + "\n").encode("utf-8"))
 
 
-def _write_manifest(outdir, argv, inputs, seed, method, timings) -> None:
+def _write_manifest(outdir, argv, inputs: dict, seed, method, timings) -> None:
     payload = {
-        "command": "odtalloc " + " ".join(argv),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "command": "odtalloc " + shlex.join(argv),
+        "inputs": {str(p): hashlib.sha256(data).hexdigest() for p, data in inputs.items()},
         "seed": seed,
         "method": method,
         "timings_ms": {k: round(v, 3) for k, v in timings.items()},
@@ -152,19 +251,20 @@ def _plan_json(
 
 
 def _write_plot_csv(path, plan, tasks, agents) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["task_id", "agent_id", "mass"]
-            + [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
-        )
-        # Python floats, which csv writes as their shortest round-trip repr
-        origins, destinations = tasks.origins.tolist(), tasks.destinations.tolist()
-        points = agents.points.tolist()
-        writer.writerows(
-            [tasks.ids[i], agents.ids[j], float(mass), *origins[i], *destinations[i], *points[j]]
-            for i, j, mass in plan.entries
-        )
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(
+        ["task_id", "agent_id", "mass"]
+        + [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
+    )
+    # Python floats, which csv writes as their shortest round-trip repr
+    origins, destinations = tasks.origins.tolist(), tasks.destinations.tolist()
+    points = agents.points.tolist()
+    writer.writerows(
+        [tasks.ids[i], agents.ids[j], float(mass), *origins[i], *destinations[i], *points[j]]
+        for i, j, mass in plan.entries
+    )
+    _write_file(path, buffer.getvalue().encode("utf-8"))
 
 
 def cmd_solve(args, argv) -> int:
@@ -175,8 +275,9 @@ def cmd_solve(args, argv) -> int:
     if args.max_iter < 1:
         raise _UsageFailure(f"--max-iter must be at least 1, got {args.max_iter}")
     timings = {}
+    inputs = {}
     start = time.perf_counter()
-    tasks, agents = _load_inputs(args)
+    tasks, agents = _load_inputs(args, inputs)
     timings["load_ms"] = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
@@ -199,7 +300,7 @@ def cmd_solve(args, argv) -> int:
             },
         )
     timings["write_ms"] = (time.perf_counter() - start) * 1000.0
-    _write_manifest(outdir, argv, [args.tasks, args.agents], None, args.method, timings)
+    _write_manifest(outdir, argv, inputs, None, args.method, timings)
     print(
         f"wrote {outdir}/plan.json: method={args.method} objective={solution.objective!r} "
         f"entries={len(solution.plan.entries)} unique={solution.unique}"
@@ -207,14 +308,22 @@ def cmd_solve(args, argv) -> int:
     return 0
 
 
-def _verify_stability(args) -> dict:
+def _plan_text(data: bytes) -> str:
+    """A plan file's text as ``read_text`` gives it: UTF-8, newlines translated to \\n."""
+    text = data.decode("utf-8")
+    if "\r" in text:  # keeps json's error positions those of the text read
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _verify_stability(args, inputs: dict) -> dict:
     if not (args.plan and args.tasks and args.agents):
         raise _UsageFailure("--check stability needs --plan, --tasks, and --agents")
-    tasks, agents = _load_inputs(args)
+    tasks, agents = _load_inputs(args, inputs)
     task_index = {tid: i for i, tid in enumerate(tasks.ids)}
     agent_index = {aid: j for j, aid in enumerate(agents.ids)}
     try:
-        payload = json.loads(Path(args.plan).read_text(encoding="utf-8"))
+        payload = json.loads(_plan_text(_read_input(args.plan, inputs)))
         entries = tuple(
             (task_index[e["task"]], agent_index[e["agent"]], float(e["mass"]))
             for e in payload["entries"]
@@ -257,7 +366,7 @@ def cmd_verify(args, argv) -> int:
     seed = _resolve_seed(args.seed)
     timings = {}
     start = time.perf_counter()
-    inputs = []
+    inputs = {}
     if args.check == "twist":
         report = verify_twist(args.dim, args.samples, seed).to_json()
     elif args.check == "nondegeneracy":
@@ -267,12 +376,10 @@ def cmd_verify(args, argv) -> int:
     elif args.check == "nestedness":
         if not (args.tasks and args.agents):
             raise _UsageFailure("--check nestedness needs --tasks and --agents")
-        tasks, agents = _load_inputs(args)
-        inputs = [args.tasks, args.agents]
+        tasks, agents = _load_inputs(args, inputs)
         report = check_nestedness_1d(tasks, agents, grid=args.grid).to_json()
     else:  # stability
-        report = _verify_stability(args)
-        inputs = [args.tasks, args.agents, args.plan]
+        report = _verify_stability(args, inputs)
     timings["check_ms"] = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()

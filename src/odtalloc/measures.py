@@ -9,9 +9,12 @@ afterwards.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -170,34 +173,65 @@ def project_lonlat(points, ref) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def _read_table(path, header_hint: str, min_columns: int, noun: str, check_width=None):
+def _write_file(path, data: bytes) -> None:
+    """Give ``path`` the contents ``data``, as ``open(path, "wb").write(data)`` would.
+
+    The file is overwritten in place and then cut to length, never truncated
+    to zero first: ext4 (``auto_da_alloc``) starts writeback when a file
+    truncated to zero is closed, which makes each rewrite of a 3 KB output
+    cost about 0.15-0.17 ms against 6-11 us this way (2-core Xeon VM).
+    A temporary file renamed over the output costs 0.10-0.12 ms, since ext4
+    does the same on a rename over a file.  Like ``open("w")`` it keeps
+    the inode and the file's mode, writes through a symlink, and creates a
+    missing file with mode 0o666 less the umask.  ``O_BINARY`` stops newline
+    translation on Windows.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        # a pipe or a terminal reports size 0 and cannot be truncated
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _read_table(path, data, header_hint: str, min_columns: int, noun: str, check_width=None):
     """Rows of an ``id,<coordinates>,weight`` CSV table as (ids, coordinates, weights).
 
-    Blank and '#' lines are skipped.  The header must have at least
-    ``min_columns`` columns; ``check_width(columns, lineno)`` may reject its
-    coordinate count before any row is read.  Undecodable bytes and CSV
-    syntax errors, such as an unclosed quote or text after a closing one,
-    raise ParseError.
+    ``data`` holds the file's bytes, or is None to read them from ``path``;
+    ``path`` also names the file in error messages.  Blank and '#' lines
+    are skipped.  The header must have at least ``min_columns`` columns;
+    ``check_width(columns, lineno)`` may reject its coordinate count before
+    any row is read.  Undecodable bytes and CSV syntax errors, such as an
+    unclosed quote or text after a closing one, raise ParseError.
     """
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = []
     numbers = []  # the file's line number of each line handed to the reader
 
-    def data_lines(fh):
-        for lineno, line in enumerate(fh, start=1):
+    def data_lines(lines):
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
                 numbers.append(lineno)
                 yield line
 
+    # newline="" splits lines as open(newline="") does: at \n, \r\n and \r only
+    reader = csv.reader(data_lines(io.StringIO(text, newline="")), strict=True)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(data_lines(fh), strict=True)
-            for cells in reader:
-                if reader.line_num > len(rows) + 1:
-                    raise csv.Error  # the row took in the next line: reported below
-                rows.append((numbers[len(rows)], [cell.strip() for cell in cells]))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for cells in reader:
+            if reader.line_num > len(rows) + 1:
+                raise csv.Error  # the row took in the next line: reported below
+            rows.append((numbers[len(rows)], cells))
     except csv.Error as exc:
         if reader.line_num > len(rows) + 1:
             exc = "a quoted field runs past the end of its line"
@@ -205,50 +239,64 @@ def _read_table(path, header_hint: str, min_columns: int, noun: str, check_width
     if not rows:
         raise ParseError(f"{path}: no data rows")
     lineno, header = rows[0]
+    header = [cell.strip() for cell in header]
     if len(header) < min_columns or header[0].lower() != "id" or header[-1].lower() != "weight":
         raise ParseError(f"expected header {header_hint}", row=lineno)
     columns = len(header) - 2
     if check_width is not None:
         check_width(columns, lineno)
-    ids, coords, weights = [], [], []
-    for lineno, cells in rows[1:]:
-        if len(cells) != columns + 2:
-            raise DimensionMismatch(
-                f"line {lineno}: {len(cells) - 2} coordinate+weight columns, "
-                f"header declares {columns}"
-            )
-        try:
-            values = [float(c) for c in cells[1:]]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value ({exc})", row=lineno) from None
-        ids.append(cells[0])
-        coords.append(values[:-1])
-        weights.append(values[-1])
-    if not coords:
+    body = rows[1:]
+    if not body:
         raise ParseError(f"{path}: header only, no {noun} rows")
-    return tuple(ids), np.array(coords), np.array(weights)
+    # One float() pass over every numeric cell, unstripped: float() strips the
+    # same whitespace as str.strip() but for \x1c-\x1f, so where it reads a cell
+    # it reads the stripped cell alike.  Any other table takes the row loop.
+    values = None
+    if all(len(cells) == columns + 2 for _, cells in body):
+        try:
+            values = list(map(float, chain.from_iterable(cells[1:] for _, cells in body)))
+        except ValueError:
+            pass
+    if values is None:  # row by row, so the first faulty row in file order is named
+        values = []
+        for lineno, cells in body:
+            if len(cells) != columns + 2:
+                raise DimensionMismatch(
+                    f"line {lineno}: {len(cells) - 2} coordinate+weight columns, "
+                    f"header declares {columns}"
+                )
+            try:
+                values.extend([float(cell.strip()) for cell in cells[1:]])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric value ({exc})", row=lineno) from None
+    table = np.array(values).reshape(len(body), columns + 1)
+    ids = tuple(cells[0].strip() for _, cells in body)
+    return ids, np.ascontiguousarray(table[:, :-1]), table[:, -1].copy()
 
 
 def _write_table(path, columns: list[str], ids, coords, weights) -> None:
     """Write an ``id,<columns>,weight`` table, floats as shortest round-trip reprs."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", *columns, "weight"])
-        for label, row, weight in zip(ids, coords, weights):
-            writer.writerow([label, *(repr(float(x)) for x in row), repr(float(weight))])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["id", *columns, "weight"])
+    for label, row, weight in zip(ids, coords, weights):
+        writer.writerow([label, *(repr(float(x)) for x in row), repr(float(weight))])
+    _write_file(path, buffer.getvalue().encode("utf-8"))
 
 
-def load_agents_csv(path) -> DiscreteMeasure:
+def load_agents_csv(path, data: bytes | None = None) -> DiscreteMeasure:
     """Load agents from CSV with header ``id,y1,...,yn,weight``.
 
     Row order is preserved and ids are retained for output labeling.
+    ``data``, when given, is the file's bytes, already read; ``path`` then
+    only names it in error messages.
     """
-    ids, points, weights = _read_table(path, "id,y1,...,yn,weight", 3, "agent")
+    ids, points, weights = _read_table(path, data, "id,y1,...,yn,weight", 3, "agent")
     return DiscreteMeasure(points, weights, ids=ids)
 
 
-def load_tasks_csv(path) -> TaskSet:
-    """Load tasks from CSV with header ``id,o1..on,d1..dn,weight``."""
+def load_tasks_csv(path, data: bytes | None = None) -> TaskSet:
+    """Load tasks from CSV with header ``id,o1..on,d1..dn,weight``; ``data`` as for agents."""
 
     def even(columns: int, lineno: int) -> None:
         if columns % 2 != 0:
@@ -257,7 +305,7 @@ def load_tasks_csv(path) -> TaskSet:
                 f"(header has {columns} coordinate columns)"
             )
 
-    ids, coords, weights = _read_table(path, "id,o1..on,d1..dn,weight", 4, "task", even)
+    ids, coords, weights = _read_table(path, data, "id,o1..on,d1..dn,weight", 4, "task", even)
     n = coords.shape[1] // 2
     return TaskSet(coords[:, :n], coords[:, n:], weights, ids=ids)
 

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -8,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odtalloc.cli
+import odtalloc.measures
 import odtalloc.solver
 from odtalloc.cli import main
 from odtalloc.cost import cost_matrix
@@ -723,3 +726,128 @@ class TestRepeatedCalls:
         assert run("solve", *files, "--out", str(tmp_path / "second")) == 7
         assert calls == [["solve", *files, "--out", str(tmp_path / "second")]]
         assert not (tmp_path / "second").exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _round(files: list[str], out: Path, *extra: str) -> None:
+    """Solve into ``out``, dumping the cost matrix there, then verify the plan's stability."""
+    tasks, agents = files
+    assert run("solve", "--tasks", tasks, "--agents", agents, *extra, "--out", str(out),
+               "--dump-cost", str(out / "cost.json")) == 0
+    assert run("verify", "--check", "stability", "--plan", str(out / "plan.json"),
+               "--tasks", tasks, "--agents", agents, "--out", str(out)) == 0
+
+
+def _without_run_details(manifest: bytes) -> dict:
+    """A manifest without its timings and the paths it names; the digests stay."""
+    payload = json.loads(manifest)
+    del payload["timings_ms"], payload["command"]
+    payload["inputs"] = list(payload["inputs"].values())
+    return payload
+
+
+class TestFiles:
+    """Each input is read once, each output written whole, whatever the file held before."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_JSON_VALUES)
+    @example({"text": "\ud800\x00é\U0001f600", "n": [2**70, -0.0, float("nan"), -float("inf")]})
+    @example([{}, [], (), {"": None}])
+    def test_write_json_matches_json_dumps(self, tmp_path_factory, payload):
+        # every example rewrites one file, so a longer document is followed by shorter ones
+        path = tmp_path_factory.getbasetemp() / "written.json"
+        odtalloc.cli._write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+    def test_write_json_falls_back_to_json_dumps(self, tmp_path):
+        path = tmp_path / "other.json"
+        odtalloc.cli._write_json(path, {"n": np.float64(1.5), 2: [True]})
+        assert path.read_text() == json.dumps({"n": np.float64(1.5), 2: [True]}, indent=2) + "\n"
+        with pytest.raises(TypeError):
+            odtalloc.cli._write_json(path, {"x": object()})
+
+    def test_smaller_rewrite_leaves_no_stale_tail(self, tmp_path):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        for size, seed in (("30", "4"), ("3", "5")):
+            assert run("gen", "--kind", "city_box", "--tasks", size, "--agents", size,
+                       "--seed", seed, "--out", str(shared / "inst")) == 0
+        assert run("gen", "--kind", "city_box", "--tasks", "3", "--agents", "3",
+                   "--seed", "5", "--out", str(fresh / "inst")) == 0
+        big = tmp_path / "big"
+        assert run("gen", "--kind", "city_box", "--tasks", "30", "--agents", "30",
+                   "--seed", "4", "--out", str(big)) == 0
+        _round([str(big / "tasks.csv"), str(big / "agents.csv")], shared / "sol")
+        small = [str(fresh / "inst" / "tasks.csv"), str(fresh / "inst" / "agents.csv")]
+        _round(small, shared / "sol")
+        _round(small, fresh / "sol")
+        for name in ("tasks.csv", "agents.csv", "spec.json"):
+            assert (shared / "inst" / name).read_bytes() == (fresh / "inst" / name).read_bytes()
+        for name in ("plan.json", "plot.csv", "report.json", "cost.json"):
+            assert (shared / "sol" / name).read_bytes() == (fresh / "sol" / name).read_bytes()
+        assert _without_run_details((shared / "sol" / "manifest.json").read_bytes()) == (
+            _without_run_details((fresh / "sol" / "manifest.json").read_bytes())
+        )
+
+    @pytest.mark.skipif(os.name == "nt", reason="POSIX symlinks and mode bits")
+    def test_output_written_through_symlink_keeping_mode(self, canonical, tmp_path):
+        out, target = tmp_path / "sol", tmp_path / "kept" / "plan.json"
+        out.mkdir()
+        target.parent.mkdir()
+        target.write_text("x" * 5000)  # longer than the plan
+        target.chmod(0o640)
+        (out / "plan.json").symlink_to(target)
+        assert run("solve", "--tasks", str(canonical / "tasks.csv"),
+                   "--agents", str(canonical / "agents.csv"), "--out", str(out)) == 0
+        assert (out / "plan.json").is_symlink()
+        assert (target.stat().st_mode & 0o777) == 0o640
+        assert json.loads(target.read_text())["method"] == "exact"
+
+    def test_write_to_device_is_not_truncated(self):
+        # open("w") accepts a terminal, pipe or device, which cannot be truncated
+        odtalloc.measures._write_file(os.devnull, b"{}\n")
+
+    def test_each_input_opened_once(self, canonical, tmp_path, monkeypatch):
+        tasks, agents = str(canonical / "tasks.csv"), str(canonical / "agents.csv")
+        first = tmp_path / "s0"
+        assert run("solve", "--tasks", tasks, "--agents", agents, "--out", str(first)) == 0
+        plan = str(first / "plan.json")
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr("io.open", counting_open)
+        out = tmp_path / "s1"
+        assert run("solve", "--tasks", tasks, "--agents", agents, "--out", str(out)) == 0
+        assert run("verify", "--check", "stability", "--plan", plan,
+                   "--tasks", tasks, "--agents", agents, "--out", str(out)) == 0
+        monkeypatch.undo()
+        assert [path for path in opened if path in (tasks, agents, plan)] == [
+            tasks, agents, tasks, agents, plan,
+        ]
+        digests = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert digests == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in (tasks, agents, plan)
+        }
+
+    def test_manifest_command_runs_again(self, canonical, tmp_path):
+        out = tmp_path / "my dir"
+        argv = ["solve", "--tasks", str(canonical / "tasks.csv"),
+                "--agents", str(canonical / "agents.csv"), "--method", "exact", "--out", str(out)]
+        assert run(*argv) == 0
+        command = json.loads((out / "manifest.json").read_text())["command"]
+        assert command == "odtalloc " + shlex.join(argv)
+        assert shlex.split(command)[1:] == argv
+        assert "solve --tasks " in command and " --method exact --out '" in command

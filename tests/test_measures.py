@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -277,6 +278,44 @@ class TestCsvIo:
             except AllocationError:
                 continue
             assert len(loaded) >= 1
+
+    def test_float_strips_no_more_than_str_strip(self):
+        # the loader hands numeric cells to float() unstripped; that is sound only if
+        # float() reads a padded cell as its stripped form, or rejects it
+        for ch in map(chr, range(sys.maxunicode + 1)):
+            if not ch.isspace():  # float() maps exactly these to spaces
+                continue
+            padded = ch + "1.5" + ch
+            try:
+                value = float(padded)
+            except ValueError:
+                assert ch in "\x1c\x1d\x1e\x1f"  # str.strip() strips them, float() does not
+                continue
+            assert value == float(padded.strip()) == 1.5
+
+    def test_cells_padded_with_separators_still_load(self, tmp_path):
+        path = tmp_path / "agents.csv"
+        path.write_text("id,y1,weight\na,\x1c2.5\x1c, 1\u2028\nb\x1f,\u00a03,\x1e1\n")
+        m = load_agents_csv(path)
+        assert m.ids == ("a", "b")
+        assert m.points.tolist() == [[2.5], [3.0]]
+        assert m.weights.tolist() == [0.5, 0.5]
+
+    def test_first_faulty_row_is_named(self, tmp_path):
+        # a bad value on line 3 comes before a short row on line 4
+        path = tmp_path / "agents.csv"
+        path.write_text("id,y1,weight\na,0,1\nb, x ,1\nc,1\n")
+        with pytest.raises(ParseError, match="could not convert string to float: 'x'") as err:
+            load_agents_csv(path)
+        assert err.value.row == 3
+
+    @pytest.mark.parametrize("loader", [load_agents_csv, load_tasks_csv])
+    def test_loader_parses_the_bytes_given(self, tmp_path, loader):
+        path = tmp_path / "absent.csv"
+        loaded = loader(path, b"id,o1,d1,weight\nt1,0,1,1\n")
+        assert len(loaded) == 1 and loaded.ids == ("t1",)
+        with pytest.raises(ParseError, match="absent.csv: not UTF-8"):
+            loader(path, b"id,o1,d1,weight\nt1,0,\xff,1\n")
 
     def test_agents_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
