@@ -9,9 +9,7 @@ fails, 2 for every rejected flag, file or input.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import shlex
@@ -35,6 +33,7 @@ from .errors import AllocationError, InvalidSpec, IterationLimit
 from .measures import (
     DiscreteMeasure,
     TaskSet,
+    _write_csv,
     _write_file,
     load_agents_csv,
     load_tasks_csv,
@@ -251,20 +250,16 @@ def _plan_json(
 
 
 def _write_plot_csv(path, plan, tasks, agents) -> None:
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["task_id", "agent_id", "mass"]
-        + [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
-    )
+    header = ["task_id", "agent_id", "mass"]
+    header += [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
     # Python floats, which csv writes as their shortest round-trip repr
     origins, destinations = tasks.origins.tolist(), tasks.destinations.tolist()
     points = agents.points.tolist()
-    writer.writerows(
+    rows = (
         [tasks.ids[i], agents.ids[j], float(mass), *origins[i], *destinations[i], *points[j]]
         for i, j, mass in plan.entries
     )
-    _write_file(path, buffer.getvalue().encode("utf-8"))
+    _write_csv(path, header, rows, lineterminator="\n")
 
 
 def cmd_solve(args, argv) -> int:
@@ -328,6 +323,9 @@ def _verify_stability(args, inputs: dict) -> dict:
             (task_index[e["task"]], agent_index[e["agent"]], float(e["mass"]))
             for e in payload["entries"]
         )
+        for _, _, mass in entries:
+            if not 0.0 <= mass < float("inf"):
+                raise ValueError(f"plan mass {mass!r} is negative or not finite")
         plan = TransportPlan(entries, float(payload["objective"]), len(tasks), len(agents))
         duals = payload["duals"]
         if duals is not None:

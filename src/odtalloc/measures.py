@@ -250,13 +250,17 @@ def _read_table(path, data, header_hint: str, min_columns: int, noun: str, check
         raise ParseError(f"{path}: header only, no {noun} rows")
     # One float() pass over every numeric cell, unstripped: float() strips the
     # same whitespace as str.strip() but for \x1c-\x1f, so where it reads a cell
-    # it reads the stripped cell alike.  Any other table takes the row loop.
+    # it reads the stripped cell alike.  It also reads '_' and non-ASCII digits,
+    # so numeric text holding them, as any other table, takes the row loop.
     values = None
     if all(len(cells) == columns + 2 for _, cells in body):
-        try:
-            values = list(map(float, chain.from_iterable(cells[1:] for _, cells in body)))
-        except ValueError:
-            pass
+        numeric = list(chain.from_iterable(cells[1:] for _, cells in body))
+        text = "".join(numeric)
+        if "_" not in text and text.isascii():
+            try:
+                values = list(map(float, numeric))
+            except ValueError:
+                pass
     if values is None:  # row by row, so the first faulty row in file order is named
         values = []
         for lineno, cells in body:
@@ -265,23 +269,32 @@ def _read_table(path, data, header_hint: str, min_columns: int, noun: str, check
                     f"line {lineno}: {len(cells) - 2} coordinate+weight columns, "
                     f"header declares {columns}"
                 )
+            numeric = [cell.strip() for cell in cells[1:]]
             try:
-                values.extend([float(cell.strip()) for cell in cells[1:]])
+                values.extend(map(float, numeric))
             except ValueError as exc:
                 raise ParseError(f"non-numeric value ({exc})", row=lineno) from None
+            for cell in numeric:
+                if "_" in cell or not cell.isascii():
+                    raise ParseError(f"not a '.'-decimal number: {cell!r}", row=lineno)
     table = np.array(values).reshape(len(body), columns + 1)
     ids = tuple(cells[0].strip() for _, cells in body)
     return ids, np.ascontiguousarray(table[:, :-1]), table[:, -1].copy()
 
 
+def _write_csv(path, header: list[str], rows, lineterminator: str = "\r\n") -> None:
+    """Write a header and rows as one CSV file; csv writes Python floats as their repr."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_file(path, buffer.getvalue().encode("utf-8"))
+
+
 def _write_table(path, columns: list[str], ids, coords, weights) -> None:
     """Write an ``id,<columns>,weight`` table, floats as shortest round-trip reprs."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(["id", *columns, "weight"])
-    for label, row, weight in zip(ids, coords, weights):
-        writer.writerow([label, *(repr(float(x)) for x in row), repr(float(weight))])
-    _write_file(path, buffer.getvalue().encode("utf-8"))
+    rows = zip(ids, coords.tolist(), weights.tolist())
+    _write_csv(path, ["id", *columns, "weight"], ([label, *row, w] for label, row, w in rows))
 
 
 def load_agents_csv(path, data: bytes | None = None) -> DiscreteMeasure:

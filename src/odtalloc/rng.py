@@ -13,14 +13,16 @@ finalizer
     z ^= z >> 31
 
 (all arithmetic mod 2^64).  Uniform doubles in [0, 1) take the top 53 bits
-of a draw: ``(u64 >> 11) * 2^-53``.  Normal variates use Box-Muller on
-consecutive uniforms, two uniforms per pair of normals:
+of a draw: ``(u64 >> 11) * 2^-53``; ``uniforms(k)`` computes k at once, on
+arrays.  Normal variates use Box-Muller on consecutive uniforms, two
+uniforms per pair of normals:
 
     r  = sqrt(-2 ln(1 - u1))
     z0 = r cos(2 pi u2),  z1 = r sin(2 pi u2)
 
 ``normals(k)`` draws ceil(k/2) pairs and discards the unused half of the
-final pair when k is odd, so consumption is aligned per call.
+final pair when k is odd, so consumption is aligned per call;
+``box_muller`` applies the formulas to uniforms drawn in bulk.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_VECTOR_MIN = 64  # fewer draws run faster one by one than through numpy's set-up
 
 
 def _mix64(z: int) -> int:
@@ -61,11 +62,9 @@ class RngStream:
     def uniforms(self, k: int) -> np.ndarray:
         """k draws of ``uniform``, bit for bit, as a float64 array of shape (k,).
 
-        From 64 draws on they are computed in wrapping uint64 numpy, in place
-        on one buffer of draws and one of shifted copies.
+        They are computed in wrapping uint64 numpy, in place on one buffer of
+        draws and one of shifted copies.
         """
-        if k < _VECTOR_MIN:
-            return np.array([self.uniform() for _ in range(k)], dtype=float)
         z = np.arange(1, k + 1, dtype=np.uint64)
         z += np.uint64(self.counter & _MASK)
         self.counter += k
@@ -85,17 +84,7 @@ class RngStream:
 
     def normals(self, k: int) -> list[float]:
         """k standard normals via Box-Muller, two uniforms per pair."""
-        out = []
-        for _ in range((k + 1) // 2):
-            u1 = self.uniform()
-            u2 = self.uniform()
-            r = math.sqrt(-2.0 * math.log(1.0 - u1))
-            out.append(r * math.cos(2.0 * math.pi * u2))
-            out.append(r * math.sin(2.0 * math.pi * u2))
-        return out[:k]
-
-    def normal(self) -> float:
-        return self.normals(1)[0]
+        return box_muller(self.uniform() for _ in range(2 * ((k + 1) // 2)))[:k]
 
     def split(self, key: int) -> "RngStream":
         """Child stream decorrelated from the parent and from other keys.
@@ -105,6 +94,18 @@ class RngStream:
         parent has consumed.
         """
         return RngStream(self.seed ^ _mix64(((key + 1) * _GAMMA) & _MASK))
+
+
+def box_muller(uniforms) -> list[float]:
+    """Normals from uniforms taken in pairs, with ``math``: numpy's vector
+    log, cos and sin may differ from it in the last bit."""
+    out = []
+    pairs = iter(uniforms)
+    for u1, u2 in zip(pairs, pairs):
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        out.append(r * math.cos(2.0 * math.pi * u2))
+        out.append(r * math.sin(2.0 * math.pi * u2))
+    return out
 
 
 def rng_stream(seed: int) -> RngStream:

@@ -12,7 +12,8 @@ Three scenario kinds:
 Generation is a pure function of the ScenarioSpec: the task stream and the
 agent stream are split off the seed independently (keys 0 and 1), and
 within each stream every atom consumes a documented number of draws, so
-equal ScenarioSpecs produce byte-identical CSV files.
+equal ScenarioSpecs produce byte-identical CSV files.  Each stream's draws
+come from one vectorized ``uniforms`` call, in the documented order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .measures import DiscreteMeasure, TaskSet, project_lonlat
-from .rng import RngStream, rng_stream
+from .rng import RngStream, box_muller, rng_stream
 
 KINDS = ("gaussian_mixture", "grid", "city_box")
 
@@ -107,13 +108,21 @@ def _grid(spec: ScenarioSpec):
         steps = np.arange(count) / max(count - 1, 1)
         return np.repeat(steps[:, None], spec.dim, axis=1)
 
-    task_points = diagonal(spec.n_tasks)
-    agent_points = diagonal(spec.n_agents)
-    return task_points, task_points.copy(), agent_points
+    return diagonal(spec.n_tasks), diagonal(spec.n_tasks), diagonal(spec.n_agents)
 
 
-def _pick_component(rng: RngStream, count: int) -> int:
-    return min(int(rng.uniform() * count), count - 1)
+def _mixture_draws(rng: RngStream, count: int, sides: list[np.ndarray], spread: float):
+    """``count`` atoms, one point per side around its component's mean, from one draw.
+
+    Per atom: one uniform picks the component, then ``normals(dim)`` per side.
+    """
+    n_components, dim = sides[0].shape
+    pairs = (dim + 1) // 2
+    draws = rng.uniforms(count * (1 + 2 * pairs * len(sides))).reshape(count, -1)
+    components = np.minimum((draws[:, 0] * n_components).astype(np.intp), n_components - 1)
+    noise = np.array(box_muller(draws[:, 1:].ravel().tolist()))
+    noise = noise.reshape(count, len(sides), 2 * pairs)[:, :, :dim]
+    return [means[components] + spread * noise[:, k] for k, means in enumerate(sides)]
 
 
 def _gaussian_mixture(spec: ScenarioSpec):
@@ -123,60 +132,36 @@ def _gaussian_mixture(spec: ScenarioSpec):
     means_a = np.asarray(spec.params.get("means_agent", zero), dtype=float)
     spread = float(spec.params.get("spread", 1.0))
     root = rng_stream(spec.seed)
-    task_rng = root.split(0)
-    agent_rng = root.split(1)
-    origins = np.empty((spec.n_tasks, spec.dim))
-    destinations = np.empty((spec.n_tasks, spec.dim))
-    for i in range(spec.n_tasks):
-        component = _pick_component(task_rng, means_o.shape[0])
-        origins[i] = means_o[component] + spread * np.array(task_rng.normals(spec.dim))
-        destinations[i] = means_d[component] + spread * np.array(task_rng.normals(spec.dim))
-    agents = np.empty((spec.n_agents, spec.dim))
-    for j in range(spec.n_agents):
-        component = _pick_component(agent_rng, means_a.shape[0])
-        agents[j] = means_a[component] + spread * np.array(agent_rng.normals(spec.dim))
+    origins, destinations = _mixture_draws(root.split(0), spec.n_tasks, [means_o, means_d], spread)
+    (agents,) = _mixture_draws(root.split(1), spec.n_agents, [means_a], spread)
     return origins, destinations, agents
 
 
 def _city_box(spec: ScenarioSpec):
-    box = list(spec.params.get("box", DEFAULT_BOX))
-    units = spec.params.get("units", "meters")
-    low = np.array(box[:2], dtype=float)
-    high = np.array(box[2:], dtype=float)
+    low, high = np.array(spec.params.get("box", DEFAULT_BOX), dtype=float).reshape(2, 2)
+
+    def draw(rng: RngStream, count: int) -> np.ndarray:
+        points = low + rng.uniforms(2 * count).reshape(count, 2) * (high - low)
+        if spec.params.get("units", "meters") == "degrees":
+            return project_lonlat(points, 0.5 * (low + high))
+        return points
 
     root = rng_stream(spec.seed)
-    task_rng = root.split(0)
-    agent_rng = root.split(1)
-
-    def draw(rng: RngStream) -> np.ndarray:
-        u = rng.uniforms(2)
-        return low + u * (high - low)
-
-    origins = np.array([draw(task_rng) for _ in range(spec.n_tasks)])
-    destinations = np.array([draw(task_rng) for _ in range(spec.n_tasks)])
-    agents = np.array([draw(agent_rng) for _ in range(spec.n_agents)])
-    if units == "degrees":
-        ref = tuple(0.5 * (low + high))
-        origins = project_lonlat(origins, ref)
-        destinations = project_lonlat(destinations, ref)
-        agents = project_lonlat(agents, ref)
-    return origins, destinations, agents
+    tasks = draw(root.split(0), 2 * spec.n_tasks)  # all origins, then all destinations
+    return tasks[: spec.n_tasks], tasks[spec.n_tasks :], draw(root.split(1), spec.n_agents)
 
 
 def generate(spec: ScenarioSpec) -> tuple[TaskSet, DiscreteMeasure]:
     """Deterministic instance for a scenario spec; weights are uniform.
 
     Draw order within the task stream: per task, one uniform for the
-    mixture component (gaussian_mixture only), then origin coordinates,
-    then destination coordinates.  The agent stream is independent of the
-    task count.
+    mixture component, then ``normals(dim)`` for the origin and then for
+    the destination (gaussian_mixture); or two uniforms per origin, then
+    two per destination (city_box).  The agent stream is drawn alike, one
+    point per agent, and is independent of the task count.
     """
-    if spec.kind == "grid":
-        origins, destinations, agents = _grid(spec)
-    elif spec.kind == "gaussian_mixture":
-        origins, destinations, agents = _gaussian_mixture(spec)
-    else:
-        origins, destinations, agents = _city_box(spec)
+    kinds = {"grid": _grid, "gaussian_mixture": _gaussian_mixture, "city_box": _city_box}
+    origins, destinations, agents = kinds[spec.kind](spec)
     task_ids = tuple(f"t{i}" for i in range(spec.n_tasks))
     agent_ids = tuple(f"a{j}" for j in range(spec.n_agents))
     tasks = TaskSet(origins, destinations, ids=task_ids)

@@ -196,6 +196,14 @@ class TestGen:
         assert json.loads((out / "spec.json").read_text())["seed"] == 42
 
 
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ODTALLOC_SEED", "abc")
+        out = tmp_path / "env"
+        assert run("gen", "--kind", "gaussian_mixture", "--out", str(out)) == 2
+        assert "ODTALLOC_SEED='abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSolve:
     def test_exact_objective_zero(self, canonical, tmp_path):
         out = tmp_path / "sol"
@@ -319,6 +327,14 @@ class TestSolve:
         ) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "sol").exists()
+
+    def test_non_decimal_numbers_are_usage_errors(self, canonical, tmp_path, capsys):
+        agents = tmp_path / "agents.csv"
+        agents.write_text("id,y1,weight\na,1_5,1\nb,\u0663,1_0\n", encoding="utf-8")
+        assert run("solve", "--tasks", str(canonical / "tasks.csv"), "--agents", str(agents),
+                   "--out", str(tmp_path / "out")) == 2
+        assert "line 2: not a '.'-decimal number: '1_5'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("which", ["tasks", "agents"])
     def test_non_utf8_input_is_usage_error(self, canonical, tmp_path, capsys, which):
@@ -656,6 +672,53 @@ class TestVerify:
         ) == 2
         expected = "dual sizes" if case == "short_dual_u" else "plan file"
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [-0.25, float("nan"), float("inf")])
+    def test_plan_mass_not_in_a_coupling_is_usage_error(self, tmp_path, capsys, bad):
+        # masses 0.75 / -0.25 / -0.25 / 0.75 meet both marginals, and every cost and
+        # dual is 0, so only the sign of a mass tells this plan from a coupling
+        (tmp_path / "tasks.csv").write_text("id,o1,d1,weight\nt1,0,0,1\nt2,0,0,1\n")
+        (tmp_path / "agents.csv").write_text("id,y1,weight\na1,0,1\na2,0,1\n")
+        masses = {("t1", "a1"): 0.75, ("t1", "a2"): bad, ("t2", "a1"): -0.25, ("t2", "a2"): 0.75}
+        plan = {
+            "objective": 0.0,
+            "entries": [{"task": t, "agent": a, "mass": m} for (t, a), m in masses.items()],
+            "duals": {"u": [0.0, 0.0], "v": [0.0, 0.0]},
+        }
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        assert run(
+            "verify", "--check", "stability", "--plan", str(tmp_path / "plan.json"),
+            "--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv"),
+            "--out", str(tmp_path / "v"),
+        ) == 2
+        assert "malformed plan file" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_entropic_plan_fails_stability_with_note(self, canonical, tmp_path, capsys):
+        files = ["--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv")]
+        sol = tmp_path / "sol"
+        assert run("solve", *files, "--method", "entropic", "--out", str(sol)) == 0
+        assert json.loads((sol / "plan.json").read_text())["duals"] is None
+        assert run("verify", "--check", "stability", "--plan", str(sol / "plan.json"),
+                   *files, "--out", str(tmp_path / "v")) == 1
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["note"] == "plan carries no dual certificate"
+        assert "stability: FAIL" in capsys.readouterr().out
+
+    def test_crlf_plan_verifies_like_lf_plan(self, canonical, tmp_path):
+        files = ["--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv")]
+        sol = tmp_path / "sol"
+        assert run("solve", *files, "--out", str(sol)) == 0
+        lf = (sol / "plan.json").read_bytes()
+        assert b"\n" in lf and b"\r" not in lf
+        (tmp_path / "crlf.json").write_bytes(lf.replace(b"\n", b"\r\n"))
+        reports = []
+        for name, plan in (("lf", sol / "plan.json"), ("crlf", tmp_path / "crlf.json")):
+            assert run("verify", "--check", "stability", "--plan", str(plan), *files,
+                       "--out", str(tmp_path / name)) == 0
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_plan_marginals_revalidated(self, canonical, tmp_path):
         sol = tmp_path / "sol"

@@ -301,6 +301,30 @@ class TestCsvIo:
         assert m.points.tolist() == [[2.5], [3.0]]
         assert m.weights.tolist() == [0.5, 0.5]
 
+    @pytest.mark.parametrize(
+        "rows, line, cell",
+        [
+            ("a,1_5,1\nb,\u0663,1_0\n", 2, "1_5"),  # '_' grouping, Arabic-Indic three
+            ("a,0,1\nb,\u0663,1\n", 3, "\u0663"),
+            ("a,0,1\nb,1,\uff11\n", 3, "\uff11"),  # fullwidth one
+            ("a,0,1\nb, 2_0 ,1\n", 3, "2_0"),
+        ],
+    )
+    def test_non_decimal_numbers_are_parse_errors(self, tmp_path, rows, line, cell):
+        # float() reads all of these; the file format asks for '.'-decimal numbers
+        path = tmp_path / "agents.csv"
+        path.write_text("id,y1,weight\n" + rows, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"not a '.'-decimal number: {cell!r}") as err:
+            load_agents_csv(path)
+        assert err.value.row == line
+
+    def test_ids_may_hold_underscores_and_non_ascii(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_text("id,o1,d1,weight\ntâche_1,1e-3,2.5,1\n", encoding="utf-8")
+        tasks = load_tasks_csv(path)
+        assert tasks.ids == ("tâche_1",)
+        assert tasks.origins.tolist() == [[1e-3]] and tasks.destinations.tolist() == [[2.5]]
+
     def test_first_faulty_row_is_named(self, tmp_path):
         # a bad value on line 3 comes before a short row on line 4
         path = tmp_path / "agents.csv"

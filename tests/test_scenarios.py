@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,9 +7,75 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from odtalloc.errors import InvalidSpec
-from odtalloc.measures import write_agents_csv, write_tasks_csv
+from odtalloc.measures import project_lonlat, write_agents_csv, write_tasks_csv
 from odtalloc.rng import RngStream, rng_stream
 from odtalloc.scenarios import DEFAULT_BOX, ScenarioSpec, generate
+
+
+def _reference_points(spec: ScenarioSpec):
+    """Origins, destinations and agents drawn point by point, in the documented order."""
+    root = rng_stream(spec.seed)
+    task_rng, agent_rng = root.split(0), root.split(1)
+    if spec.kind == "grid":
+        def diagonal(count):
+            return np.array([[i / max(count - 1, 1)] * spec.dim for i in range(count)])
+
+        return diagonal(spec.n_tasks), diagonal(spec.n_tasks), diagonal(spec.n_agents)
+    if spec.kind == "gaussian_mixture":
+        zero = [[0.0] * spec.dim]
+        means = {key: np.asarray(spec.params.get(key, zero), dtype=float)
+                 for key in ("means_origin", "means_destination", "means_agent")}
+        spread = float(spec.params.get("spread", 1.0))
+
+        def atom(rng, *keys):
+            count = means[keys[0]].shape[0]
+            component = min(int(rng.uniform() * count), count - 1)
+            return [means[key][component] + spread * np.array(rng.normals(spec.dim))
+                    for key in keys]
+
+        pairs = [atom(task_rng, "means_origin", "means_destination") for _ in range(spec.n_tasks)]
+        agents = [atom(agent_rng, "means_agent")[0] for _ in range(spec.n_agents)]
+        return np.array([o for o, _ in pairs]), np.array([d for _, d in pairs]), np.array(agents)
+    box = spec.params.get("box", DEFAULT_BOX)
+    low, high = np.array(box[:2], dtype=float), np.array(box[2:], dtype=float)
+
+    def point(rng):
+        return low + np.array([rng.uniform(), rng.uniform()]) * (high - low)
+
+    clouds = [np.array([point(rng) for _ in range(count)])
+              for rng, count in ((task_rng, spec.n_tasks), (task_rng, spec.n_tasks),
+                                 (agent_rng, spec.n_agents))]
+    if spec.params.get("units", "meters") == "degrees":
+        ref = tuple(0.5 * (low + high))
+        clouds = [project_lonlat(cloud, ref) for cloud in clouds]
+    return tuple(clouds)
+
+
+def _reference_table(header, ids, coords, weights) -> bytes:
+    """A tasks/agents CSV written cell by cell, each float as ``repr(float(x))``."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for label, row, weight in zip(ids, coords, weights):
+        writer.writerow([label, *(repr(float(x)) for x in row), repr(float(weight))])
+    return buffer.getvalue().encode("utf-8")
+
+
+_MIXTURE_3 = {
+    "means_origin": [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [-3.0, 1.0, 2.0]],
+    "means_destination": [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [9.0, 9.0, 9.0]],
+    "means_agent": [[0.0, 0.0, 0.0], [4.0, 4.0, 4.0]],
+    "spread": 0.7,
+}
+_BULK_SPECS = [
+    (kind, dim, {}) for kind in ("grid", "gaussian_mixture") for dim in (1, 2, 3)
+] + [
+    ("gaussian_mixture", 3, _MIXTURE_3),
+    ("gaussian_mixture", 2, {"means_origin": [[0, 0], [9, 9]],
+                             "means_destination": [[1, 1], [3, 3]], "spread": 2.5}),
+    ("city_box", 2, {}),
+    ("city_box", 2, {"box": [-0.1, 51.4, 0.1, 51.6], "units": "degrees"}),
+]
 
 
 class TestRngStream:
@@ -65,6 +133,35 @@ class TestRngStream:
         parent.uniforms(100)
         late_child = parent.split(4)
         assert_array_equal(early_child.uniforms(10), late_child.uniforms(10), strict=True)
+
+
+class TestBulkGeneration:
+    @pytest.mark.parametrize("kind, dim, params", _BULK_SPECS)
+    @pytest.mark.parametrize("n_tasks, n_agents", [(1, 1), (2, 31), (32, 33), (33, 32), (40, 7)])
+    def test_generate_matches_point_by_point_reference(self, kind, dim, params, n_tasks, n_agents):
+        # 32 points draw 64 uniforms per table: sizes on both sides of it
+        for seed in (1, 123):
+            spec = ScenarioSpec(kind, dim, n_tasks, n_agents, seed=seed, params=params)
+            tasks, agents = generate(spec)
+            origins, destinations, points = _reference_points(spec)
+            assert tasks.origins.tobytes() == origins.tobytes()
+            assert tasks.destinations.tobytes() == destinations.tobytes()
+            assert agents.points.tobytes() == points.tobytes()
+
+    @pytest.mark.parametrize("kind, dim, params", _BULK_SPECS)
+    def test_csv_bytes_match_cell_by_cell_writer(self, tmp_path, kind, dim, params):
+        tasks, agents = generate(ScenarioSpec(kind, dim, 33, 31, seed=7, params=params))
+        write_tasks_csv(tasks, tmp_path / "tasks.csv")
+        write_agents_csv(agents, tmp_path / "agents.csv")
+        task_header = ["id"] + [f"{end}{k + 1}" for end in "od" for k in range(dim)] + ["weight"]
+        coords = np.hstack([tasks.origins, tasks.destinations])
+        assert (tmp_path / "tasks.csv").read_bytes() == _reference_table(
+            task_header, tasks.ids, coords, tasks.weights
+        )
+        agent_header = ["id"] + [f"y{k + 1}" for k in range(dim)] + ["weight"]
+        assert (tmp_path / "agents.csv").read_bytes() == _reference_table(
+            agent_header, agents.ids, agents.points, agents.weights
+        )
 
 
 class TestGridScenario:
@@ -138,8 +235,6 @@ class TestCityBoxScenario:
         assert len(tasks) == 30 and len(agents) == 30
 
     def test_degrees_projected_containment(self):
-        from odtalloc.measures import project_lonlat
-
         box = [18.0, 59.28, 18.18, 59.37]
         spec = ScenarioSpec(
             "city_box", 2, 25, 25, seed=4, params={"box": box, "units": "degrees"}
