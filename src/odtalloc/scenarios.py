@@ -18,6 +18,7 @@ come from one vectorized ``uniforms`` call, in the documented order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,8 @@ from .rng import RngStream, box_muller, rng_stream
 KINDS = ("gaussian_mixture", "grid", "city_box")
 
 DEFAULT_BOX = (0.0, 0.0, 10000.0, 10000.0)  # 10 km x 10 km, meters
+# the largest |normal| ``box_muller`` gives: its 1 - u1 is at least 2^-53
+_NORMAL_BOUND = math.sqrt(-2.0 * math.log(2.0**-53))
 
 
 def _floats(value) -> np.ndarray | None:
@@ -61,14 +64,23 @@ class ScenarioSpec:
             raise InvalidSpec("params must be a JSON object (a dict)", field="params")
         if self.kind == "gaussian_mixture":
             spread = _floats(self.params.get("spread", 1.0))
-            if spread is None or spread.ndim != 0 or not spread > 0.0:
-                raise InvalidSpec("spread must be positive", field="spread")
-            counts = {}
+            if spread is None or spread.ndim != 0 or not 0.0 < spread < np.inf:
+                raise InvalidSpec("spread must be positive and finite", field="spread")
+            counts, reach = {}, 0.0
             for key in ("means_origin", "means_destination", "means_agent"):
                 means = _floats(self.params.get(key, [[0.0] * self.dim]))
                 if means is None or means.shape[1:] != (self.dim,) or len(means) == 0:
                     raise InvalidSpec(f"{key} entries must be {self.dim}-vectors", field=key)
+                if not np.isfinite(means).all():
+                    raise InvalidSpec(f"{key} entries must be finite", field=key)
                 counts[key] = len(means)
+                reach = max(reach, float(np.abs(means).max()))
+            # Python floats overflow to inf without numpy's warning
+            if not reach + float(spread) * _NORMAL_BOUND < math.inf:
+                raise InvalidSpec(
+                    f"points up to {_NORMAL_BOUND:.2f} x spread from the means overflow",
+                    field="spread",
+                )
             if counts["means_origin"] != counts["means_destination"]:
                 raise InvalidSpec(
                     "means_origin and means_destination need one entry per component",
@@ -80,8 +92,13 @@ class ScenarioSpec:
             box = _floats(self.params.get("box", DEFAULT_BOX))
             if box is None or box.shape != (4,):
                 raise InvalidSpec("box must be [min0, min1, max0, max1]", field="box")
+            if not np.isfinite(box).all():
+                raise InvalidSpec("box corners must be finite", field="box")
             if not (box[2] > box[0] and box[3] > box[1]):
                 raise InvalidSpec("box corners must be ordered", field="box")
+            low0, low1, high0, high1 = box.tolist()
+            if not (high0 - low0 < math.inf and high1 - low1 < math.inf):
+                raise InvalidSpec("box span overflows", field="box")
             units = self.params.get("units", "meters")
             if units not in ("meters", "degrees"):
                 raise InvalidSpec("units must be 'meters' or 'degrees'", field="units")

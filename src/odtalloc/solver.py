@@ -16,12 +16,14 @@ convergence check reuses the next sweep's log-sum-exp.  Once the sweeps
 stall, Newton steps on the dual finish the solve (Sinkhorn-Newton, Brauer,
 Clason, Lorenz & Wirth 2017): a Schur-complement solve with numpy's LAPACK,
 a trust radius on each step's first trial, and a line search that takes a
-fall of the max marginal violation or an Armijo rise of the dual; an
-attempt that fails hands back to the sweeps, and the wait before the next
-doubles.  Only the assignment path imports scipy, inside
-the function.  Both return plans whose row/column sums reproduce the
-prescribed marginals.  ``solve`` is the one entry point for a task set and
-agents: it builds the cost, runs a method and certifies.
+fall of the max marginal violation or an Armijo rise of the dual.  Each
+attempt is an eps-continuation: sweeps and Newton steps at 64, 16, 4 and
+1 x eps in turn, so Newton starts near each stage's optimum, where it
+converges quadratically; an attempt that fails hands back to the sweeps,
+and the wait before the next doubles.  Only the assignment path imports
+scipy, inside the function.  Both return plans whose row/column sums
+reproduce the prescribed marginals.  ``solve`` is the one entry point for
+a task set and agents: it builds the cost, runs a method and certifies.
 """
 
 from __future__ import annotations
@@ -39,8 +41,12 @@ _MASS_DROP = 1e-14  # plan entries at or below this are not stored
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
 _MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
 _BLAND_AFTER = 3  # Bland's rule prices after this many x (m + n) degenerate pivots in a row
-_STALL_SWEEPS = 10  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
-_NEWTON_STEPS = 60  # Newton steps per attempt before the attempt is given up
+_STALL_SWEEPS = 3  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
+_EPS_STAGES = 3  # a Newton attempt starts at eps x _EPS_STAGE_FACTOR^_EPS_STAGES
+_EPS_STAGE_FACTOR = 4.0  # eps shrinks by this factor from one stage to the next
+_STAGE_SWEEPS = 2  # Sinkhorn sweeps at each stage's eps before its Newton steps
+_STAGE_TOL = 0.1  # a stage above eps ends below this x the mean point mass of the larger side
+_NEWTON_STEPS = 60  # Newton steps per stage before the attempt is given up
 _NEWTON_REACH = 5.0  # a step's first trial moves no potential by more than this x eps
 _NEWTON_ARMIJO = 1e-4  # a trial that raises the dual by this share of its first-order gain is taken
 _NEWTON_HALVINGS = 20  # trials per step before the attempt is given up
@@ -405,8 +411,43 @@ def _newton_direction(P, r, c, a, b, epsilon, scratch):
     return df, dg
 
 
-def _newton_finish(f, g, C, mu, nu, epsilon, tol, scratch):
-    """Newton's method on the dual from stalled Sinkhorn potentials (Brauer et al. 2017).
+class _Sweeps:
+    """Log-domain Sinkhorn sweeps on one cost matrix and one pair of marginals, at any eps.
+
+    ``work`` and ``mask`` are the buffers of C's shape that every sweep
+    overwrites; between sweeps ``work`` is free for other use.
+    """
+
+    def __init__(self, C: np.ndarray, mu: np.ndarray, nu: np.ndarray):
+        self.C, self.mu, self.nu = C, mu, nu
+        with np.errstate(divide="ignore"):  # a zero weight gives a -inf potential
+            self.log_mu, self.log_nu = np.log(mu), np.log(nu)
+        # empty_like keeps C's memory order, which the reductions' summation order follows
+        self.work = np.empty_like(C)
+        self.mask = np.empty_like(C, dtype=bool)
+
+    def row_lse(self, g, epsilon):
+        """log sum_j exp((g_j - C_ij) / eps), one value per row."""
+        work = self.work
+        np.divide(np.subtract(g[None, :], self.C, out=work), epsilon, out=work)
+        return _logsumexp(work, 1, self.mask)
+
+    def sweep(self, lse_row, epsilon):
+        """One f-update and one g-update, from ``row_lse`` of the previous g.
+
+        Returns f, g, ``row_lse`` of the new g, which the next sweep starts
+        from, and the column log-sum-exp the g-update used.
+        """
+        work = self.work
+        f = epsilon * (self.log_mu - lse_row)
+        np.divide(np.subtract(f[:, None], self.C, out=work), epsilon, out=work)
+        lse_col = _logsumexp(work, 0, self.mask)
+        g = epsilon * (self.log_nu - lse_col)
+        return f, g, self.row_lse(g, epsilon), lse_col
+
+
+def _newton_loop(f, g, sweeps, epsilon, tol):
+    """Newton's method on the dual at ``epsilon`` from (f, g) (Brauer et al. 2017).
 
     The root sought is P1 = mu, P^T 1 = nu for P = ``_entropic_plan(f, g)``:
     the maximum of the concave dual D(f, g) = f.mu + g.nu - eps sum(P), whose
@@ -426,19 +467,20 @@ def _newton_finish(f, g, C, mu, nu, epsilon, tol, scratch):
     D's change drowns in rounding.  Otherwise the step halves, at most
     ``_NEWTON_HALVINGS`` times.
 
-    Returns the plan once its own violation is below ``tol``; returns None
-    when a step finds no acceptable trial or ``_NEWTON_STEPS`` steps do not
-    reach ``tol``.  The caller's potentials are not touched; ``scratch``, a
-    buffer of C's shape, is overwritten.
+    Returns (f, g, P) once the violation of P, the plan of f and g, is below
+    ``tol``; returns None when a step finds no acceptable trial or
+    ``_NEWTON_STEPS`` steps do not reach ``tol``.  The potentials passed in
+    are not touched; ``sweeps.work`` is overwritten, and P may be it.
     """
+    C, mu, nu = sweeps.C, sweeps.mu, sweeps.nu
     with np.errstate(all="ignore"):  # trials may overflow; the line search rejects them
-        P, trial = _entropic_plan(f, g, C, epsilon), scratch
+        P, trial = _entropic_plan(f, g, C, epsilon), sweeps.work
         r, c, violation = _marginals(P, mu, nu)
         total = float(r.sum())
         radius = _NEWTON_REACH * epsilon
         for _ in range(_NEWTON_STEPS):
             if violation < tol:
-                return P
+                return f, g, P
             a, b = mu - r, nu - c
             try:
                 df, dg = _newton_direction(P, r, c, a, b, epsilon, trial)
@@ -468,7 +510,43 @@ def _newton_finish(f, g, C, mu, nu, epsilon, tol, scratch):
             radius = max(_NEWTON_REACH * epsilon, (2.0 if step == first else 1.0) * step * reach)
             f, g, P, trial = trial_f, trial_g, trial, P
             r, c, violation, total = trial_r, trial_c, trial_violation, trial_total
-    return P if violation < tol else None
+    return (f, g, P) if violation < tol else None
+
+
+def _newton_finish(g, sweeps, epsilon, tol):
+    """Finish a solve from stalled Sinkhorn potentials by Newton steps under eps-continuation.
+
+    Where the sweeps stall, plan entries sit many eps above their optimal
+    values, and a Newton step on the exponential lowers such an entry by only
+    about a factor e, so Newton alone converges linearly there.  The attempt
+    therefore starts at a larger eps, where the stalled potentials are a few
+    eps from that problem's optimum, and steps down (eps-scaling, Schmitzer
+    2019).  For eps_k = ``_EPS_STAGE_FACTOR``^k x eps, k = ``_EPS_STAGES`` down
+    to 0, it runs ``_STAGE_SWEEPS`` sweeps at eps_k from the current g (the
+    first stage from the stalled sweeps' g; a sweep sets f from g), then
+    ``_newton_loop`` at eps_k: above eps until the violation is below
+    ``_STAGE_TOL`` x the mean point mass of the larger side, at eps itself to
+    ``tol``.  The sweeps rebase the potentials on each new eps.
+    Carried over as they are, the potentials would raise every plan entry to
+    the power ``_EPS_STAGE_FACTOR``, so a 300-point row loses nearly all its
+    mass, and Newton spends its first steps at the trust radius winning it back.
+
+    Returns the plan at eps, whose own row and column sums are within ``tol``,
+    or None when any stage fails.  The caller's g is not touched;
+    ``sweeps.work`` is overwritten, and the plan returned may be it.
+    """
+    mu, nu = sweeps.mu, sweeps.nu
+    stage_tol = _STAGE_TOL * float(mu.sum()) / max(mu.size, nu.size)
+    for k in range(_EPS_STAGES, -1, -1):
+        stage_eps = _EPS_STAGE_FACTOR**k * epsilon
+        lse_row = sweeps.row_lse(g, stage_eps)
+        for _ in range(_STAGE_SWEEPS):
+            f, g, lse_row, _ = sweeps.sweep(lse_row, stage_eps)
+        stage = _newton_loop(f, g, sweeps, stage_eps, stage_tol if k else tol)
+        if stage is None:
+            return None
+        f, g, plan = stage
+    return plan
 
 
 def solve_entropic(
@@ -481,26 +559,27 @@ def solve_entropic(
 ) -> TransportPlan:
     """Entropy-regularized approximation via log-domain Sinkhorn scaling.
 
-    Alternating potential updates through ``_logsumexp``; terminates once
-    the worst marginal violation of the implied plan is below ``tol``.  The
-    check costs no extra pass over the m x n grid: a row sum is
+    Alternating potential updates through ``_logsumexp`` (``_Sweeps``);
+    terminates once the worst marginal violation of the implied plan is below
+    ``tol``.  The check costs no extra pass over the m x n grid: a row sum is
     exp(f_i / eps + lse_i), where lse_i is the log-sum-exp the next f-update
     needs anyway, and a column sum is exp(g_j / eps + lse_j) with the
     log-sum-exp the g-update just used.
 
     At small ``epsilon`` the sweeps fall into a slow 1/k tail.  When the
     violation has not halved over the last ``_STALL_SWEEPS`` sweeps,
-    ``_newton_finish`` takes Newton steps on the dual from the current
-    potentials.  It returns a plan whose own row and column sums are within
-    ``tol``, or gives up, and then the sweeps go on from where they were.
-    The first attempt can start at sweep ``_STALL_SWEEPS`` + 1, and each
-    failed one doubles the wait before the next, so a solve that ends in
-    ``IterationLimit`` makes at most 1 + log2(``max_iter`` /
+    ``_newton_finish`` takes over from the current potentials: a few sweeps,
+    then Newton steps, at 64, 16, 4 and 1 x ``epsilon`` in turn.  It
+    returns a plan whose own row and column sums are within ``tol``, or
+    gives up, and then the sweeps go on from their own potentials.  The
+    first attempt can start at sweep ``_STALL_SWEEPS`` + 1,
+    and each failed one doubles the wait before the next, so a solve that
+    ends in ``IterationLimit`` makes at most 1 + log2(``max_iter`` /
     ``_STALL_SWEEPS``) attempts.  A solve the sweeps finish before any attempt
     succeeds gives the plan of the sweeps alone, bit for bit.  ``max_iter``
-    counts sweeps only.  The dense plan is built once, on exit, and the
-    reported objective is against the original cost matrix, with no
-    entropy term.
+    counts the main loop's sweeps only, not an attempt's.  The dense plan is
+    built once, on exit, and the reported objective is against the original
+    cost matrix, with no entropy term.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -510,27 +589,13 @@ def solve_entropic(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     C = cost.values
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(mu)
-        log_nu = np.log(nu)
-    # empty_like keeps C's memory order, which the reductions' summation order follows
-    work = np.empty_like(C)
-    mask = np.empty_like(C, dtype=bool)
-
-    def row_lse(g):  # log sum_j exp((g_j - C_ij) / eps), one value per row
-        np.divide(np.subtract(g[None, :], C, out=work), epsilon, out=work)
-        return _logsumexp(work, 1, mask)
-
-    lse_row = row_lse(np.zeros(nu.size))
+    sweeps = _Sweeps(C, mu, nu)
+    lse_row = sweeps.row_lse(np.zeros(nu.size), epsilon)
     violations = []
     wait = _STALL_SWEEPS
     next_attempt = wait + 1
     for sweep in range(1, max_iter + 1):
-        f = epsilon * (log_mu - lse_row)
-        np.divide(np.subtract(f[:, None], C, out=work), epsilon, out=work)
-        lse_col = _logsumexp(work, 0, mask)
-        g = epsilon * (log_nu - lse_col)
-        lse_row = row_lse(g)
+        f, g, lse_row, lse_col = sweeps.sweep(lse_row, epsilon)
         violation = max(
             float(np.abs(np.exp(f / epsilon + lse_row) - mu).max()),
             float(np.abs(np.exp(g / epsilon + lse_col) - nu).max()),
@@ -540,7 +605,7 @@ def solve_entropic(
             break
         violations.append(violation)
         if sweep >= next_attempt and violation > 0.5 * violations[-1 - _STALL_SWEEPS]:
-            plan = _newton_finish(f, g, C, mu, nu, epsilon, tol, work)
+            plan = _newton_finish(g, sweeps, epsilon, tol)
             if plan is not None:
                 break
             wait *= 2

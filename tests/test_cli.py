@@ -137,6 +137,24 @@ class TestGen:
         assert run("gen", "--kind", kind, "--params", params, "--out", str(tmp_path / "x")) == 2
         assert f"invalid scenario ({field})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, flags, field",
+        [
+            ("gaussian_mixture", ["--spread", "1e308"], "spread"),
+            ("gaussian_mixture", ["--spread", "inf"], "spread"),
+            ("city_box", ["--box=-1e308,0,1e308,1"], "box"),
+            ("city_box", ["--box=0,0,inf,1"], "box"),
+        ],
+    )
+    def test_overflowing_points_are_rejected_by_field(self, tmp_path, capsys, kind, flags, field):
+        # caught by the spec, not later as a non-finite coordinate after numpy's overflow warning
+        out = tmp_path / "x"
+        assert run("gen", "--kind", kind, *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid scenario ({field}):")
+        assert "Warning" not in err and "non-finite" not in err
+        assert not out.exists()
+
     def test_non_object_params_with_flag_overrides(self, tmp_path, capsys):
         assert run("gen", "--kind", "gaussian_mixture", "--params", "[1]", "--spread", "2",
                    "--out", str(tmp_path / "x")) == 2

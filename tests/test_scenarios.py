@@ -264,10 +264,17 @@ class TestSpecValidation:
             ("gaussian_mixture", [1], "params"),
             ("gaussian_mixture", {"spread": "x"}, "spread"),
             ("gaussian_mixture", {"spread": 10**400}, "spread"),
+            ("gaussian_mixture", {"spread": float("inf")}, "spread"),
+            ("gaussian_mixture", {"spread": 1e308}, "spread"),
+            ("gaussian_mixture", {"means_agent": [[1.7e308, 0]], "spread": 1e307}, "spread"),
+            ("gaussian_mixture", {"means_agent": [[float("nan"), 0]]}, "means_agent"),
             ("gaussian_mixture", {"means_agent": [1]}, "means_agent"),
             ("gaussian_mixture", {"means_origin": []}, "means_origin"),
             ("city_box", {"box": [0, 0, "a", 1]}, "box"),
             ("city_box", {"box": 5}, "box"),
+            ("city_box", {"box": [0, 0, float("inf"), 1]}, "box"),
+            ("city_box", {"box": [-1e308, 0, 1e308, 1]}, "box"),
+            ("city_box", {"box": [0, -1e308, 1, 1e308]}, "box"),
             ("city_box", {"box": [0, 0, 200, 10], "units": "degrees"}, "box"),
             ("city_box", {"box": [0, 0, 170, 95], "units": "degrees"}, "box"),
             ("city_box", {"box": [-181, -90, 0, 0], "units": "degrees"}, "box"),

@@ -125,12 +125,29 @@ def _entropic_case(name):
         cost = cost_matrix(tasks, agents)
         mu = np.array([0.0, 0.3, 0.3, 0.4])
         return cost, mu, np.asarray(agents.weights), 0.05 * float(np.ptp(cost.values)), 1e-8
+    if name == "zero_weight_small_epsilon":
+        # the sweeps stall here, so every stage of the attempt meets the zero weight's
+        # log(0) and -inf potential, under tier-1's warnings-as-errors
+        cost, mu, nu, _, tol = _entropic_case("zero_weight_task")
+        return cost, mu, nu, 1e-4 * float(np.ptp(cost.values)), tol
     if name == "plateau":
         # agent 1 is cheap only for task 2, which outweighs it: the optimum sends task 2's
         # excess 0.03 to agent 0 at cost 4, and every other entry of agent 1 sits at
         # exp(-5 / eps) = 0, so the potentials must travel far from where the sweeps stall
         cost = CostMatrix([[0.0, 1.0], [1.0, 2.0], [4.0, 0.0]])
         return cost, np.array([0.3, 0.45, 0.25]), np.array([0.78, 0.22]), 4e-3, 1e-8
+    if name.startswith("small_epsilon_"):
+        # eps = 1e-5 x the spread, 2-40 points a side in 1-3 D, cubed-uniform weights of
+        # which about a tenth are zero, so tiny weights sit next to zero ones
+        rng = rng_stream(int(name.removeprefix("small_epsilon_")))
+        m, n, dim = (int(k) for k in np.array([2, 2, 1]) + rng.uniforms(3) * np.array([39, 39, 3]))
+        tasks = TaskSet(*np.array(rng.normals(2 * m * dim)).reshape(2, m, dim))
+        agents = DiscreteMeasure(np.array(rng.normals(n * dim)).reshape(n, dim))
+        cost = cost_matrix(tasks, agents)
+        mu, nu = rng.uniforms(m) ** 3, rng.uniforms(n) ** 3
+        mu[rng.uniforms(m) < 0.1] = 0.0
+        nu[rng.uniforms(n) < 0.1] = 0.0
+        return cost, mu / mu.sum(), nu / nu.sum(), 1e-5 * float(np.ptp(cost.values)), 1e-8
     if name.startswith("mixture_"):
         # the benchmark's entropic instances: 2-D 10x10 mixtures, CLI defaults
         spec = ScenarioSpec("gaussian_mixture", 2, 10, 10, int(name.removeprefix("mixture_")))
@@ -526,7 +543,9 @@ class TestEntropic:
         assert abs(plan.objective - objective) <= 1e-7 * abs(objective)
 
     @pytest.mark.parametrize(
-        "case", ["criterion7_6", "plateau"] + [f"mixture_{seed}" for seed in range(1, 13)]
+        "case",
+        ["criterion7_6", "plateau", "zero_weight_small_epsilon"]
+        + [f"mixture_{seed}" for seed in range(1, 13)],
     )
     def test_first_newton_attempt_finishes(self, case, monkeypatch):
         # the sweeps stall far from the optimum here, where a Newton direction is up to
@@ -547,6 +566,23 @@ class TestEntropic:
         assert np.abs(plan.row_sums() - mu).max() < tol
         assert np.abs(plan.col_sums() - nu).max() < tol
 
+    @pytest.mark.parametrize("case", [f"mixture_{seed}" for seed in range(1, 13)])
+    def test_benchmark_mixtures_take_few_newton_directions(self, case, monkeypatch):
+        # the eps-continuation hands Newton potentials it converges on quadratically;
+        # started from the stalled potentials at eps, it took 14-27 directions here
+        directions = 0
+        direction = odtalloc.solver._newton_direction
+
+        def counted(*args):
+            nonlocal directions
+            directions += 1
+            return direction(*args)
+
+        monkeypatch.setattr(odtalloc.solver, "_newton_direction", counted)
+        cost, mu, nu, epsilon, tol = _entropic_case(case)
+        solve_entropic(cost, mu, nu, epsilon, tol=tol)
+        assert 1 <= directions <= 16
+
     def test_failed_attempts_widen_the_wait(self, monkeypatch):
         # tol below the rounding floor: every attempt fails, and each failure doubles the
         # wait before the next, so attempts stay logarithmic in max_iter
@@ -563,6 +599,21 @@ class TestEntropic:
         with pytest.raises(IterationLimit):
             solve_entropic(cost, mu, nu, epsilon, tol=1e-18, max_iter=2000)
         assert 1 <= attempts <= 1 + np.log2(2000 / odtalloc.solver._STALL_SWEEPS)
+
+    @pytest.mark.parametrize("case", [f"small_epsilon_{seed}" for seed in (1, 2, 57, 233)])
+    def test_small_epsilon_is_near_the_exact_optimum(self, case):
+        # the first seeds to end in IterationLimit when Newton started at eps itself:
+        # 1 has a tiny (< 1e-5) agent weight, 2 zero weights but no tiny one, 57 and 233 neither
+        cost, mu, nu, epsilon, tol = _entropic_case(case)
+        plan = solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=5000)
+        assert np.abs(plan.row_sums() - mu).max() < tol
+        assert np.abs(plan.col_sums() - nu).max() < tol
+        # the entropic optimum costs at most eps x log(m n) above the LP optimum; the
+        # slack covers moving the (m + n) x tol of mass that the marginals may be off by
+        optimum = solve_exact(cost, mu, nu)[0].objective
+        slack = 2.0 * (mu.size + nu.size) * tol * float(np.abs(cost.values).max())
+        gap = plan.objective - optimum
+        assert -slack <= gap <= epsilon * np.log(mu.size * nu.size) + slack
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_drawn_entropic_instances())
