@@ -16,14 +16,15 @@ convergence check reuses the next sweep's log-sum-exp.  Once the sweeps
 stall, Newton steps on the dual finish the solve (Sinkhorn-Newton, Brauer,
 Clason, Lorenz & Wirth 2017): a Schur-complement solve with numpy's LAPACK,
 a trust radius on each step's first trial, and a line search that takes a
-fall of the max marginal violation or an Armijo rise of the dual.  Each
-attempt is an eps-continuation: sweeps and Newton steps at 64, 16, 4 and
-1 x eps in turn, so Newton starts near each stage's optimum, where it
-converges quadratically; an attempt that fails hands back to the sweeps,
-and the wait before the next doubles.  Only the assignment path imports
-scipy, inside the function.  Both return plans whose row/column sums
-reproduce the prescribed marginals.  ``solve`` is the one entry point for
-a task set and agents: it builds the cost, runs a method and certifies.
+fall of the max marginal violation.  Each attempt is an eps-continuation:
+sweeps and Newton steps at 64, 16, 4 and 1 x eps in turn, so Newton starts
+near each stage's optimum, where it converges quadratically; an attempt
+that fails hands back to the sweeps, the wait before the next doubles, and
+the next starts one stage higher (256 x eps, then 1024 x eps, ...).  Only
+the assignment path imports scipy, inside the function.  Both return plans
+whose row/column sums reproduce the prescribed marginals.  ``solve`` is the
+one entry point for a task set and agents: it builds the cost, runs a
+method and certifies.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
 _MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
 _BLAND_AFTER = 3  # Bland's rule prices after this many x (m + n) degenerate pivots in a row
 _STALL_SWEEPS = 3  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
-_EPS_STAGES = 3  # a Newton attempt starts at eps x _EPS_STAGE_FACTOR^_EPS_STAGES
+_EPS_STAGES = 3  # the first Newton attempt starts at eps x _EPS_STAGE_FACTOR^_EPS_STAGES
 _EPS_STAGE_FACTOR = 4.0  # eps shrinks by this factor from one stage to the next
 _STAGE_SWEEPS = 2  # Sinkhorn sweeps at each stage's eps before its Newton steps
-_STAGE_TOL = 0.1  # a stage above eps ends below this x the mean point mass of the larger side
+_STAGE_TOL = 0.1  # a stage above eps ends below this x the smallest positive point mass
 _NEWTON_STEPS = 60  # Newton steps per stage before the attempt is given up
 _NEWTON_REACH = 5.0  # a step's first trial moves no potential by more than this x eps
-_NEWTON_ARMIJO = 1e-4  # a trial that raises the dual by this share of its first-order gain is taken
 _NEWTON_HALVINGS = 20  # trials per step before the attempt is given up
-_DUAL_ROUNDING = 2.0**-44  # a change of the dual below this share of eps x sum(P) is rounding
 _NEWTON_RIDGE = 1e-10  # diagonal ridge of the Newton system, relative to the largest marginal
 
 METHODS = ("exact", "entropic", "reduced")
@@ -420,8 +419,7 @@ class _Sweeps:
 
     def __init__(self, C: np.ndarray, mu: np.ndarray, nu: np.ndarray):
         self.C, self.mu, self.nu = C, mu, nu
-        with np.errstate(divide="ignore"):  # a zero weight gives a -inf potential
-            self.log_mu, self.log_nu = np.log(mu), np.log(nu)
+        self.log_mu, self.log_nu = np.log(mu), np.log(nu)  # -inf for a zero weight
         # empty_like keeps C's memory order, which the reductions' summation order follows
         self.work = np.empty_like(C)
         self.mask = np.empty_like(C, dtype=bool)
@@ -455,65 +453,52 @@ def _newton_loop(f, g, sweeps, epsilon, tol):
     [[diag(P1), P], [P^T, diag(P^T 1)]] / eps.  Far from the maximum the
     Newton direction can be huge (its largest component up to 1e9 x eps where
     the sweeps stall), so each step's first trial is held to a trust radius:
-    it moves no potential by more than the radius, which starts at
-    ``_NEWTON_REACH`` x eps, where no plan entry can change by more than a
-    factor e^10.  A step taken at its first trial sets the radius to twice
-    its move, a step taken after halvings to its move, never below the
-    start.  A trial is accepted when the max marginal violation, the
-    quantity ``tol`` bounds, falls, or when D rises by at least
-    ``_NEWTON_ARMIJO`` of the first-order gain step x slope and by more than
-    its rounding: D guides the steps far from the maximum, where the
-    violation can stay flat for many steps, and the violation near it, where
-    D's change drowns in rounding.  Otherwise the step halves, at most
-    ``_NEWTON_HALVINGS`` times.
+    it moves no potential by more than the radius, twice the last step's
+    move but never below ``_NEWTON_REACH`` x eps, where no plan entry can
+    change by more than a factor e^10.  A trial is taken when the max
+    marginal violation, the quantity ``tol`` bounds, falls; otherwise the
+    step halves, at most ``_NEWTON_HALVINGS`` times.  An attempt that stalls
+    on a plateau far from the maximum, where the violation stays flat, is
+    not rescued here but by the next attempt starting at a larger eps.
 
     Returns (f, g, P) once the violation of P, the plan of f and g, is below
-    ``tol``; returns None when a step finds no acceptable trial or
-    ``_NEWTON_STEPS`` steps do not reach ``tol``.  The potentials passed in
-    are not touched; ``sweeps.work`` is overwritten, and P may be it.
+    ``tol``; returns None when a step finds no trial that lowers the
+    violation or ``_NEWTON_STEPS`` steps do not reach ``tol``.  The
+    potentials passed in are not touched; ``sweeps.work`` is overwritten, and
+    P may be it.  Trials may overflow to inf or nan under the caller's error
+    state; their violation is then inf or nan, which is never taken.
     """
     C, mu, nu = sweeps.C, sweeps.mu, sweeps.nu
-    with np.errstate(all="ignore"):  # trials may overflow; the line search rejects them
-        P, trial = _entropic_plan(f, g, C, epsilon), sweeps.work
-        r, c, violation = _marginals(P, mu, nu)
-        total = float(r.sum())
-        radius = _NEWTON_REACH * epsilon
-        for _ in range(_NEWTON_STEPS):
-            if violation < tol:
-                return f, g, P
-            a, b = mu - r, nu - c
-            try:
-                df, dg = _newton_direction(P, r, c, a, b, epsilon, trial)
-            except np.linalg.LinAlgError:
-                return None
-            reach = max(float(np.abs(df).max()), float(np.abs(dg).max()))
-            if not reach < np.inf:  # also nan
-                return None
-            # D's change along (df, dg) is step x ascent - eps x (change of sum(P)),
-            # and step x slope to first order
-            ascent = float(df @ mu + dg @ nu)
-            slope = float(df @ a + dg @ b)
-            step = first = min(1.0, radius / reach) if reach > 0.0 else 1.0
-            for _ in range(_NEWTON_HALVINGS):
-                trial_f, trial_g = f + step * df, g + step * dg
-                _entropic_plan(trial_f, trial_g, C, epsilon, out=trial)
-                trial_r, trial_c, trial_violation = _marginals(trial, mu, nu)
-                trial_total = float(trial_r.sum())
-                gain = step * ascent - epsilon * (trial_total - total)
-                if trial_violation < violation or gain >= max(
-                    _NEWTON_ARMIJO * step * slope, _DUAL_ROUNDING * epsilon * total
-                ):
-                    break
-                step *= 0.5
-            else:
-                return None
-            radius = max(_NEWTON_REACH * epsilon, (2.0 if step == first else 1.0) * step * reach)
-            f, g, P, trial = trial_f, trial_g, trial, P
-            r, c, violation, total = trial_r, trial_c, trial_violation, trial_total
+    P, trial = _entropic_plan(f, g, C, epsilon), sweeps.work
+    r, c, violation = _marginals(P, mu, nu)
+    radius = _NEWTON_REACH * epsilon
+    for _ in range(_NEWTON_STEPS):
+        if violation < tol:
+            return f, g, P
+        try:
+            df, dg = _newton_direction(P, r, c, mu - r, nu - c, epsilon, trial)
+        except np.linalg.LinAlgError:
+            return None
+        reach = max(float(np.abs(df).max()), float(np.abs(dg).max()))
+        if not reach < np.inf:  # also nan
+            return None
+        step = min(1.0, radius / reach) if reach > 0.0 else 1.0
+        for _ in range(_NEWTON_HALVINGS):
+            trial_f, trial_g = f + step * df, g + step * dg
+            _entropic_plan(trial_f, trial_g, C, epsilon, out=trial)
+            trial_r, trial_c, trial_violation = _marginals(trial, mu, nu)
+            if trial_violation < violation:
+                break
+            step *= 0.5
+        else:
+            return None
+        radius = max(_NEWTON_REACH * epsilon, 2.0 * step * reach)
+        f, g, P, trial = trial_f, trial_g, trial, P
+        r, c, violation = trial_r, trial_c, trial_violation
     return (f, g, P) if violation < tol else None
 
 
-def _newton_finish(g, sweeps, epsilon, tol):
+def _newton_finish(g, sweeps, epsilon, tol, top):
     """Finish a solve from stalled Sinkhorn potentials by Newton steps under eps-continuation.
 
     Where the sweeps stall, plan entries sit many eps above their optimal
@@ -521,23 +506,34 @@ def _newton_finish(g, sweeps, epsilon, tol):
     about a factor e, so Newton alone converges linearly there.  The attempt
     therefore starts at a larger eps, where the stalled potentials are a few
     eps from that problem's optimum, and steps down (eps-scaling, Schmitzer
-    2019).  For eps_k = ``_EPS_STAGE_FACTOR``^k x eps, k = ``_EPS_STAGES`` down
-    to 0, it runs ``_STAGE_SWEEPS`` sweeps at eps_k from the current g (the
+    2019).  For eps_k = ``_EPS_STAGE_FACTOR``^k x eps, k = ``top`` down to 0,
+    it runs ``_STAGE_SWEEPS`` sweeps at eps_k from the current g (the
     first stage from the stalled sweeps' g; a sweep sets f from g), then
     ``_newton_loop`` at eps_k: above eps until the violation is below
-    ``_STAGE_TOL`` x the mean point mass of the larger side, at eps itself to
-    ``tol``.  The sweeps rebase the potentials on each new eps.
+    ``_STAGE_TOL`` x the smallest positive point mass (or ``tol``, if that is
+    larger), so every point carries its own mass to within a tenth, and at
+    eps itself to ``tol``.  A target of a tenth of the mean point mass can
+    leave mass off between two groups of points that only the plan's
+    vanishing entries at eps connect, and Newton at eps then crawls.  The
+    sweeps rebase the potentials on each new eps.
     Carried over as they are, the potentials would raise every plan entry to
     the power ``_EPS_STAGE_FACTOR``, so a 300-point row loses nearly all its
     mass, and Newton spends its first steps at the trust radius winning it back.
+
+    The caller sets ``top`` to ``_EPS_STAGES`` for its first attempt and one
+    higher for each attempt after a failed one: where the sweeps stall far
+    from the optimum (eps below about 1e-5 x the cost spread, tiny weights),
+    the first stage can stall on a plateau of the violation too, where the
+    entries that would carry mass across are exp(-big / eps); a larger eps
+    raises them.
 
     Returns the plan at eps, whose own row and column sums are within ``tol``,
     or None when any stage fails.  The caller's g is not touched;
     ``sweeps.work`` is overwritten, and the plan returned may be it.
     """
-    mu, nu = sweeps.mu, sweeps.nu
-    stage_tol = _STAGE_TOL * float(mu.sum()) / max(mu.size, nu.size)
-    for k in range(_EPS_STAGES, -1, -1):
+    masses = np.concatenate([sweeps.mu, sweeps.nu])
+    stage_tol = max(tol, _STAGE_TOL * float(masses[masses > 0].min()))
+    for k in range(top, -1, -1):
         stage_eps = _EPS_STAGE_FACTOR**k * epsilon
         lse_row = sweeps.row_lse(g, stage_eps)
         for _ in range(_STAGE_SWEEPS):
@@ -572,14 +568,15 @@ def solve_entropic(
     then Newton steps, at 64, 16, 4 and 1 x ``epsilon`` in turn.  It
     returns a plan whose own row and column sums are within ``tol``, or
     gives up, and then the sweeps go on from their own potentials.  The
-    first attempt can start at sweep ``_STALL_SWEEPS`` + 1,
-    and each failed one doubles the wait before the next, so a solve that
-    ends in ``IterationLimit`` makes at most 1 + log2(``max_iter`` /
-    ``_STALL_SWEEPS``) attempts.  A solve the sweeps finish before any attempt
-    succeeds gives the plan of the sweeps alone, bit for bit.  ``max_iter``
-    counts the main loop's sweeps only, not an attempt's.  The dense plan is
-    built once, on exit, and the reported objective is against the original
-    cost matrix, with no entropy term.
+    first attempt can start at sweep ``_STALL_SWEEPS`` + 1.  Each failed one
+    doubles the wait before the next, so a solve that ends in
+    ``IterationLimit`` makes at most 1 + log2(``max_iter`` /
+    ``_STALL_SWEEPS``) attempts, and starts the next one stage higher, at
+    256, then 1024 x ``epsilon``, and so on.  A solve the sweeps finish
+    before any attempt succeeds gives the plan of the sweeps alone, bit for
+    bit.  ``max_iter`` counts the main loop's sweeps only, not an attempt's.
+    The dense plan is built once, on exit, and the reported objective is
+    against the original cost matrix, with no entropy term.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -589,36 +586,38 @@ def solve_entropic(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     C = cost.values
-    sweeps = _Sweeps(C, mu, nu)
-    lse_row = sweeps.row_lse(np.zeros(nu.size), epsilon)
-    violations = []
-    wait = _STALL_SWEEPS
-    next_attempt = wait + 1
-    for sweep in range(1, max_iter + 1):
-        f, g, lse_row, lse_col = sweeps.sweep(lse_row, epsilon)
-        violation = max(
-            float(np.abs(np.exp(f / epsilon + lse_row) - mu).max()),
-            float(np.abs(np.exp(g / epsilon + lse_col) - nu).max()),
-        )
-        if violation < tol:
-            plan = _entropic_plan(f, g, C, epsilon)
-            break
-        violations.append(violation)
-        if sweep >= next_attempt and violation > 0.5 * violations[-1 - _STALL_SWEEPS]:
-            plan = _newton_finish(g, sweeps, epsilon, tol)
-            if plan is not None:
+    # a zero weight gives a -inf potential; an eps near either end of the float range,
+    # or a stage's 4^k x eps near the top, overflows the potentials to inf or nan, whose
+    # violation is never below tol, so such a solve ends in IterationLimit
+    with np.errstate(all="ignore"):
+        sweeps = _Sweeps(C, mu, nu)
+        lse_row = sweeps.row_lse(np.zeros(nu.size), epsilon)
+        violations = []
+        wait, top = _STALL_SWEEPS, _EPS_STAGES
+        next_attempt = wait + 1
+        for sweep in range(1, max_iter + 1):
+            f, g, lse_row, lse_col = sweeps.sweep(lse_row, epsilon)
+            violation = max(
+                float(np.abs(np.exp(f / epsilon + lse_row) - mu).max()),
+                float(np.abs(np.exp(g / epsilon + lse_col) - nu).max()),
+            )
+            if violation < tol:
+                plan = _entropic_plan(f, g, C, epsilon)
                 break
-            wait *= 2
-            next_attempt = sweep + wait
-    else:
-        raise IterationLimit(
-            f"marginal violation {violation:.3e} after {max_iter} iterations",
-            violation=violation,
-        )
-    entries = tuple(
-        (int(i), int(j), float(plan[i, j]))
-        for i, j in np.argwhere(plan > 1e-18)
-    )
+            violations.append(violation)
+            if sweep >= next_attempt and violation > 0.5 * violations[-1 - _STALL_SWEEPS]:
+                plan = _newton_finish(g, sweeps, epsilon, tol, top)
+                if plan is not None:
+                    break
+                wait, top = 2 * wait, top + 1
+                next_attempt = sweep + wait
+        else:
+            raise IterationLimit(
+                f"marginal violation {violation:.3e} after {max_iter} iterations",
+                violation=violation,
+            )
+    rows, cols = np.nonzero(plan > 1e-18)
+    entries = tuple(zip(rows.tolist(), cols.tolist(), plan[rows, cols].tolist()))
     objective = float((plan * C).sum())
     return TransportPlan(entries, objective, mu.size, nu.size)
 
@@ -709,12 +708,7 @@ def brute_force_small(cost: CostMatrix, mu_w, nu_w) -> TransportPlan:
         total = sum(mass * C[i, j] for (i, j), mass in zip(edges, masses))
         if total < best_total - 1e-15:
             best_masses, best_edges, best_total = masses, edges, total
-    entries = tuple(
-        (i, j, mass)
-        for (i, j), mass in sorted(zip(best_edges, best_masses))
-        if mass > _MASS_DROP
-    )
-    return TransportPlan(entries, float(best_total), m, n)
+    return _plan_from_mass(dict(zip(best_edges, best_masses)), C, m, n)
 
 
 def check_stability(

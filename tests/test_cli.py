@@ -407,6 +407,24 @@ class TestSolve:
         assert done.stderr == "error: cost matrix has non-finite entries\n"
         assert not (tmp_path / "sol").exists()
 
+    @pytest.mark.parametrize("epsilon", ["1e300", "1e306"])
+    def test_overflowing_potentials_are_one_error_line(self, tmp_path, epsilon):
+        # the Newton attempts' larger eps overflow the potentials, and no attempt can reach
+        # tol 1e-18; in a subprocess, so numpy warnings reach the stderr that is checked
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "gaussian_mixture", "--tasks", "10", "--agents", "10",
+                   "--seed", "1", "--out", str(inst)) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "odtalloc.cli", "solve", "--tasks", str(inst / "tasks.csv"),
+             "--agents", str(inst / "agents.csv"), "--method", "entropic", "--epsilon", epsilon,
+             "--tol", "1e-18", "--out", str(tmp_path / "sol")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: IterationLimit: ")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "sol").exists()
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_instance_csvs())
     def test_repeated_solves_write_identical_files(self, pair):

@@ -148,6 +148,21 @@ def _entropic_case(name):
         mu[rng.uniforms(m) < 0.1] = 0.0
         nu[rng.uniforms(n) < 0.1] = 0.0
         return cost, mu / mu.sum(), nu / nu.sum(), 1e-5 * float(np.ptp(cost.values)), 1e-8
+    if name.startswith("tiny_epsilon_"):
+        # as small_epsilon_ but from numpy's generator: 2-20 points a side, and eps drawn
+        # at 10^U(-7.5, -3) x the spread, where the sweeps stall furthest from the optimum
+        rng = np.random.default_rng(int(name.removeprefix("tiny_epsilon_")))
+        m, n, dim = rng.integers(2, 21), rng.integers(2, 21), rng.integers(1, 4)
+        tasks = TaskSet(rng.normal(size=(m, dim)), rng.normal(size=(m, dim)))
+        cost = cost_matrix(tasks, DiscreteMeasure(rng.normal(size=(n, dim))))
+
+        def weights(size):
+            w = rng.random(size) ** 3
+            w[rng.random(size) < 0.1] = 0.0
+            return w / w.sum() if w.any() else np.full(size, 1.0 / size)
+
+        mu, nu = weights(m), weights(n)
+        return cost, mu, nu, 10.0 ** rng.uniform(-7.5, -3.0) * float(np.ptp(cost.values)), 1e-8
     if name.startswith("mixture_"):
         # the benchmark's entropic instances: 2-D 10x10 mixtures, CLI defaults
         spec = ScenarioSpec("gaussian_mixture", 2, 10, 10, int(name.removeprefix("mixture_")))
@@ -549,8 +564,8 @@ class TestEntropic:
     )
     def test_first_newton_attempt_finishes(self, case, monkeypatch):
         # the sweeps stall far from the optimum here, where a Newton direction is up to
-        # 1e9 x eps long; the trust radius, which grows while its trials are taken, and
-        # the dual's ascent carry the attempt through
+        # 1e9 x eps long; the eps-continuation starts Newton near each stage's optimum,
+        # and the trust radius, which grows while trials are taken, carries it there
         outcomes = []
         finish = odtalloc.solver._newton_finish
 
@@ -599,6 +614,49 @@ class TestEntropic:
         with pytest.raises(IterationLimit):
             solve_entropic(cost, mu, nu, epsilon, tol=1e-18, max_iter=2000)
         assert 1 <= attempts <= 1 + np.log2(2000 / odtalloc.solver._STALL_SWEEPS)
+
+    def test_failed_attempts_start_one_stage_higher(self, monkeypatch):
+        # the case above: the k-th attempt starts at stage _EPS_STAGES + k - 1
+        tops = []
+        finish = odtalloc.solver._newton_finish
+
+        def spied(g, sweeps, epsilon, tol, top):
+            tops.append(top)
+            return finish(g, sweeps, epsilon, tol, top)
+
+        monkeypatch.setattr(odtalloc.solver, "_newton_finish", spied)
+        cost, mu, nu, epsilon, _ = _entropic_case("mixture_1")
+        with pytest.raises(IterationLimit):
+            solve_entropic(cost, mu, nu, epsilon, tol=1e-18, max_iter=2000)
+        assert len(tops) >= 2
+        assert tops == [odtalloc.solver._EPS_STAGES + k for k in range(len(tops))]
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e300, 1e306, 1.7e308])
+    def test_overflowing_potentials_end_in_iteration_limit(self, epsilon):
+        # at either end of the float range the potentials, or a stage's at 4^k x eps,
+        # overflow; under tier-1's warnings-as-errors a numpy warning would fail this
+        cost, mu, nu, _, _ = _entropic_case("mixture_1")
+        with pytest.raises(IterationLimit):
+            solve_entropic(cost, mu, nu, epsilon, tol=1e-18, max_iter=2000)
+
+    def test_tiny_epsilon_draws_are_near_the_exact_optimum(self):
+        # eps down to 10^-7.5 x the spread: a first attempt stalls on a plateau here, and
+        # the next ones, starting a stage higher each, must still finish the solve
+        limits, outside = [], []
+        for seed in range(40):
+            cost, mu, nu, epsilon, tol = _entropic_case(f"tiny_epsilon_{seed}")
+            try:
+                plan = solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=5000)
+            except IterationLimit:
+                limits.append(seed)
+                continue
+            optimum = solve_exact(cost, mu, nu)[0].objective
+            slack = 2.0 * (mu.size + nu.size) * tol * float(np.abs(cost.values).max())
+            gap = plan.objective - optimum
+            if not -slack <= gap <= epsilon * np.log(mu.size * nu.size) + slack:
+                outside.append(seed)
+        assert limits == []
+        assert outside == []
 
     @pytest.mark.parametrize("case", [f"small_epsilon_{seed}" for seed in (1, 2, 57, 233)])
     def test_small_epsilon_is_near_the_exact_optimum(self, case):
