@@ -311,6 +311,12 @@ def _plan_text(data: bytes) -> str:
     return text
 
 
+def _json_number(value, what: str) -> float:
+    if type(value) not in (int, float):  # json.loads gives these exact types
+        raise ValueError(f"{what} {value!r} is not a JSON number")
+    return float(value)
+
+
 def _verify_stability(args, inputs: dict) -> dict:
     if not (args.plan and args.tasks and args.agents):
         raise _UsageFailure("--check stability needs --plan, --tasks, and --agents")
@@ -320,19 +326,20 @@ def _verify_stability(args, inputs: dict) -> dict:
     try:
         payload = json.loads(_plan_text(_read_input(args.plan, inputs)))
         entries = tuple(
-            (task_index[e["task"]], agent_index[e["agent"]], float(e["mass"]))
+            (task_index[e["task"]], agent_index[e["agent"]], _json_number(e["mass"], "mass"))
             for e in payload["entries"]
         )
         for _, _, mass in entries:
             if not 0.0 <= mass < float("inf"):
                 raise ValueError(f"plan mass {mass!r} is negative or not finite")
-        plan = TransportPlan(entries, float(payload["objective"]), len(tasks), len(agents))
+        objective = _json_number(payload["objective"], "objective")
+        plan = TransportPlan(entries, objective, len(tasks), len(agents))
         duals = payload["duals"]
         if duals is not None:
-            duals = DualPotentials(np.array(duals["u"]), np.array(duals["v"]))
+            duals = DualPotentials(*([_json_number(x, "dual") for x in duals[k]] for k in "uv"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageFailure(f"cannot read plan file: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _UsageFailure(f"malformed plan file: {exc}") from exc
     if duals is None:
         report = ConditionReport("stability", False, len(entries), float("inf")).to_json()

@@ -10,9 +10,9 @@ basis is a spanning tree on the bipartite node set, duals come from the
 tree with u_0 = 0, the entering cell is the most negative reduced cost,
 and Bland's rule takes over after a run of degenerate pivots so
 termination is guaranteed.  The entropic path is
-log-domain Sinkhorn scaling (stabilised as in Schmitzer 2019) on an
-in-module log-sum-exp kernel that gives scipy's results bit for bit; its
-convergence check reuses the next sweep's log-sum-exp.  Once the sweeps
+log-domain Sinkhorn scaling (stabilised as in Schmitzer 2019) on the
+textbook max-shifted log-sum-exp; its convergence check reuses the next
+sweep's log-sum-exp.  Once the sweeps
 stall, Newton steps on the dual finish the solve (Sinkhorn-Newton, Brauer,
 Clason, Lorenz & Wirth 2017): a Schur-complement solve with numpy's LAPACK,
 a trust radius on each step's first trial, and a line search that takes a
@@ -345,27 +345,18 @@ def solve_exact(cost: CostMatrix, mu_w, nu_w) -> tuple[TransportPlan, DualPotent
     return plan, DualPotentials(u, v)
 
 
-def _logsumexp(a: np.ndarray, axis: int, mask: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=axis)`` of a real 2-D ``a``, bit for bit.
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a - max))) + max along ``axis`` of a real 2-D ``a``, which is overwritten.
 
-    The steps of scipy 1.17's real-input algorithm, the separated-maximum
-    form of Blanchard, Higham & Higham (2021), without its array-API
-    dispatch: the maxima of each slice are counted (m) and kept out of the
-    shifted sum s, and the result is log1p(s / m) + log(m) + max.  Special
-    values come out as scipy's do: -inf for a slice that is all -inf, +inf
-    for one holding +inf, nan for one holding nan.  ``a`` is overwritten;
-    ``mask`` is a bool buffer of its shape.
+    The shift is 0 where a slice's maximum is not finite (an all -inf slice meets log(0),
+    a +inf entry exp(inf)), so the special values are scipy's: -inf for an all -inf slice,
+    +inf for one holding +inf, nan for one holding nan; finite values are within a few ulps.
     """
     a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-    np.equal(a, a_max, out=mask)
-    m = np.add.reduce(mask, axis=axis, keepdims=True, dtype=float)
-    # a slice that is all -inf, or holds nan or +inf, meets -inf - -inf, inf - inf or log(0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.subtract(a, a_max, out=a)
-        np.putmask(a, mask, -np.inf)
-        s = np.add.reduce(np.exp(a, out=a), axis=axis, keepdims=True)
-        s /= m  # scipy divides where s != 0; s == 0 only where m >= 1, so 0 / m == s
-        return (np.log1p(s) + np.log(m) + a_max).reshape(-1)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.add.reduce(np.exp(np.subtract(a, shift, out=a), out=a), axis=axis, keepdims=True)
+        return (np.log(s) + shift).reshape(-1)
 
 
 def _entropic_plan(f, g, C, epsilon, out=None) -> np.ndarray:
@@ -413,8 +404,7 @@ def _newton_direction(P, r, c, a, b, epsilon, scratch):
 class _Sweeps:
     """Log-domain Sinkhorn sweeps on one cost matrix and one pair of marginals, at any eps.
 
-    ``work`` and ``mask`` are the buffers of C's shape that every sweep
-    overwrites; between sweeps ``work`` is free for other use.
+    Every sweep overwrites ``work``, the one buffer of C's shape; between sweeps it is free.
     """
 
     def __init__(self, C: np.ndarray, mu: np.ndarray, nu: np.ndarray):
@@ -422,13 +412,12 @@ class _Sweeps:
         self.log_mu, self.log_nu = np.log(mu), np.log(nu)  # -inf for a zero weight
         # empty_like keeps C's memory order, which the reductions' summation order follows
         self.work = np.empty_like(C)
-        self.mask = np.empty_like(C, dtype=bool)
 
     def row_lse(self, g, epsilon):
         """log sum_j exp((g_j - C_ij) / eps), one value per row."""
         work = self.work
         np.divide(np.subtract(g[None, :], self.C, out=work), epsilon, out=work)
-        return _logsumexp(work, 1, self.mask)
+        return _logsumexp(work, 1)
 
     def sweep(self, lse_row, epsilon):
         """One f-update and one g-update, from ``row_lse`` of the previous g.
@@ -439,7 +428,7 @@ class _Sweeps:
         work = self.work
         f = epsilon * (self.log_mu - lse_row)
         np.divide(np.subtract(f[:, None], self.C, out=work), epsilon, out=work)
-        lse_col = _logsumexp(work, 0, self.mask)
+        lse_col = _logsumexp(work, 0)
         g = epsilon * (self.log_nu - lse_col)
         return f, g, self.row_lse(g, epsilon), lse_col
 
@@ -574,9 +563,10 @@ def solve_entropic(
     ``_STALL_SWEEPS``) attempts, and starts the next one stage higher, at
     256, then 1024 x ``epsilon``, and so on.  A solve the sweeps finish
     before any attempt succeeds gives the plan of the sweeps alone, bit for
-    bit.  ``max_iter`` counts the main loop's sweeps only, not an attempt's.
-    The dense plan is built once, on exit, and the reported objective is
-    against the original cost matrix, with no entropy term.
+    bit.  ``max_iter`` counts the main loop's sweeps only, not an attempt's; a
+    nan violation, which no later sweep undoes, ends the solve at once.  The
+    dense plan is built once, on exit, and the reported objective is against
+    the original cost matrix, with no entropy term.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -592,7 +582,7 @@ def solve_entropic(
     with np.errstate(all="ignore"):
         sweeps = _Sweeps(C, mu, nu)
         lse_row = sweeps.row_lse(np.zeros(nu.size), epsilon)
-        violations = []
+        violations, plan = [], None
         wait, top = _STALL_SWEEPS, _EPS_STAGES
         next_attempt = wait + 1
         for sweep in range(1, max_iter + 1):
@@ -604,6 +594,8 @@ def solve_entropic(
             if violation < tol:
                 plan = _entropic_plan(f, g, C, epsilon)
                 break
+            if np.isnan(violation):  # a nan potential stays nan in every later sweep
+                break
             violations.append(violation)
             if sweep >= next_attempt and violation > 0.5 * violations[-1 - _STALL_SWEEPS]:
                 plan = _newton_finish(g, sweeps, epsilon, tol, top)
@@ -611,9 +603,9 @@ def solve_entropic(
                     break
                 wait, top = 2 * wait, top + 1
                 next_attempt = sweep + wait
-        else:
+        if plan is None:
             raise IterationLimit(
-                f"marginal violation {violation:.3e} after {max_iter} iterations",
+                f"marginal violation {violation:.3e} after {sweep} iterations",
                 violation=violation,
             )
     rows, cols = np.nonzero(plan > 1e-18)

@@ -425,6 +425,22 @@ class TestSolve:
         assert done.stderr.count("\n") == 1
         assert not (tmp_path / "sol").exists()
 
+    @pytest.mark.parametrize("epsilon", ["1e308", "1e-320"])
+    def test_nan_potentials_end_after_one_sweep(self, tmp_path, epsilon):
+        # the first sweep's potentials overflow to inf - inf, and nan never recovers
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "gaussian_mixture", "--tasks", "10", "--agents", "10",
+                   "--seed", "1", "--out", str(inst)) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "odtalloc.cli", "solve", "--tasks", str(inst / "tasks.csv"),
+             "--agents", str(inst / "agents.csv"), "--method", "entropic", "--epsilon", epsilon,
+             "--out", str(tmp_path / "sol")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "error: IterationLimit: marginal violation nan after 1 iterations\n"
+        assert not (tmp_path / "sol").exists()
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_instance_csvs())
     def test_repeated_solves_write_identical_files(self, pair):
@@ -681,15 +697,34 @@ class TestVerify:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "case", ["mass_not_a_number", "no_objective", "no_dual_u", "not_utf8", "short_dual_u"]
+        "case",
+        ["mass_not_a_number", "no_objective", "no_dual_u", "not_utf8", "short_dual_u",
+         # numbers given as anything but a JSON number
+         "mass_string", "mass_padded_string", "mass_true", "mass_huge_int", "objective_string",
+         "dual_u_strings", "dual_u_nested"],
     )
     def test_malformed_plan_is_usage_error(self, canonical, tmp_path, capsys, case):
         sol = tmp_path / "sol"
         run("solve", "--tasks", str(canonical / "tasks.csv"),
             "--agents", str(canonical / "agents.csv"), "--out", str(sol))
         payload = json.loads((sol / "plan.json").read_text())
+        entry, duals = payload["entries"][0], payload["duals"]
         if case == "mass_not_a_number":
-            payload["entries"][0]["mass"] = "x"
+            entry["mass"] = "x"
+        elif case == "mass_string":
+            entry["mass"] = repr(entry["mass"])
+        elif case == "mass_padded_string":
+            entry["mass"] = f"  {entry['mass']!r} "
+        elif case == "mass_true":
+            entry["mass"] = True
+        elif case == "mass_huge_int":
+            entry["mass"] = 10**400
+        elif case == "objective_string":
+            payload["objective"] = "1e5"
+        elif case == "dual_u_strings":
+            duals["u"] = [repr(x) for x in duals["u"]]
+        elif case == "dual_u_nested":
+            duals["u"] = [[x] for x in duals["u"]]
         elif case == "no_objective":
             del payload["objective"]
         elif case == "no_dual_u":

@@ -88,8 +88,16 @@ def _perturbed_cost_unique(cost, mu, nu, plan):
     return solve_exact(perturbed, mu, nu)[0].support() == plan.support()
 
 
-def _reference_sinkhorn(cost, mu, nu, epsilon, tol):
-    """The Sinkhorn loop on scipy's logsumexp, with the dense plan built every sweep.
+def _textbook_logsumexp(a, axis):
+    """log(sum(exp(a - max))) + max, shifting by 0 where a slice's maximum is not finite."""
+    a_max = a.max(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - shift).sum(axis=axis)) + shift.squeeze(axis)
+
+
+def _reference_sinkhorn(cost, mu, nu, epsilon, tol, lse):
+    """The Sinkhorn loop on the log-sum-exp ``lse``, with the dense plan built every sweep.
 
     Returns the plan's entries, its objective and the sweep it stopped at.
     """
@@ -98,8 +106,8 @@ def _reference_sinkhorn(cost, mu, nu, epsilon, tol):
         log_mu, log_nu = np.log(mu), np.log(nu)
     g = np.zeros(nu.size)
     for sweep in range(1, 10001):
-        f = epsilon * (log_mu - logsumexp((g[None, :] - C) / epsilon, axis=1))
-        g = epsilon * (log_nu - logsumexp((f[:, None] - C) / epsilon, axis=0))
+        f = epsilon * (log_mu - lse((g[None, :] - C) / epsilon, axis=1))
+        g = epsilon * (log_nu - lse((f[:, None] - C) / epsilon, axis=0))
         with np.errstate(invalid="ignore"):
             plan = np.nan_to_num(np.exp((f[:, None] + g[None, :] - C) / epsilon), nan=0.0)
         violation = max(
@@ -533,9 +541,12 @@ class TestEntropic:
 
     @pytest.mark.parametrize("case", ["canonical", "huge_epsilon", "zero_weight_task"])
     def test_matches_reference_loop(self, case):
-        # the sweeps finish these before the violation stalls, so no Newton attempt runs
+        # the sweeps finish these before the violation stalls, so no Newton attempt runs;
+        # on the same textbook log-sum-exp the two loops agree bit for bit
         cost, mu, nu, epsilon, tol = _entropic_case(case)
-        entries, objective, sweeps = _reference_sinkhorn(cost, mu, nu, epsilon, tol)
+        entries, objective, sweeps = _reference_sinkhorn(
+            cost, mu, nu, epsilon, tol, _textbook_logsumexp
+        )
         plan = solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps)
         assert plan.entries == entries
         assert plan.objective == objective
@@ -549,7 +560,7 @@ class TestEntropic:
         # Newton steps finish these in fewer sweeps than the reference takes, so the
         # plans differ in their bits but must be the same coupling within the tolerance
         cost, mu, nu, epsilon, tol = _entropic_case(case)
-        entries, objective, sweeps = _reference_sinkhorn(cost, mu, nu, epsilon, tol)
+        entries, objective, sweeps = _reference_sinkhorn(cost, mu, nu, epsilon, tol, logsumexp)
         reference = TransportPlan(entries, objective, cost.n_tasks, cost.n_agents)
         plan = solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps - 1)
         assert np.abs(plan.row_sums() - mu).max() < tol
@@ -639,6 +650,24 @@ class TestEntropic:
         with pytest.raises(IterationLimit):
             solve_entropic(cost, mu, nu, epsilon, tol=1e-18, max_iter=2000)
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e308])
+    def test_nan_violation_ends_the_solve(self, epsilon, monkeypatch):
+        # the first sweep overflows the potentials to nan, which no later sweep undoes
+        sweeps = 0
+        sweep = odtalloc.solver._Sweeps.sweep
+
+        def counted(*args):
+            nonlocal sweeps
+            sweeps += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(odtalloc.solver._Sweeps, "sweep", counted)
+        cost, mu, nu, _, _ = _entropic_case("mixture_1")
+        with pytest.raises(IterationLimit) as err:
+            solve_entropic(cost, mu, nu, epsilon)
+        assert np.isnan(err.value.violation)
+        assert sweeps <= 2
+
     def test_tiny_epsilon_draws_are_near_the_exact_optimum(self):
         # eps down to 10^-7.5 x the spread: a first attempt stalls on a plateau here, and
         # the next ones, starting a stage higher each, must still finish the solve
@@ -698,11 +727,17 @@ class TestEntropic:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_lse_inputs())
-    def test_logsumexp_is_scipys_bit_for_bit(self, a):
+    def test_logsumexp_is_scipys_within_rounding(self, a):
+        # special values exactly; finite ones within 4 ulps of the slice's largest magnitude
         for axis in (0, 1):
             expected = logsumexp(a, axis=axis)
-            got = _logsumexp(a.copy(), axis, np.empty(a.shape, dtype=bool))
-            assert np.array_equal(got, expected, equal_nan=True)
+            got = _logsumexp(a.copy(), axis)
+            finite = np.isfinite(expected)
+            assert np.array_equal(got[~finite], expected[~finite], equal_nan=True)
+            magnitude = np.abs(np.where(np.isfinite(a), a, 0.0)).max(axis=axis)
+            scale = np.maximum.reduce([magnitude, np.abs(expected), np.ones_like(expected)])
+            error = np.abs(got[finite] - expected[finite])
+            assert np.all(error <= 4 * np.spacing(scale[finite]))
 
 
 class TestReduction:
