@@ -9,7 +9,9 @@ fails, 2 for every rejected flag, file or input.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -33,7 +35,6 @@ from .errors import AllocationError, InvalidSpec, IterationLimit
 from .measures import (
     DiscreteMeasure,
     TaskSet,
-    _write_csv,
     _write_file,
     load_agents_csv,
     load_tasks_csv,
@@ -231,35 +232,82 @@ def cmd_gen(args, argv) -> int:
     return 0
 
 
-def _plan_json(
-    solution: Solution, method: str, tasks: TaskSet, agents: DiscreteMeasure
-) -> dict:
-    duals = solution.duals
-    return {
-        "objective": solution.objective,
-        "entries": [
-            {"task": tasks.ids[i], "agent": agents.ids[j], "mass": mass}
-            for i, j, mass in solution.plan.entries
-        ],
-        "duals": None
-        if duals is None
-        else {"u": duals.u.tolist(), "v": duals.v.tolist()},
-        "method": method,
-        "unique": solution.unique,
-    }
+def _json_list(items: list[str], indent: str) -> str:
+    """The ``indent=2`` JSON list of the already encoded ``items``, in a block at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _write_plan_json(
+    path, solution: Solution, method: str, tasks: TaskSet, agents: DiscreteMeasure
+) -> None:
+    """Write ``plan.json``: ``json.dumps(plan, indent=2)`` and a newline, byte for byte.
+
+    The document has one fixed shape (objective, entries, duals, method,
+    unique), so it is written from an ``indent=2`` template rather than
+    walked as a dict of dicts.  Each task and agent id is encoded once, not
+    once per entry: an entropic plan holds several entries per task and
+    per agent.  Each dual list is one join.
+    """
+    task_ids = [*map(encode_basestring_ascii, tasks.ids)]
+    agent_ids = [*map(encode_basestring_ascii, agents.ids)]
+    entries = [
+        f'{{\n      "task": {task_ids[i]},\n      "agent": {agent_ids[j]},\n'
+        f'      "mass": {_float_json(mass)}\n    }}'
+        for i, j, mass in solution.plan.entries
+    ]
+    duals = "null"
+    if solution.duals is not None:
+        u, v = (_json_list([*map(_float_json, d.tolist())], "    ")
+                for d in (solution.duals.u, solution.duals.v))
+        duals = f'{{\n    "u": {u},\n    "v": {v}\n  }}'
+    document = (
+        f'{{\n  "objective": {_float_json(solution.objective)},\n'
+        f'  "entries": {_json_list(entries, "  ")},\n'
+        f'  "duals": {duals},\n'
+        f'  "method": {encode_basestring_ascii(method)},\n'
+        f'  "unique": {_CONSTANTS(solution.unique)}\n}}\n'
+    )
+    _write_file(path, document.encode("utf-8"))
+
+
+def _csv_id(text: str) -> str:
+    """``text`` as a field of a ``csv.writer`` row with ``lineterminator="\\n"``.
+
+    Only an empty id, or one holding ``,``, ``"``, ``\\r`` or ``\\n``, goes
+    through csv, which quotes it or not as its version does (3.11 leaves a
+    bare ``\\r`` unquoted); csv writes any other id as it is.
+    """
+    if text and set(text).isdisjoint(',"\r\n'):
+        return text
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]  # without the empty second field's "," and the line end
 
 
 def _write_plot_csv(path, plan, tasks, agents) -> None:
+    """Write ``plot.csv``: a ``task_id,agent_id,mass,o..,d..,y..`` line per plan entry.
+
+    Byte for byte what ``csv.writer(lineterminator="\\n")`` writes for those
+    rows, floats as their repr.  Each id and each task's and agent's run of
+    coordinates is formatted once, not once per entry, and each line is one
+    f-string of those parts and the entry's mass.
+    """
     header = ["task_id", "agent_id", "mass"]
     header += [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
-    # Python floats, which csv writes as their shortest round-trip repr
-    origins, destinations = tasks.origins.tolist(), tasks.destinations.tolist()
-    points = agents.points.tolist()
-    rows = (
-        [tasks.ids[i], agents.ids[j], float(mass), *origins[i], *destinations[i], *points[j]]
+    task_ids = [*map(_csv_id, tasks.ids)]
+    agent_ids = [*map(_csv_id, agents.ids)]
+    trips = np.hstack([tasks.origins, tasks.destinations]).tolist()
+    task_coords = [",".join(map(repr, row)) for row in trips]
+    agent_coords = [",".join(map(repr, row)) for row in agents.points.tolist()]
+    lines = [",".join(header) + "\n"]
+    lines += [
+        f"{task_ids[i]},{agent_ids[j]},{float.__repr__(mass)},{task_coords[i]},{agent_coords[j]}\n"
         for i, j, mass in plan.entries
-    )
-    _write_csv(path, header, rows, lineterminator="\n")
+    ]
+    _write_file(path, "".join(lines).encode("utf-8"))
 
 
 def cmd_solve(args, argv) -> int:
@@ -282,8 +330,11 @@ def cmd_solve(args, argv) -> int:
     start = time.perf_counter()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "plan.json", _plan_json(solution, args.method, tasks, agents))
+    plan_start = time.perf_counter()
+    _write_plan_json(outdir / "plan.json", solution, args.method, tasks, agents)
+    plot_start = time.perf_counter()
     _write_plot_csv(outdir / "plot.csv", solution.plan, tasks, agents)
+    plot_end = time.perf_counter()
     if args.dump_cost:
         full_cost = cost_matrix(tasks, agents)
         _write_json(
@@ -295,6 +346,8 @@ def cmd_solve(args, argv) -> int:
             },
         )
     timings["write_ms"] = (time.perf_counter() - start) * 1000.0
+    timings["plan_ms"] = (plot_start - plan_start) * 1000.0
+    timings["plot_ms"] = (plot_end - plot_start) * 1000.0
     _write_manifest(outdir, argv, inputs, None, args.method, timings)
     print(
         f"wrote {outdir}/plan.json: method={args.method} objective={solution.objective!r} "
@@ -333,6 +386,8 @@ def _verify_stability(args, inputs: dict) -> dict:
             if not 0.0 <= mass < float("inf"):
                 raise ValueError(f"plan mass {mass!r} is negative or not finite")
         objective = _json_number(payload["objective"], "objective")
+        if not abs(objective) < float("inf"):
+            raise ValueError(f"plan objective {objective!r} is not finite")
         plan = TransportPlan(entries, objective, len(tasks), len(agents))
         duals = payload["duals"]
         if duals is not None:
@@ -345,19 +400,27 @@ def _verify_stability(args, inputs: dict) -> dict:
         report = ConditionReport("stability", False, len(entries), float("inf")).to_json()
         report["note"] = "plan carries no dual certificate"
         return report
-    stability = check_stability(plan, duals, cost_matrix(tasks, agents), tol=args.tol)
+    cost = cost_matrix(tasks, agents)
+    stability = check_stability(plan, duals, cost, tol=args.tol)
     dense = plan.to_dense()
     marginal_err = max(
         float(np.abs(dense.sum(axis=1) - tasks.weights).max()),
         float(np.abs(dense.sum(axis=0) - agents.weights).max()),
     )
+    # <c, plan> against the objective the file states, on check_stability's scale;
+    # masses far off the marginals may overflow it, which fails as inf
+    with np.errstate(over="ignore"):
+        recomputed = float((dense * cost.values).sum())
+    bound = args.tol * max(1.0, float(np.abs(cost.values).max()))
+    objective_ok = abs(objective - recomputed) <= bound
     worst = max(stability.max_violation, stability.max_slack_on_support)
-    report = ConditionReport(
-        "stability", stability.passed and marginal_err <= 1e-9, len(entries), worst
-    ).to_json()
+    passed = stability.passed and marginal_err <= 1e-9 and objective_ok
+    report = ConditionReport("stability", passed, len(entries), worst).to_json()
     report["max_violation"] = stability.max_violation
     report["max_slack_on_support"] = stability.max_slack_on_support
     report["max_marginal_error"] = marginal_err
+    if not objective_ok:
+        report["note"] = f"plan objective {objective!r} differs from <c, plan> = {recomputed!r}"
     return report
 
 

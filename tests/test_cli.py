@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -18,8 +19,8 @@ import odtalloc.measures
 import odtalloc.solver
 from odtalloc.cli import main
 from odtalloc.cost import cost_matrix
-from odtalloc.measures import load_agents_csv, load_tasks_csv
-from odtalloc.solver import METHODS
+from odtalloc.measures import DiscreteMeasure, TaskSet, load_agents_csv, load_tasks_csv
+from odtalloc.solver import METHODS, DualPotentials, Solution, TransportPlan
 
 
 def run(*argv):
@@ -48,6 +49,15 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_package_runs_as_module():
+    done = subprocess.run(
+        [sys.executable, "-m", "odtalloc", "--version"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == odtalloc.__version__ + "\n"
 
 
 @st.composite
@@ -480,6 +490,15 @@ class TestSolve:
         assert payload["n_tasks"] == 2 and payload["n_agents"] == 2
         assert payload["values"] == [[0.0, 2.0], [2.0, 0.0]]
 
+    def test_manifest_splits_write_time(self, canonical, tmp_path):
+        out = tmp_path / "sol"
+        assert run("solve", "--tasks", str(canonical / "tasks.csv"),
+                   "--agents", str(canonical / "agents.csv"), "--out", str(out)) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_ms"]
+        assert list(timings) == ["load_ms", "solve_ms", "write_ms", "plan_ms", "plot_ms"]
+        assert timings["plan_ms"] >= 0.0 and timings["plot_ms"] >= 0.0
+        assert timings["plan_ms"] + timings["plot_ms"] <= timings["write_ms"]
+
     def test_manifest_digests_track_inputs(self, canonical, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         run("solve", "--tasks", str(canonical / "tasks.csv"),
@@ -791,6 +810,60 @@ class TestVerify:
             reports.append((tmp_path / name / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("objective", [1e5, float("nan")])
+    def test_stated_objective_is_checked(self, tmp_path, capsys, objective):
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "gaussian_mixture", "--tasks", "10", "--agents", "10",
+                   "--seed", "1", "--out", str(inst)) == 0
+        files = ["--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv")]
+        assert run("solve", *files, "--out", str(tmp_path / "sol")) == 0
+        payload = json.loads((tmp_path / "sol" / "plan.json").read_text())
+        stated = payload["objective"]
+        payload["objective"] = objective
+        (tmp_path / "plan.json").write_text(json.dumps(payload))
+        code = run("verify", "--check", "stability", "--plan", str(tmp_path / "plan.json"),
+                   *files, "--out", str(tmp_path / "v"))
+        if objective != objective:  # JSON NaN
+            assert code == 2
+            assert "malformed plan file" in capsys.readouterr().err
+            assert not (tmp_path / "v").exists()
+            return
+        assert code == 1
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["worst_case"] <= 1e-9 and report["max_marginal_error"] <= 1e-9
+        assert "100000.0" in report["note"]
+        recomputed = float(report["note"].rsplit(" = ", 1)[1])
+        assert abs(recomputed - stated) <= 1e-12 * abs(stated)
+
+    @pytest.mark.parametrize("method", ["exact", "reduced"])
+    @pytest.mark.parametrize(
+        "kind, size, seed", [("gaussian_mixture", "10", "1"), ("gaussian_mixture", "40", "3"),
+                             ("city_box", "30", "1000"), ("grid", "16", "2")]
+    )
+    def test_own_plans_state_their_objective(self, tmp_path, method, kind, size, seed):
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", kind, "--tasks", size, "--agents", size, "--seed", seed,
+                   "--out", str(inst)) == 0
+        files = ["--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv")]
+        assert run("solve", *files, "--method", method, "--out", str(tmp_path / "sol")) == 0
+        assert run("verify", "--check", "stability", "--plan", str(tmp_path / "sol" / "plan.json"),
+                   *files, "--out", str(tmp_path / "v")) == 0
+        assert "note" not in json.loads((tmp_path / "v" / "report.json").read_text())
+
+    def test_overflowing_plan_cost_fails_quietly(self, canonical, tmp_path, capsys):
+        # 1e308 x the cost 2 of t0 -> a1 overflows <c, plan>; a numpy warning would raise here
+        sol = tmp_path / "sol"
+        files = ["--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv")]
+        assert run("solve", *files, "--out", str(sol)) == 0
+        payload = json.loads((sol / "plan.json").read_text())
+        payload["entries"].append({"task": "t0", "agent": "a1", "mass": 1e308})
+        (tmp_path / "plan.json").write_text(json.dumps(payload))
+        assert run("verify", "--check", "stability", "--plan", str(tmp_path / "plan.json"),
+                   *files, "--out", str(tmp_path / "v")) == 1
+        assert "<c, plan> = inf" in json.loads((tmp_path / "v" / "report.json").read_text())["note"]
+        assert capsys.readouterr().err == ""
+
     def test_plan_marginals_revalidated(self, canonical, tmp_path):
         sol = tmp_path / "sol"
         run("solve", "--tasks", str(canonical / "tasks.csv"),
@@ -871,6 +944,38 @@ _JSON_VALUES = st.recursive(
 )
 
 
+_PLAN_FLOATS = st.sampled_from([5e-324, -0.0, 1e300, 1 / 3, 0.25]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _plan_outputs(draw):
+    """A solution with its tasks and agents: ids with csv's special characters, non-ASCII
+    text, spaces or nothing; float or np.float64 masses; entries that repeat tasks and
+    agents, or a permutation; duals or none."""
+    ids = st.lists(st.text(',"\r\n aé\u00ff\U0001f600', max_size=3) | st.text(max_size=3),
+                   min_size=1, max_size=4, unique=True)
+    task_ids, agent_ids = draw(ids), draw(ids)
+    m, n = len(task_ids), len(agent_ids)
+    dim = draw(st.integers(1, 2))
+    coords = [[draw(_PLAN_FLOATS) for _ in range(rows * dim)] for rows in (m, m, n)]
+    tasks = TaskSet(*(np.reshape(c, (m, dim)) for c in coords[:2]), np.ones(m), ids=task_ids)
+    agents = DiscreteMeasure(np.reshape(coords[2], (n, dim)), np.ones(n), ids=agent_ids)
+    if m == n and draw(st.booleans()):
+        pairs = list(enumerate(draw(st.permutations(range(n)))))
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                              max_size=8))
+    mass = _PLAN_FLOATS | _PLAN_FLOATS.map(np.float64)
+    plan = TransportPlan(tuple((i, j, draw(mass)) for i, j in pairs), 0.0, m, n)
+    duals = None
+    if draw(st.booleans()):
+        duals = DualPotentials(*([draw(_PLAN_FLOATS) for _ in range(k)] for k in (m, n)))
+    solution = Solution(plan, draw(_PLAN_FLOATS), duals, draw(st.booleans()))
+    return solution, draw(st.sampled_from(METHODS)), tasks, agents
+
+
 def _round(files: list[str], out: Path, *extra: str) -> None:
     """Solve into ``out``, dumping the cost matrix there, then verify the plan's stability."""
     tasks, agents = files
@@ -907,6 +1012,40 @@ class TestFiles:
         assert path.read_text() == json.dumps({"n": np.float64(1.5), 2: [True]}, indent=2) + "\n"
         with pytest.raises(TypeError):
             odtalloc.cli._write_json(path, {"x": object()})
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_plan_outputs())
+    def test_plan_writers_match_json_and_csv(self, tmp_path_factory, outputs):
+        # the oracles are the generic writers: a dict for json.dumps, one csv row per entry
+        solution, method, tasks, agents = outputs
+        base = tmp_path_factory.getbasetemp()
+        odtalloc.cli._write_plan_json(base / "plan.json", solution, method, tasks, agents)
+        odtalloc.cli._write_plot_csv(base / "plot.csv", solution.plan, tasks, agents)
+        duals = solution.duals
+        document = {
+            "objective": solution.objective,
+            "entries": [
+                {"task": tasks.ids[i], "agent": agents.ids[j], "mass": mass}
+                for i, j, mass in solution.plan.entries
+            ],
+            "duals": None if duals is None else {"u": duals.u.tolist(), "v": duals.v.tolist()},
+            "method": method,
+            "unique": solution.unique,
+        }
+        assert (base / "plan.json").read_bytes() == (
+            json.dumps(document, indent=2) + "\n"
+        ).encode()
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["task_id", "agent_id", "mass",
+                         *(f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim))])
+        origins, destinations = tasks.origins.tolist(), tasks.destinations.tolist()
+        points = agents.points.tolist()
+        writer.writerows(
+            [tasks.ids[i], agents.ids[j], float(mass), *origins[i], *destinations[i], *points[j]]
+            for i, j, mass in solution.plan.entries
+        )
+        assert (base / "plot.csv").read_bytes() == buffer.getvalue().encode()
 
     def test_smaller_rewrite_leaves_no_stale_tail(self, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
