@@ -86,10 +86,6 @@ def _load_inputs(args, inputs: dict) -> tuple[TaskSet, DiscreteMeasure]:
     return tasks, load_agents_csv(args.agents, _read_input(args.agents, inputs))
 
 
-class _NotPlain(Exception):
-    """Internal marker: a value ``_indented_json`` leaves to ``json.dumps``."""
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -98,84 +94,8 @@ def _float_json(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-_CONSTANTS = {True: "true", False: "false", None: "null"}.__getitem__
-# the JSON of a scalar, by exact type, as the json module writes it; json
-# writes a float subclass such as np.float64 by float.__repr__ too
-_SCALAR_JSON = {
-    str: encode_basestring_ascii,
-    float: _float_json,
-    np.float64: _float_json,
-    int: int.__repr__,
-    bool: _CONSTANTS,
-    type(None): _CONSTANTS,
-}
-
-
-def _encode(value, parts: list, newline: str) -> None:
-    """Append the ``indent=2`` JSON of ``value`` to ``parts``; ``newline`` ends with its indent.
-
-    Scalars inside a container are written in the container's loop, so only
-    containers recurse.
-    """
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise _NotPlain
-            to_json = _SCALAR_JSON.get(type(item))
-            if to_json is None:
-                parts.append(f"{separator}{encode_basestring_ascii(key)}: ")
-                _encode(item, parts, inner)
-            else:
-                parts.append(f"{separator}{encode_basestring_ascii(key)}: {to_json(item)}")
-            separator = "," + inner
-        parts.append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            to_json = _SCALAR_JSON.get(type(item))
-            if to_json is None:
-                parts.append(separator)
-                _encode(item, parts, inner)
-            else:
-                parts.append(separator + to_json(item))
-            separator = "," + inner
-        parts.append(newline + "]")
-    else:
-        to_json = _SCALAR_JSON.get(kind)
-        if to_json is None:
-            raise _NotPlain
-        parts.append(to_json(value))
-
-
-def _indented_json(payload) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte, without json's indenting encoder.
-
-    ``indent`` makes the json module encode in Python, token by token, with
-    an isinstance chain per value; dispatching on exact types takes about
-    60-70% of its time.  A document holding any other type (another
-    subclass, a non-string key) goes to ``json.dumps`` whole, so its output
-    and its errors are json's own.
-    """
-    parts = []
-    try:
-        _encode(payload, parts, "\n")
-    except _NotPlain:
-        return json.dumps(payload, indent=2)
-    return "".join(parts)
-
-
 def _write_json(path, payload) -> None:
-    _write_file(path, (_indented_json(payload) + "\n").encode("utf-8"))
+    _write_file(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
 def _write_manifest(outdir, argv, inputs: dict, seed, method, timings) -> None:
@@ -268,7 +188,7 @@ def _write_plan_json(
         f'  "entries": {_json_list(entries, "  ")},\n'
         f'  "duals": {duals},\n'
         f'  "method": {encode_basestring_ascii(method)},\n'
-        f'  "unique": {_CONSTANTS(solution.unique)}\n}}\n'
+        f'  "unique": {"true" if solution.unique else "false"}\n}}\n'
     )
     _write_file(path, document.encode("utf-8"))
 

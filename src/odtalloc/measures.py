@@ -282,19 +282,14 @@ def _read_table(path, data, header_hint: str, min_columns: int, noun: str, check
     return ids, np.ascontiguousarray(table[:, :-1]), table[:, -1].copy()
 
 
-def _write_csv(path, header: list[str], rows, lineterminator: str = "\r\n") -> None:
-    """Write a header and rows as one CSV file; csv writes Python floats as their repr."""
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator=lineterminator)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_file(path, buffer.getvalue().encode("utf-8"))
-
-
 def _write_table(path, columns: list[str], ids, coords, weights) -> None:
     """Write an ``id,<columns>,weight`` table, floats as shortest round-trip reprs."""
     rows = zip(ids, coords.tolist(), weights.tolist())
-    _write_csv(path, ["id", *columns, "weight"], ([label, *row, w] for label, row, w in rows))
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["id", *columns, "weight"])
+    writer.writerows([label, *row, w] for label, row, w in rows)
+    _write_file(path, buffer.getvalue().encode("utf-8"))
 
 
 def load_agents_csv(path, data: bytes | None = None) -> DiscreteMeasure:

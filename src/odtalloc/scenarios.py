@@ -35,7 +35,21 @@ _NORMAL_BOUND = math.sqrt(-2.0 * math.log(2.0**-53))
 
 
 def _floats(value) -> np.ndarray | None:
-    """A params value as a float array, or None when it holds no numbers of one shape."""
+    """A params value as a float array, or None when it holds no numbers of one shape.
+
+    A string or bool anywhere in it gives None too: numpy would read "2" and
+    True as numbers, and ``[0, True]`` as an int array.
+    """
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            if item.dtype.kind not in "iuf":
+                return None
+        elif isinstance(item, (str, bool, np.bool_)):
+            return None
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -65,7 +79,7 @@ class ScenarioSpec:
         if self.kind == "gaussian_mixture":
             spread = _floats(self.params.get("spread", 1.0))
             if spread is None or spread.ndim != 0 or not 0.0 < spread < np.inf:
-                raise InvalidSpec("spread must be positive and finite", field="spread")
+                raise InvalidSpec("spread must be a positive finite number", field="spread")
             counts, reach = {}, 0.0
             for key in ("means_origin", "means_destination", "means_agent"):
                 means = _floats(self.params.get(key, [[0.0] * self.dim]))
@@ -91,7 +105,7 @@ class ScenarioSpec:
                 raise InvalidSpec("city_box instances are 2-D", field="dim")
             box = _floats(self.params.get("box", DEFAULT_BOX))
             if box is None or box.shape != (4,):
-                raise InvalidSpec("box must be [min0, min1, max0, max1]", field="box")
+                raise InvalidSpec("box must be 4 numbers [min0, min1, max0, max1]", field="box")
             if not np.isfinite(box).all():
                 raise InvalidSpec("box corners must be finite", field="box")
             if not (box[2] > box[0] and box[3] > box[1]):

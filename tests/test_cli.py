@@ -140,7 +140,13 @@ class TestGen:
             ("gaussian_mixture", "[1]", "params"),
             ("gaussian_mixture", '{"spread": "x"}', "spread"),
             ("gaussian_mixture", '{"means_agent": [1]}', "means_agent"),
+            ("gaussian_mixture", '{"spread": "2"}', "spread"),
+            ("gaussian_mixture", '{"spread": true}', "spread"),
+            ("gaussian_mixture",
+             '{"means_origin": [["1", "2"]], "means_destination": [[0, 0]]}', "means_origin"),
             ("city_box", '{"box": [0, 0, "a", 1]}', "box"),
+            ("city_box", '{"box": ["0", "0", "10", "10"]}', "box"),
+            ("city_box", '{"box": [0, 0, true, 1]}', "box"),
         ],
     )
     def test_malformed_params_are_usage_errors(self, tmp_path, capsys, kind, params, field):
@@ -489,6 +495,7 @@ class TestSolve:
         payload = json.loads(dump.read_text())
         assert payload["n_tasks"] == 2 and payload["n_agents"] == 2
         assert payload["values"] == [[0.0, 2.0], [2.0, 0.0]]
+        assert dump.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
     def test_manifest_splits_write_time(self, canonical, tmp_path):
         out = tmp_path / "sol"

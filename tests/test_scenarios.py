@@ -270,7 +270,19 @@ class TestSpecValidation:
             ("gaussian_mixture", {"means_agent": [[float("nan"), 0]]}, "means_agent"),
             ("gaussian_mixture", {"means_agent": [1]}, "means_agent"),
             ("gaussian_mixture", {"means_origin": []}, "means_origin"),
+            ("gaussian_mixture", {"spread": "2"}, "spread"),
+            ("gaussian_mixture", {"spread": True}, "spread"),
+            (
+                "gaussian_mixture",
+                {"means_origin": [["1", "2"]], "means_destination": [[0, 0]]},
+                "means_origin",
+            ),
             ("city_box", {"box": [0, 0, "a", 1]}, "box"),
+            ("city_box", {"box": ["0", "0", "10", "10"]}, "box"),
+            ("city_box", {"box": [0, 0, True, 1]}, "box"),
+            ("city_box", {"box": [0, 0, np.True_, 1]}, "box"),
+            ("city_box", {"box": np.array([0, 0, 1, 1], dtype=bool)}, "box"),
+            ("city_box", {"box": np.array(["0", "0", "1", "1"])}, "box"),
             ("city_box", {"box": 5}, "box"),
             ("city_box", {"box": [0, 0, float("inf"), 1]}, "box"),
             ("city_box", {"box": [-1e308, 0, 1e308, 1]}, "box"),
@@ -289,6 +301,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec) as err:
             ScenarioSpec(kind, 2, 2, 2, params=params)
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("gaussian_mixture", {"spread": np.float64(0.5), "means_agent": np.array([[1, 2]]),
+                                  "means_origin": [np.array([0.5, 1.0])]}),
+            ("city_box", {"box": np.array([0, 0, 10, 10], dtype=np.int32)}),
+            ("city_box", {"box": (0, 0, np.float32(10), 10)}),
+        ],
+    )
+    def test_numpy_numbers_generate_as_their_lists(self, kind, params):
+        as_lists = {key: np.asarray(value).tolist() for key, value in params.items()}
+        (tasks, agents), (tasks_ref, agents_ref) = (
+            generate(ScenarioSpec(kind, 2, 3, 2, seed=4, params=p)) for p in (params, as_lists)
+        )
+        assert_array_equal(tasks.origins, tasks_ref.origins)
+        assert_array_equal(tasks.destinations, tasks_ref.destinations)
+        assert_array_equal(agents.points, agents_ref.points)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec) as err:
