@@ -8,8 +8,6 @@ from .analysis import (
     ConditionReport,
     check_nestedness_1d,
     cross_difference,
-    indifference_set_distance,
-    monotone_map_1d,
     verify_monge,
     verify_nondegeneracy,
     verify_twist,
@@ -49,9 +47,7 @@ from .solver import (
     Solution,
     StabilityReport,
     TransportPlan,
-    brute_force_small,
     check_stability,
-    purity,
     solve,
     solve_entropic,
     solve_exact,

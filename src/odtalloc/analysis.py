@@ -1,5 +1,4 @@
-"""Numeric verifiers for the structural properties of the trip cost and the
-one-dimensional monotone-map oracle.
+"""Numeric verifiers for the structural properties of the trip cost.
 
 The trip cost has constant curvature in the (task, agent) pairing: the
 gradient-in-x map separates distinct agent positions at the fixed rate
@@ -16,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import grad_x, grad_y, mixed_hessian, reduced_cost
+from .cost import grad_x, mixed_hessian, reduced_cost
 from .errors import DimensionMismatch
 from .measures import DiscreteMeasure, TaskSet
 from .rng import rng_stream
-from .solver import TransportPlan
 
 
 @dataclass(frozen=True)
@@ -190,54 +188,3 @@ def check_nestedness_1d(
         k = int(np.argmax(increases))
         witness = (np.array([y_grid[k], y_grid[k + 1]]), np.array([thresholds[k], thresholds[k + 1]]))
     return ConditionReport("nestedness", passed, grid, worst, witness)
-
-
-def monotone_map_1d(
-    index_measure: DiscreteMeasure, agents: DiscreteMeasure
-) -> TransportPlan:
-    """Comonotone coupling of 1-D index and agent measures.
-
-    Sorts both sides ascending (stable) and pairs mass north-west-corner
-    style.  For the correlation cost -(s y) the cross difference is <= 0 on
-    ordered pairs, so this coupling is optimal and serves as an independent
-    oracle for 1-D reduced solves.  The reported objective is against
-    -(s_i y_j).
-    """
-    if index_measure.dim != 1 or agents.dim != 1:
-        raise DimensionMismatch("monotone map is defined for 1-D measures")
-    s = index_measure.points.ravel()
-    y = agents.points.ravel()
-    s_order = np.argsort(s, kind="stable")
-    y_order = np.argsort(y, kind="stable")
-    s_left = list(np.asarray(index_measure.weights)[s_order])
-    y_left = list(np.asarray(agents.weights)[y_order])
-    entries = []
-    objective = 0.0
-    a = b = 0
-    while a < len(s_left) and b < len(y_left):
-        mass = min(s_left[a], y_left[b])
-        if mass > 0.0:
-            i, j = int(s_order[a]), int(y_order[b])
-            entries.append((i, j, mass))
-            objective += mass * -(s[i] * y[j])
-        s_left[a] -= mass
-        y_left[b] -= mass
-        if s_left[a] <= y_left[b]:
-            a += 1
-        else:
-            b += 1
-    entries.sort()
-    return TransportPlan(tuple(entries), objective, len(s), len(y))
-
-
-def indifference_set_distance(o, d, y, k) -> float:
-    """Distance |4y - 2(o + d) - k| of a task to the indifference set at (y, k).
-
-    Zero exactly when the task (o, d) lies in the affine set where the
-    agent-gradient equals k; membership within 1e-9 counts as inside.
-    """
-    gradient = grad_y(o, d, y)
-    k = np.asarray(k, dtype=float).ravel()
-    if k.size != gradient.size:
-        raise DimensionMismatch("k must match the agent dimension")
-    return float(np.linalg.norm(gradient - k))

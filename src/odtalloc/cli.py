@@ -285,9 +285,13 @@ def _plan_text(data: bytes) -> str:
 
 
 def _json_number(value, what: str) -> float:
+    """A finite float from a JSON number; json.loads also gives NaN and +-Infinity."""
     if type(value) not in (int, float):  # json.loads gives these exact types
         raise ValueError(f"{what} {value!r} is not a JSON number")
-    return float(value)
+    value = float(value)
+    if not abs(value) < float("inf"):
+        raise ValueError(f"plan {what} {value!r} is not finite")
+    return value
 
 
 def _verify_stability(args, inputs: dict) -> dict:
@@ -303,11 +307,9 @@ def _verify_stability(args, inputs: dict) -> dict:
             for e in payload["entries"]
         )
         for _, _, mass in entries:
-            if not 0.0 <= mass < float("inf"):
-                raise ValueError(f"plan mass {mass!r} is negative or not finite")
+            if mass < 0.0:
+                raise ValueError(f"plan mass {mass!r} is negative")
         objective = _json_number(payload["objective"], "objective")
-        if not abs(objective) < float("inf"):
-            raise ValueError(f"plan objective {objective!r} is not finite")
         plan = TransportPlan(entries, objective, len(tasks), len(agents))
         duals = payload["duals"]
         if duals is not None:

@@ -51,10 +51,6 @@ class IterationLimit(AllocationError):
         self.violation = violation
 
 
-class TooLarge(AllocationError):
-    """Instance exceeds the size bound of an exhaustive routine."""
-
-
 class InvalidSpec(AllocationError):
     """A scenario specification field is invalid; carries the field name."""
 

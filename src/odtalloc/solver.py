@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix, reduction_constant
-from .errors import DimensionMismatch, IterationLimit, MassMismatch, TooLarge
+from .errors import DimensionMismatch, IterationLimit, MassMismatch
 from .measures import DiscreteMeasure, TaskSet, index_pushforward
 from .rng import rng_stream
 
-_MASS_DROP = 1e-14  # plan entries at or below this are not stored
+_MASS_DROP = 1e-14  # plan entries at or below this are not stored, nor counted in the objective
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
 _MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
 _BLAND_AFTER = 3  # Bland's rule prices after this many x (m + n) degenerate pivots in a row
@@ -323,7 +323,9 @@ def _plan_from_mass(mass, cost: np.ndarray, m: int, n: int) -> TransportPlan:
         for (i, j), value in sorted(mass.items())
         if value > _MASS_DROP
     )
-    objective = float(sum(value * cost[i, j] for (i, j), value in mass.items()))
+    objective = float(
+        sum(value * cost[i, j] for (i, j), value in mass.items() if value > _MASS_DROP)
+    )
     return TransportPlan(entries, objective, m, n)
 
 
@@ -614,95 +616,6 @@ def solve_entropic(
     return TransportPlan(entries, objective, mu.size, nu.size)
 
 
-def _enumerate_permutations(cost: np.ndarray) -> tuple[tuple, float]:
-    from itertools import permutations
-
-    size = cost.shape[0]
-    best_perm, best_total = None, np.inf
-    for perm in permutations(range(size)):
-        total = sum(cost[i, perm[i]] for i in range(size))
-        if total < best_total:
-            best_perm, best_total = perm, total
-    return best_perm, best_total
-
-
-def _tree_masses(edges, mu: np.ndarray, nu: np.ndarray):
-    """Masses forced by a candidate spanning-tree basis, or None if infeasible."""
-    m, n = mu.size, nu.size
-    degree = [0] * (m + n)
-    incident = [[] for _ in range(m + n)]
-    for idx, (i, j) in enumerate(edges):
-        degree[i] += 1
-        degree[m + j] += 1
-        incident[i].append(idx)
-        incident[m + j].append(idx)
-    if any(d == 0 for d in degree):
-        return None  # not spanning
-    supply = list(mu) + list(nu)
-    alive = [True] * len(edges)
-    masses = [0.0] * len(edges)
-    leaves = [node for node in range(m + n) if degree[node] == 1]
-    for _ in range(len(edges)):
-        if not leaves:
-            return None  # cycle: not a tree
-        node = leaves.pop()
-        edge_idx = next((e for e in incident[node] if alive[e]), None)
-        if edge_idx is None:
-            return None
-        i, j = edges[edge_idx]
-        other = m + j if node == i else i
-        masses[edge_idx] = supply[node]
-        if masses[edge_idx] < -1e-12:
-            return None  # infeasible vertex
-        supply[other] -= supply[node]
-        supply[node] = 0.0
-        alive[edge_idx] = False
-        degree[node] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
-    return [max(0.0, mass) for mass in masses]
-
-
-def brute_force_small(cost: CostMatrix, mu_w, nu_w) -> TransportPlan:
-    """Exhaustive oracle for small instances.
-
-    Uniform square instances (N = n_tasks = n_agents <= 8) minimize over
-    all permutation couplings.  Otherwise, with n_tasks + n_agents <= 8,
-    every spanning-tree basis of the transportation polytope is enumerated
-    and the best feasible vertex returned.
-    """
-    from itertools import combinations
-
-    mu, nu = _checked_weights(cost, mu_w, nu_w)
-    C = cost.values
-    m, n = C.shape
-    uniform = (
-        m == n
-        and np.allclose(mu, 1.0 / m, atol=1e-12)
-        and np.allclose(nu, 1.0 / n, atol=1e-12)
-    )
-    if uniform:
-        if m > 8:
-            raise TooLarge(f"permutation oracle bounded at 8x8, got {m}x{n}")
-        perm, total = _enumerate_permutations(C)
-        entries = tuple(sorted((i, perm[i], 1.0 / m) for i in range(m)))
-        return TransportPlan(entries, total / m, m, n)
-
-    if m + n > 8:
-        raise TooLarge(f"vertex enumeration bounded at m+n<=8, got {m}+{n}")
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    best_masses, best_edges, best_total = None, None, np.inf
-    for edges in combinations(cells, m + n - 1):
-        masses = _tree_masses(edges, mu, nu)
-        if masses is None:
-            continue
-        total = sum(mass * C[i, j] for (i, j), mass in zip(edges, masses))
-        if total < best_total - 1e-15:
-            best_masses, best_edges, best_total = masses, edges, total
-    return _plan_from_mass(dict(zip(best_edges, best_masses)), C, m, n)
-
-
 def check_stability(
     plan: TransportPlan, duals: DualPotentials, cost: CostMatrix, tol: float = 1e-8
 ) -> StabilityReport:
@@ -719,7 +632,8 @@ def check_stability(
     gap = duals.u[:, None] + duals.v[None, :] - cost.values
     max_violation = float(gap.max())
     if plan.entries:
-        max_slack = max(abs(float(gap[i, j])) for i, j, _ in plan.entries)
+        rows, cols, _ = zip(*plan.entries)
+        max_slack = float(np.abs(gap[rows, cols]).max())  # a nan slack stays nan
     else:
         max_slack = 0.0
     return StabilityReport(
@@ -727,26 +641,6 @@ def check_stability(
         max_slack_on_support=max_slack,
         passed=(max_violation <= bound and max_slack <= bound),
     )
-
-
-def purity(plan: TransportPlan, tol: float = 1e-9) -> float:
-    """Fraction of task weight whose row is carried by a single plan entry.
-
-    A row counts as pure when its largest entry holds at least (1 - tol)
-    of the row mass.
-    """
-    row_mass = {}
-    row_max = {}
-    for i, _, mass in plan.entries:
-        row_mass[i] = row_mass.get(i, 0.0) + mass
-        row_max[i] = max(row_max.get(i, 0.0), mass)
-    total = sum(row_mass.values())
-    if total <= 0.0:
-        return 0.0
-    pure = sum(
-        mass for i, mass in row_mass.items() if row_max[i] >= (1.0 - tol) * mass
-    )
-    return pure / total
 
 
 def support_is_unique(
@@ -810,10 +704,11 @@ def solve(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "reduced":
-        reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
+        # checked before the pushforward: an index o + d that overflows makes alpha inf too
         alpha, beta = marginal_terms(tasks, agents)
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
             raise DimensionMismatch("cost matrix has non-finite entries")  # as the full cost would
+        reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
         plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
         return Solution(
             plan,

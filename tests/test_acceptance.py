@@ -10,7 +10,6 @@ import numpy as np
 from odtalloc.analysis import (
     check_nestedness_1d,
     cross_difference,
-    monotone_map_1d,
     verify_nondegeneracy,
     verify_twist,
 )
@@ -30,13 +29,13 @@ from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import (
     DualPotentials,
-    brute_force_small,
     check_stability,
     solve_entropic,
     solve,
     solve_exact,
     support_is_unique,
 )
+from oracles import brute_force_small, monotone_map_1d
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 

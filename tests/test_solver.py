@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 
 import odtalloc.solver
 from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix
-from odtalloc.errors import IterationLimit, MassMismatch, TooLarge
+from odtalloc.errors import IterationLimit, MassMismatch
 from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
 from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
@@ -21,14 +21,13 @@ from odtalloc.solver import (
     _logsumexp,
     _plan_from_mass,
     _transportation_simplex,
-    brute_force_small,
     check_stability,
-    purity,
     solve,
     solve_entropic,
     solve_exact,
     support_is_unique,
 )
+from oracles import TooLarge, brute_force_small, purity
 
 CANONICAL = CostMatrix([[0.0, 2.0], [2.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -259,6 +258,26 @@ class TestSolveExact:
             plan, _ = solve_exact(cost, mu, nu)
             oracle = brute_force_small(cost, mu, nu)
             assert abs(plan.objective - oracle.objective) <= 1e-9
+        # ties leave basis cells with residual mass, which the plan drops and so must
+        # its objective: <c, plan> of the oracle's stored entries, not of its basis
+        tied = [(
+            CostMatrix(1e6 * np.array([[1, 1, 0], [1, 0, 1], [2, 0, 0], [0, 1, 2], [0, 1, 0]])),
+            np.array([4, 3, 2, 2, 4]) / 15,
+            np.array([4, 3, 3]) / 10,
+        )]
+        for trial in range(60):
+            m = 2 + trial % 4
+            n = 2 + (trial // 4) % (7 - m)
+            scale = 10.0 ** (trial % 7)
+            cost = CostMatrix(scale * np.floor(3 * np.array(rng.uniforms(m * n))).reshape(m, n))
+            mu = np.floor(5 * np.array(rng.uniforms(m)))  # integer weights 0-4
+            nu = np.floor(5 * np.array(rng.uniforms(n)))
+            if mu.sum() and nu.sum():
+                tied.append((cost, mu / mu.sum(), nu / nu.sum()))
+        for cost, mu, nu in tied:
+            plan, _ = solve_exact(cost, mu, nu)
+            oracle = float((brute_force_small(cost, mu, nu).to_dense() * cost.values).sum())
+            assert abs(plan.objective - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
     def test_marginals_and_basis_bound(self):
         rng = rng_stream(103)
@@ -472,6 +491,13 @@ class TestStability:
         plan = TransportPlan(((0, 0, 1.0),), 4.0, 1, 1)
         report = check_stability(plan, DualPotentials([1.0], [3.0]), CostMatrix([[4.0]]))
         assert report.passed
+
+    def test_nan_slack_on_support_fails(self):
+        # the nan slack is on the plan's second entry, after a zero slack
+        plan, _ = solve_exact(CANONICAL, HALF, HALF)
+        report = check_stability(plan, DualPotentials([0.0, np.nan], [0.0, 0.0]), CANONICAL)
+        assert np.isnan(report.max_slack_on_support)
+        assert not report.passed
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_bad_tol_rejected(self, tol):
