@@ -1,12 +1,17 @@
+import importlib
+import math
+import pkgutil
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
+import odtalloc
 import odtalloc.solver
 from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix
 from odtalloc.errors import IterationLimit, MassMismatch
@@ -220,6 +225,19 @@ def _drawn_entropic_instances(draw):
     return TaskSet(points(m), points(m), weights(m)), DiscreteMeasure(points(n), weights(n))
 
 
+@st.composite
+def _tied_instances(draw):
+    # integer costs 0-2 x 10^k and integer weights 0-4 leave degenerate bases
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8 - m))
+    scale = 10.0 ** draw(st.integers(0, 6))
+    values = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                           min_size=m, max_size=m))
+    mu = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
+    nu = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+    return scale, values, mu, nu
+
+
 class TestSolveExact:
     def test_canonical_diagonal(self):
         # oracle: only two permutation couplings, diagonal costs 0, other 2
@@ -278,6 +296,26 @@ class TestSolveExact:
             plan, _ = solve_exact(cost, mu, nu)
             oracle = float((brute_force_small(cost, mu, nu).to_dense() * cost.values).sum())
             assert abs(plan.objective - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+    def test_tied_zero_cost_plan_states_zero_objective(self):
+        # every stored entry lies on a zero-cost cell; the basis keeps residual mass on
+        # costly cells, which the plan drops and so must not count in its objective
+        cost = CostMatrix(1e6 * np.array([[1, 1, 0], [1, 0, 1], [2, 0, 0], [0, 1, 2], [0, 1, 0]]))
+        plan, _ = solve_exact(cost, np.array([4, 3, 2, 2, 4]) / 15, np.array([4, 3, 3]) / 10)
+        assert all(cost.values[i, j] == 0.0 for i, j, _ in plan.entries)
+        assert plan.objective == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tied_instances())
+    @example((10.0, [[1, 2, 2, 0, 1, 1], [0, 2, 1, 2, 1, 0]], [2, 2], [1, 0, 0, 3, 0, 2]))
+    @example((1e4, [[0, 0, 2], [2, 1, 1], [0, 1, 1], [2, 0, 2], [1, 1, 0]], [4, 0, 0, 4, 2], [1, 3, 1]))
+    def test_objective_is_the_cost_of_the_stored_entries(self, instance):
+        scale, values, mu, nu = (np.array(part) for part in instance)
+        cost = CostMatrix(scale * values)
+        plan, _ = solve_exact(cost, mu / mu.sum(), nu / nu.sum())
+        stored = math.fsum(mass * cost.values[i, j] for i, j, mass in plan.entries)
+        # at most 7 non-negative terms: the sums differ by a few ulps, and not at all at 0
+        assert abs(plan.objective - stored) <= 1e-14 * stored
 
     def test_marginals_and_basis_bound(self):
         rng = rng_stream(103)
@@ -471,6 +509,17 @@ class TestBruteForce:
         plan = brute_force_small(cost, [1.0], nu)
         assert_allclose(plan.to_dense().ravel(), nu)
         assert abs(plan.objective - (0.2 + 0.6 + 1.5)) <= 1e-12
+
+
+def test_package_ships_no_test_oracles():
+    # the reference implementations live in tests/oracles.py, reached only by the tests
+    moved = {"brute_force_small", "_tree_masses", "_enumerate_permutations", "TooLarge",
+             "monotone_map_1d", "purity", "indifference_set_distance"}
+    modules = [importlib.import_module(f"odtalloc.{info.name}")
+               for info in pkgutil.iter_modules(odtalloc.__path__)]
+    for module in [odtalloc, *modules]:
+        assert not moved & set(vars(module)), module.__name__
+    assert not moved & set(odtalloc.__all__)
 
 
 class TestStability:
