@@ -144,11 +144,11 @@ def index_pushforward(tasks: TaskSet) -> DiscreteMeasure:
     Weights are passed through unchanged (bit-identical), one atom per task,
     so task identity is preserved by position.  Distinct tasks may map to
     the same index point; they are then interchangeable for the reduced
-    objective.
+    objective.  An index that overflows is rejected as a non-finite coordinate.
     """
-    return DiscreteMeasure(
-        tasks.origins + tasks.destinations, tasks.weights, ids=tasks.ids
-    )
+    with np.errstate(over="ignore"):
+        index_points = tasks.origins + tasks.destinations
+    return DiscreteMeasure(index_points, tasks.weights, ids=tasks.ids)
 
 
 def project_lonlat(points, ref) -> np.ndarray:

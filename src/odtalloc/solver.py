@@ -34,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix, reduction_constant
-from .errors import DimensionMismatch, IterationLimit, MassMismatch
+from .errors import AllocationError, DimensionMismatch, IterationLimit, MassMismatch
 from .measures import DiscreteMeasure, TaskSet, index_pushforward
 from .rng import rng_stream
 
 _MASS_DROP = 1e-14  # plan entries at or below this are not stored, nor counted in the objective
+_MASS_TOL = 1e-9  # the total masses, and a certified plan's row and column sums, match to this
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
 _MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
 _BLAND_AFTER = 3  # Bland's rule prices after this many x (m + n) degenerate pivots in a row
@@ -105,6 +106,9 @@ class DualPotentials:
 class StabilityReport:
     max_violation: float
     max_slack_on_support: float
+    max_marginal_error: float
+    recomputed_objective: float  # <c, plan>, recomputed from the plan's entries
+    objective_ok: bool  # the plan's stated objective is within the bound of <c, plan>
     passed: bool
 
 
@@ -115,7 +119,7 @@ def _checked_weights(cost: CostMatrix, mu_w, nu_w) -> tuple[np.ndarray, np.ndarr
         raise DimensionMismatch(
             f"cost is {cost.n_tasks}x{cost.n_agents}, weights are {mu.size}/{nu.size}"
         )
-    if abs(mu.sum() - nu.sum()) > 1e-9:
+    if abs(mu.sum() - nu.sum()) > _MASS_TOL:
         raise MassMismatch(f"total masses differ: {mu.sum()!r} vs {nu.sum()!r}")
     return mu, nu
 
@@ -617,29 +621,35 @@ def solve_entropic(
 
 
 def check_stability(
-    plan: TransportPlan, duals: DualPotentials, cost: CostMatrix, tol: float = 1e-8
+    plan: TransportPlan, duals: DualPotentials, cost: CostMatrix, mu_w, nu_w, tol: float = 1e-8
 ) -> StabilityReport:
-    """No-blocking-pair check: u_i + v_j <= c_ij everywhere, equality on support.
+    """Optimality certificate: u_i + v_j <= c_ij everywhere, equality on support.
 
-    ``tol`` is relative to max(1, max|c_ij|), the scale the simplex prices with:
+    It also needs the plan's row and column sums within ``_MASS_TOL`` of
+    ``mu_w`` and ``nu_w``, and ``plan.objective`` equal to <c, plan>.  ``tol``
+    is relative to max(1, max|c_ij|), the scale the simplex prices with:
     costs near 1e8 (city boxes in meters) have a float spacing above 1e-8.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    mu, nu = _checked_weights(cost, mu_w, nu_w)
     if duals.u.size != cost.n_tasks or duals.v.size != cost.n_agents:
         raise DimensionMismatch("dual sizes do not match the cost matrix")
     bound = tol * max(1.0, float(np.abs(cost.values).max()))
-    gap = duals.u[:, None] + duals.v[None, :] - cost.values
-    max_violation = float(gap.max())
-    if plan.entries:
-        rows, cols, _ = zip(*plan.entries)
-        max_slack = float(np.abs(gap[rows, cols]).max())  # a nan slack stays nan
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = duals.u[:, None] + duals.v[None, :] - cost.values
+        max_violation = float(gap.max())
         max_slack = 0.0
+        if plan.entries:
+            rows, cols, _ = zip(*plan.entries)
+            max_slack = float(np.abs(gap[rows, cols]).max())  # a nan slack stays nan
+        dense = plan.to_dense()
+        marginal_error = _marginals(dense, mu, nu)[2]
+        recomputed = float((dense * cost.values).sum())  # an inf or nan fails the check below
+    objective_ok = abs(plan.objective - recomputed) <= bound
+    passed = max_violation <= bound and max_slack <= bound and marginal_error <= _MASS_TOL
     return StabilityReport(
-        max_violation=max_violation,
-        max_slack_on_support=max_slack,
-        passed=(max_violation <= bound and max_slack <= bound),
+        max_violation, max_slack, marginal_error, recomputed, objective_ok, passed and objective_ok
     )
 
 
@@ -671,13 +681,12 @@ def support_is_unique(
 
 @dataclass(frozen=True)
 class Solution:
-    """A plan with its trip-cost objective, trip-cost duals and ``support_is_unique``.
+    """A plan whose objective is its trip cost, the trip-cost duals and ``support_is_unique``.
 
     ``entropic`` solutions carry no duals and are never marked unique.
     """
 
     plan: TransportPlan
-    objective: float
     duals: DualPotentials | None
     unique: bool
 
@@ -695,11 +704,12 @@ def solve(
     ``exact`` runs ``solve_exact`` on the trip-cost matrix: an assignment
     when the instance is uniform and square, the simplex otherwise.
     ``reduced`` runs it on the rank-n cost of s = o + d and lifts objective
-    and duals back through ``marginal_terms``.  Both pass the duals of the
-    matrix they solved (for ``reduced``, before the lift) to
-    ``support_is_unique``.  ``entropic`` runs Sinkhorn on the trip-cost
-    matrix; ``epsilon`` defaults to 1e-3 x the cost spread, but no less than
-    1e-6 x the largest |cost|, and ``tol`` and ``max_iter`` apply to it alone.
+    and duals back through ``marginal_terms``; an overflow there raises.
+    Both pass the duals of the matrix they solved (for ``reduced``, before
+    the lift) to ``support_is_unique``.  ``entropic`` runs Sinkhorn on the
+    trip-cost matrix; ``epsilon`` defaults to 1e-3 x the cost spread, but no
+    less than 1e-6 x the largest |cost|, and ``tol`` and ``max_iter`` apply
+    to it alone.  Every plan's ``objective`` is its trip cost.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -710,17 +720,19 @@ def solve(
             raise DimensionMismatch("cost matrix has non-finite entries")  # as the full cost would
         reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
         plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
-        return Solution(
-            plan,
-            reduction_constant(tasks, agents) + 2.0 * plan.objective,
-            DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v),
-            support_is_unique(reduced, tasks.weights, agents.weights, plan, duals),
-        )
+        unique = support_is_unique(reduced, tasks.weights, agents.weights, plan, duals)
+        with np.errstate(over="ignore", invalid="ignore"):  # K and 2 v can overflow, c not
+            objective = reduction_constant(tasks, agents) + 2.0 * plan.objective
+            duals = DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
+        if not all(np.isfinite(x).all() for x in (objective, duals.u, duals.v)):
+            raise AllocationError("reduced objective or duals overflow in the trip-cost lift")
+        plan = TransportPlan(plan.entries, objective, plan.n_tasks, plan.n_agents)
+        return Solution(plan, duals, unique)
     cost = cost_matrix(tasks, agents)
     if method == "exact":
         plan, duals = solve_exact(cost, tasks.weights, agents.weights)
         unique = support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
-        return Solution(plan, plan.objective, duals, unique)
+        return Solution(plan, duals, unique)
     if epsilon is None:
         # (f + g - c) / eps carries a rounding error near 1e-16 x max|c| / eps, which the
         # floor keeps near 1e-10, well below tol; a constant cost has spread 0
@@ -730,4 +742,4 @@ def solve(
     plan = solve_entropic(
         cost, tasks.weights, agents.weights, epsilon=epsilon, tol=tol, max_iter=max_iter
     )
-    return Solution(plan, plan.objective, None, False)
+    return Solution(plan, None, False)

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
-import json
 import math
 import time
 
@@ -93,7 +92,7 @@ def test_criterion_2_reduction_equivalence():
         n = 2 + rng.next_u64() % 49
         tasks, agents = _random_instance(rng, int(m), int(n), dim, uniform=(trial % 2 == 0))
         reduced = solve(tasks, agents, "reduced")
-        plan_red, objective_full = reduced.plan, reduced.objective
+        plan_red, objective_full = reduced.plan, reduced.plan.objective
         full_cost = cost_matrix(tasks, agents)
         plan_exact, duals_exact = solve_exact(full_cost, tasks.weights, agents.weights)
         worst = max(worst, abs(objective_full - plan_exact.objective))
@@ -211,21 +210,22 @@ def test_criterion_6_duality_stability():
         tasks, agents = _random_instance(rng, m, n, 2, uniform=(trial % 2 == 0))
         cost = cost_matrix(tasks, agents)
         plan, duals = solve_exact(cost, tasks.weights, agents.weights)
-        all_pass &= check_stability(plan, duals, cost, tol=1e-8).passed
+        mu, nu = tasks.weights, agents.weights
+        all_pass &= check_stability(plan, duals, cost, mu, nu, tol=1e-8).passed
         if trial < 3:
             for index in range(m):
                 for delta in (1e-3, -1e-3):
                     bad_u = duals.u.copy()
                     bad_u[index] += delta
                     corrupt_detected &= not check_stability(
-                        plan, DualPotentials(bad_u, duals.v), cost, tol=1e-8
+                        plan, DualPotentials(bad_u, duals.v), cost, mu, nu, tol=1e-8
                     ).passed
             for index in range(n):
                 for delta in (1e-3, -1e-3):
                     bad_v = duals.v.copy()
                     bad_v[index] += delta
                     corrupt_detected &= not check_stability(
-                        plan, DualPotentials(duals.u, bad_v), cost, tol=1e-8
+                        plan, DualPotentials(duals.u, bad_v), cost, mu, nu, tol=1e-8
                     ).passed
     ok = all_pass and corrupt_detected
     assert _report(

@@ -11,7 +11,7 @@ from odtalloc.analysis import (
     verify_nondegeneracy,
     verify_twist,
 )
-from odtalloc.cost import reduced_cost, reduced_cost_matrix, trip_cost
+from odtalloc.cost import reduced_cost_matrix, trip_cost
 from odtalloc.errors import DimensionMismatch
 from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
 from odtalloc.rng import rng_stream

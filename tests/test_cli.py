@@ -429,6 +429,31 @@ class TestSolve:
             assert done.stderr == "error: cost matrix has non-finite entries\n"
             assert not (tmp_path / "sol").exists()
 
+    def test_overflowing_reduced_lift_is_one_error_line(self, tmp_path):
+        # the trip cost 1.8e307 is finite, but K and 2 x the reduced dual overflow; in a
+        # subprocess, so numpy warnings reach the stderr that is checked
+        (tmp_path / "tasks.csv").write_text("id,o1,d1,weight\nt0,6e153,6e153,1\n")
+        (tmp_path / "agents.csv").write_text("id,y1,weight\na0,9e153,1\n")
+        files = ["--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv")]
+        for method in ("reduced", "exact"):
+            out = tmp_path / method
+            done = subprocess.run(
+                [sys.executable, "-m", "odtalloc.cli", "solve", *files, "--method", method,
+                 "--out", str(out)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=60,
+            )
+            if method == "reduced":
+                assert done.returncode == 2
+                assert done.stderr == (
+                    "error: reduced objective or duals overflow in the trip-cost lift\n"
+                )
+                assert not out.exists()
+            else:
+                assert done.returncode == 0 and done.stderr == ""
+                plan = json.loads((out / "plan.json").read_text())
+                assert plan["objective"] == 1.7999999999999998e307
+
     @pytest.mark.parametrize("epsilon", ["1e300", "1e306"])
     def test_overflowing_potentials_are_one_error_line(self, tmp_path, epsilon):
         # the Newton attempts' larger eps overflow the potentials, and no attempt can reach
@@ -883,6 +908,38 @@ class TestVerify:
         assert "<c, plan> = inf" in json.loads((tmp_path / "v" / "report.json").read_text())["note"]
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("case", ["duals", "masses"])
+    def test_overflowing_certificate_fails_quietly(self, canonical, tmp_path, capsys, case):
+        # duals of 1e308 overflow u_i + v_j, two masses of 1e308 in t0's row its row sum;
+        # a numpy warning would raise here
+        sol = tmp_path / "sol"
+        files = ["--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv")]
+        assert run("solve", *files, "--out", str(sol)) == 0
+        payload = json.loads((sol / "plan.json").read_text())
+        if case == "duals":
+            payload["duals"] = {"u": [1e308, 1e308], "v": [1e308, 1e308]}
+        else:
+            payload["entries"] = [{"task": "t0", "agent": agent, "mass": 1e308}
+                                  for agent in ("a0", "a1")]
+        (tmp_path / "plan.json").write_text(json.dumps(payload))
+        assert run("verify", "--check", "stability", "--plan", str(tmp_path / "plan.json"),
+                   *files, "--out", str(tmp_path / "v")) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_overflowing_index_point_is_one_error_line(self, tmp_path):
+        # o + d of t0 overflows; in a subprocess, so numpy warnings reach the stderr checked
+        (tmp_path / "tasks.csv").write_text("id,o1,d1,weight\nt0,1e308,1e308,1\nt1,0.5,0.5,1\n")
+        (tmp_path / "agents.csv").write_text("id,y1,weight\na0,0.0,1\na1,1.0,1\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "odtalloc.cli", "verify", "--check", "nestedness",
+             "--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv"),
+             "--out", str(tmp_path / "v")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: non-finite coordinate in measure\n"
+        assert not (tmp_path / "v").exists()
+
     def test_plan_marginals_revalidated(self, canonical, tmp_path):
         sol = tmp_path / "sol"
         run("solve", "--tasks", str(canonical / "tasks.csv"),
@@ -987,11 +1044,11 @@ def _plan_outputs(draw):
         pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
                               max_size=8))
     mass = _PLAN_FLOATS | _PLAN_FLOATS.map(np.float64)
-    plan = TransportPlan(tuple((i, j, draw(mass)) for i, j in pairs), 0.0, m, n)
+    plan = TransportPlan(tuple((i, j, draw(mass)) for i, j in pairs), draw(_PLAN_FLOATS), m, n)
     duals = None
     if draw(st.booleans()):
         duals = DualPotentials(*([draw(_PLAN_FLOATS) for _ in range(k)] for k in (m, n)))
-    solution = Solution(plan, draw(_PLAN_FLOATS), duals, draw(st.booleans()))
+    solution = Solution(plan, duals, draw(st.booleans()))
     return solution, draw(st.sampled_from(METHODS)), tasks, agents
 
 
@@ -1042,7 +1099,7 @@ class TestFiles:
         odtalloc.cli._write_plot_csv(base / "plot.csv", solution.plan, tasks, agents)
         duals = solution.duals
         document = {
-            "objective": solution.objective,
+            "objective": solution.plan.objective,
             "entries": [
                 {"task": tasks.ids[i], "agent": agents.ids[j], "mass": mass}
                 for i, j, mass in solution.plan.entries

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from odtalloc.cost import (
-    CostMatrix,
     DynamicsSpec,
     cost_matrix,
     grad_x,

@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 
 import odtalloc
 import odtalloc.solver
-from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix
+from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix, reduction_constant
 from odtalloc.errors import IterationLimit, MassMismatch
 from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
 from odtalloc.rng import rng_stream
@@ -331,7 +331,7 @@ class TestSolveExact:
             assert np.abs(plan.col_sums() - nu).max() <= 1e-9
             assert len(plan.entries) <= m + n - 1
             assert all(mass > 0 for _, _, mass in plan.entries)
-            assert check_stability(plan, duals, cost).passed
+            assert check_stability(plan, duals, cost, mu, nu).passed
 
     def test_degenerate_ties_terminate(self):
         for size in (3, 5, 7):
@@ -339,7 +339,7 @@ class TestSolveExact:
             w = np.full(size, 1.0 / size)
             for plan, duals in (solve_exact(cost, w, w), _simplex(cost, w, w)):
                 assert abs(plan.objective - 1.0) <= 1e-12
-                assert check_stability(plan, duals, cost).passed
+                assert check_stability(plan, duals, cost, w, w).passed
 
     def test_blands_rule_matches_default_pricing(self, monkeypatch):
         # integer costs and weights give long degenerate runs; _BLAND_AFTER = 0 prices
@@ -358,7 +358,7 @@ class TestSolveExact:
             plan, duals = _simplex(cost, mu, nu)
             bound = 1e-12 * max(1.0, abs(default.objective))
             assert abs(plan.objective - default.objective) <= bound
-            assert check_stability(plan, duals, cost).passed
+            assert check_stability(plan, duals, cost, mu, nu).passed
 
     def test_uniform_instances_are_pure_permutations(self):
         rng = rng_stream(104)
@@ -419,8 +419,8 @@ class TestAssignmentPath:
         plan, duals = solve_exact(cost, w, w)
         reference, reference_duals = _simplex(cost, w, w)
         assert abs(plan.objective - reference.objective) <= 1e-12 * abs(reference.objective)
-        assert check_stability(plan, duals, cost).passed
-        assert check_stability(reference, reference_duals, cost).passed
+        assert check_stability(plan, duals, cost, w, w).passed
+        assert check_stability(reference, reference_duals, cost, w, w).passed
         assert duals.u[0] == 0.0
         # the simplex's own uniqueness surrogate: the same perturbation, re-solved by the simplex
         noise = np.array(rng_stream(_UNIQUENESS_SEED).uniforms(cost.values.size))
@@ -453,7 +453,7 @@ class TestAssignmentPath:
             assert all(mass[cell].hex() == ref_mass[cell].hex() for cell in mass)
             cost = CostMatrix(values)
             plan = _plan_from_mass(mass, values, size, size)
-            assert check_stability(plan, DualPotentials(u, v), cost).passed
+            assert check_stability(plan, DualPotentials(u, v), cost, w, w).passed
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -473,7 +473,7 @@ class TestAssignmentPath:
         assert abs(plan.objective - oracle.objective) <= 1e-12 * max(1.0, abs(oracle.objective))
         assert sorted(j for _, j, _ in plan.entries) == list(range(n))
         assert all(mass == w[0] for _, _, mass in plan.entries)
-        assert check_stability(plan, duals, cost).passed
+        assert check_stability(plan, duals, cost, w, w).passed
 
 
 class TestBruteForce:
@@ -525,34 +525,58 @@ def test_package_ships_no_test_oracles():
 class TestStability:
     def test_canonical_zero_duals(self):
         plan, _ = solve_exact(CANONICAL, HALF, HALF)
-        report = check_stability(plan, DualPotentials([0.0, 0.0], [0.0, 0.0]), CANONICAL)
+        zero = DualPotentials([0.0, 0.0], [0.0, 0.0])
+        report = check_stability(plan, zero, CANONICAL, HALF, HALF)
         assert report.max_violation == 0.0
         assert report.max_slack_on_support == 0.0
         assert report.passed
 
     def test_perturbed_dual_fails(self):
         plan, _ = solve_exact(CANONICAL, HALF, HALF)
-        report = check_stability(plan, DualPotentials([0.0, 0.0], [1.0, 0.0]), CANONICAL)
+        duals = DualPotentials([0.0, 0.0], [1.0, 0.0])
+        report = check_stability(plan, duals, CANONICAL, HALF, HALF)
         assert report.max_violation == 1.0
         assert not report.passed
 
     def test_forced_equality(self):
         plan = TransportPlan(((0, 0, 1.0),), 4.0, 1, 1)
-        report = check_stability(plan, DualPotentials([1.0], [3.0]), CostMatrix([[4.0]]))
+        duals = DualPotentials([1.0], [3.0])
+        report = check_stability(plan, duals, CostMatrix([[4.0]]), [1.0], [1.0])
         assert report.passed
 
     def test_nan_slack_on_support_fails(self):
         # the nan slack is on the plan's second entry, after a zero slack
         plan, _ = solve_exact(CANONICAL, HALF, HALF)
-        report = check_stability(plan, DualPotentials([0.0, np.nan], [0.0, 0.0]), CANONICAL)
+        duals = DualPotentials([0.0, np.nan], [0.0, 0.0])
+        report = check_stability(plan, duals, CANONICAL, HALF, HALF)
         assert np.isnan(report.max_slack_on_support)
+        assert not report.passed
+
+    def test_halved_masses_fail_on_the_marginals(self):
+        plan, duals = solve_exact(CANONICAL, HALF, HALF)
+        halved = TransportPlan(tuple((i, j, mass / 2) for i, j, mass in plan.entries), 0.0, 2, 2)
+        report = check_stability(halved, duals, CANONICAL, HALF, HALF)
+        assert report.max_marginal_error == 0.25
+        assert report.objective_ok and not report.passed
+
+    def test_misstated_objective_fails(self):
+        plan, duals = solve_exact(CANONICAL, HALF, HALF)
+        misstated = TransportPlan(plan.entries, 1.0, 2, 2)
+        report = check_stability(misstated, duals, CANONICAL, HALF, HALF)
+        assert report.recomputed_objective == 0.0 and report.max_marginal_error == 0.0
+        assert not report.objective_ok and not report.passed
+
+    def test_empty_plan_fails(self):
+        zero = DualPotentials([0.0, 0.0], [0.0, 0.0])
+        report = check_stability(TransportPlan((), 0.0, 2, 2), zero, CANONICAL, HALF, HALF)
+        assert report.max_marginal_error == 0.5
         assert not report.passed
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_bad_tol_rejected(self, tol):
         plan, duals = solve_exact(CANONICAL, HALF, HALF)
         with pytest.raises(ValueError):
-            check_stability(plan, duals, CANONICAL, tol=tol)
+            check_stability(plan, duals, CANONICAL, HALF, HALF, tol=tol)
 
 
 class TestPurity:
@@ -822,18 +846,17 @@ class TestReduction:
         agents = DiscreteMeasure([[0.0], [1.0]])
         reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
         assert_allclose(reduced.values, [[0.0, 0.0], [0.0, -2.0]])
-        solution = solve(tasks, agents, "reduced")
-        plan, full_objective = solution.plan, solution.objective
+        plan = solve(tasks, agents, "reduced").plan
         assert plan.support() == {(0, 0), (1, 1)}
-        assert plan.objective == -1.0
+        assert solve_exact(reduced, tasks.weights, agents.weights)[0].objective == -1.0
         exact, _ = solve_exact(cost_matrix(tasks, agents), tasks.weights, agents.weights)
-        assert abs(full_objective - exact.objective) <= 1e-12
-        assert full_objective == 0.0
+        assert abs(plan.objective - exact.objective) <= 1e-12
+        assert plan.objective == 0.0
 
     def test_forced_pair_gives_trip_cost(self):
         tasks = TaskSet([[1.0, 0.0]], [[0.0, 1.0]])
         agents = DiscreteMeasure([[0.3, 0.3]])
-        full_objective = solve(tasks, agents, "reduced").objective
+        full_objective = solve(tasks, agents, "reduced").plan.objective
         expected = cost_matrix(tasks, agents).values[0, 0]
         assert abs(full_objective - expected) <= 1e-12
 
@@ -847,7 +870,7 @@ class TestReduction:
             mu, nu = _balanced(tasks, agents)
             tasks = TaskSet(tasks.origins, tasks.destinations, mu)
             agents = DiscreteMeasure(agents.points, nu)
-            full_objective = solve(tasks, agents, "reduced").objective
+            full_objective = solve(tasks, agents, "reduced").plan.objective
             exact, _ = solve_exact(cost_matrix(tasks, agents), mu, nu)
             assert abs(full_objective - exact.objective) <= 1e-8
 
@@ -921,7 +944,7 @@ class TestSolve:
         solution = solve(tasks, agents, "exact")
         cost = cost_matrix(tasks, agents)
         plan, duals = solve_exact(cost, tasks.weights, agents.weights)
-        assert solution.plan == plan and solution.objective == plan.objective
+        assert solution.plan == plan and solution.plan.objective == plan.objective
         assert_array_equal(solution.duals.u, duals.u)
         assert_array_equal(solution.duals.v, duals.v)
         unique = support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
@@ -930,7 +953,8 @@ class TestSolve:
     def test_reduced_duals_certify_the_trip_cost(self):
         tasks, agents = _random_instance(rng_stream(402), 9, 8, uniform=False)
         solution = solve(tasks, agents, "reduced")
-        assert check_stability(solution.plan, solution.duals, cost_matrix(tasks, agents)).passed
+        cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
+        assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
 
     def test_entropic_default_epsilon(self):
         tasks, agents = _random_instance(rng_stream(403), 5, 4, uniform=False)
@@ -939,6 +963,19 @@ class TestSolve:
         solution = solve(tasks, agents, "entropic")
         assert solution.plan == solve_entropic(cost, tasks.weights, agents.weights, epsilon)
         assert solution.duals is None and solution.unique is False
+
+    def test_every_method_states_the_trip_cost(self):
+        tasks, agents = _random_instance(rng_stream(405), 6, 5, uniform=False)
+        mu, nu = tasks.weights, agents.weights
+        cost = cost_matrix(tasks, agents)
+        reduced = solve_exact(reduced_cost_matrix(index_pushforward(tasks), agents), mu, nu)[0]
+        lifted = reduction_constant(tasks, agents) + 2.0 * reduced.objective
+        assert solve(tasks, agents, "reduced").plan.objective.hex() == lifted.hex()
+        exact = solve_exact(cost, mu, nu)[0]
+        assert solve(tasks, agents, "exact").plan.objective == exact.objective
+        epsilon = 1e-3 * float(cost.values.max() - cost.values.min())
+        entropic = solve_entropic(cost, mu, nu, epsilon)
+        assert solve(tasks, agents, "entropic").plan.objective == entropic.objective
 
     def test_unknown_method(self):
         tasks, agents = _random_instance(rng_stream(404), 2, 2)
@@ -949,11 +986,12 @@ class TestSolve:
     @given(_drawn_instances())
     def test_exact_and_reduced_agree_and_certify(self, instance):
         tasks, agents = instance
-        cost = cost_matrix(tasks, agents)
+        cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
         exact = solve(tasks, agents, "exact")
         reduced = solve(tasks, agents, "reduced")
-        assert abs(exact.objective - reduced.objective) <= 1e-9 * max(1.0, abs(exact.objective))
+        objective = exact.plan.objective
+        assert abs(objective - reduced.plan.objective) <= 1e-9 * max(1.0, abs(objective))
         for solution in (exact, reduced):
-            assert check_stability(solution.plan, solution.duals, cost).passed
+            assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
             assert np.abs(solution.plan.row_sums() - tasks.weights).max() <= 1e-9
             assert np.abs(solution.plan.col_sums() - agents.weights).max() <= 1e-9
