@@ -29,6 +29,7 @@ from .cost import (
     wpd_gramian,
 )
 from .measures import (
+    COORD_LIMIT,
     DiscreteMeasure,
     TaskSet,
     index_pushforward,

@@ -151,14 +151,6 @@ def _interp_knots(points: np.ndarray, weights: np.ndarray):
     return positions, values
 
 
-def _quantile(positions, values, q):
-    return np.interp(q, positions, values)
-
-
-def _cdf(positions, values, x):
-    return np.interp(x, values, positions)
-
-
 def check_nestedness_1d(
     tasks: TaskSet, agents: DiscreteMeasure, grid: int = 64
 ) -> ConditionReport:
@@ -178,8 +170,8 @@ def check_nestedness_1d(
     s_pos, s_val = _interp_knots(index.points.ravel(), index.weights)
     y_pos, y_val = _interp_knots(agents.points.ravel(), np.asarray(agents.weights))
     levels = np.linspace(0.0, 1.0, grid)
-    y_grid = _quantile(y_pos, y_val, levels)
-    thresholds = _quantile(s_pos, s_val, 1.0 - _cdf(y_pos, y_val, y_grid))
+    y_grid = np.interp(levels, y_pos, y_val)  # quantiles of the agents
+    thresholds = np.interp(1.0 - np.interp(y_grid, y_val, y_pos), s_pos, s_val)
     increases = np.diff(thresholds)
     worst = float(increases.max()) if increases.size else 0.0
     passed = worst <= 1e-12

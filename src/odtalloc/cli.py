@@ -84,14 +84,6 @@ def _load_inputs(args, inputs: dict) -> tuple[TaskSet, DiscreteMeasure]:
     return tasks, load_agents_csv(args.agents, _read_input(args.agents, inputs))
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_json(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
 def _write_json(path, payload) -> None:
     _write_file(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
@@ -173,16 +165,16 @@ def _write_plan_json(
     agent_ids = [*map(encode_basestring_ascii, agents.ids)]
     entries = [
         f'{{\n      "task": {task_ids[i]},\n      "agent": {agent_ids[j]},\n'
-        f'      "mass": {_float_json(mass)}\n    }}'
+        f'      "mass": {float.__repr__(mass)}\n    }}'
         for i, j, mass in solution.plan.entries
     ]
     duals = "null"
     if solution.duals is not None:
-        u, v = (_json_list([*map(_float_json, d.tolist())], "    ")
+        u, v = (_json_list([*map(float.__repr__, d.tolist())], "    ")
                 for d in (solution.duals.u, solution.duals.v))
         duals = f'{{\n    "u": {u},\n    "v": {v}\n  }}'
     document = (
-        f'{{\n  "objective": {_float_json(solution.plan.objective)},\n'
+        f'{{\n  "objective": {float.__repr__(solution.plan.objective)},\n'
         f'  "entries": {_json_list(entries, "  ")},\n'
         f'  "duals": {duals},\n'
         f'  "method": {encode_basestring_ascii(method)},\n'

@@ -120,11 +120,10 @@ def cost_matrix(tasks: TaskSet, agents: DiscreteMeasure) -> CostMatrix:
     if tasks.dim != agents.dim:
         raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
     o, d, y = tasks.origins, tasks.destinations, agents.points
-    with np.errstate(over="ignore"):  # an overflow is inf, which CostMatrix rejects
-        total = _squared_distances(o, y)  # pickup
-        total += ((o - d) ** 2).sum(axis=1)[:, None]  # shipping
-        total += _squared_distances(d, y)  # returning
-        return CostMatrix(total)
+    total = _squared_distances(o, y)  # pickup
+    total += ((o - d) ** 2).sum(axis=1)[:, None]  # shipping
+    total += _squared_distances(d, y)  # returning
+    return CostMatrix(total)
 
 
 def reduced_cost_matrix(index_measure: DiscreteMeasure, agents: DiscreteMeasure) -> CostMatrix:
@@ -133,8 +132,7 @@ def reduced_cost_matrix(index_measure: DiscreteMeasure, agents: DiscreteMeasure)
         raise DimensionMismatch(
             f"index dim {index_measure.dim} != agents dim {agents.dim}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # CostMatrix rejects inf and nan
-        return CostMatrix(-(index_measure.points @ agents.points.T))
+    return CostMatrix(-(index_measure.points @ agents.points.T))
 
 
 def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -142,12 +140,10 @@ def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray,
 
     c_ij = alpha_i + beta_j + 2 c_hat_ij, with c_hat_ij = -(o_i + d_i) . y_j,
     alpha_i = 2|o_i|^2 + 2|d_i|^2 - 2 o_i.d_i and beta_j = 2|y_j|^2.
-    An overflow gives an infinite term, which ``solve`` rejects.
     """
     o, d = tasks.origins, tasks.destinations
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
-        beta = 2.0 * (agents.points**2).sum(axis=1)
+    alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
+    beta = 2.0 * (agents.points**2).sum(axis=1)
     return alpha, beta
 
 

@@ -28,7 +28,7 @@ class DimensionMismatch(AllocationError):
 
 
 class OutOfRange(AllocationError):
-    """A geographic coordinate lies outside its valid range."""
+    """A coordinate lies outside its valid range: ``COORD_LIMIT``, or a longitude or latitude."""
 
 
 class NotControllable(AllocationError):

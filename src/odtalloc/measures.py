@@ -22,6 +22,17 @@ from .errors import AllZero, DimensionMismatch, NegativeWeight, OutOfRange, Pars
 
 EARTH_RADIUS_M = 6371000.0
 
+COORD_LIMIT = 1e100
+"""Largest |coordinate| a measure accepts (nan and inf are outside too).
+
+A trip cost is then at most 12 dim L^2 for L = COORD_LIMIT, and each sum the
+solvers form holds at most m + n such terms: assignment path sums, simplex
+duals, the re-solve's c - u - v, the reduced lift K + 2 c_hat, the
+certificate's u + v - c.  For any instance that fits in memory these stay
+below about 1e215, so no later step needs an overflow check.
+"""
+_RANGE = f"[-{COORD_LIMIT:g}, {COORD_LIMIT:g}]"
+
 _SUM_TOL = 1e-12
 
 
@@ -73,7 +84,7 @@ def _prepare_weights(weights, count: int) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point cloud in R^n with total mass 1.
+    """Weighted point cloud in R^n with total mass 1, coordinates within ``COORD_LIMIT``.
 
     ``ids`` are optional labels carried through from CSV ingestion;
     ``raw_total`` records the weight sum seen before normalization.
@@ -88,8 +99,9 @@ class DiscreteMeasure:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise DimensionMismatch("a measure needs at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ParseError("non-finite coordinate in measure")
+        outside = ~(np.abs(pts) <= COORD_LIMIT)
+        if outside.any():
+            raise OutOfRange(f"coordinate {float(pts[outside][0])!r} is outside {_RANGE}")
         w, total = _prepare_weights(self.weights, pts.shape[0])
         _check_ids(self.ids, pts.shape[0])
         pts.setflags(write=False)
@@ -144,11 +156,9 @@ def index_pushforward(tasks: TaskSet) -> DiscreteMeasure:
     Weights are passed through unchanged (bit-identical), one atom per task,
     so task identity is preserved by position.  Distinct tasks may map to
     the same index point; they are then interchangeable for the reduced
-    objective.  An index that overflows is rejected as a non-finite coordinate.
+    objective.  An index point beyond ``COORD_LIMIT`` is rejected, as any coordinate is.
     """
-    with np.errstate(over="ignore"):
-        index_points = tasks.origins + tasks.destinations
-    return DiscreteMeasure(index_points, tasks.weights, ids=tasks.ids)
+    return DiscreteMeasure(tasks.origins + tasks.destinations, tasks.weights, ids=tasks.ids)
 
 
 def project_lonlat(points, ref) -> np.ndarray:

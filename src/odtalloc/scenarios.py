@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
-from .measures import DiscreteMeasure, TaskSet, project_lonlat
+from .measures import _RANGE, COORD_LIMIT, DiscreteMeasure, TaskSet, project_lonlat
 from .rng import RngStream, box_muller, rng_stream
 
 KINDS = ("gaussian_mixture", "grid", "city_box")
@@ -85,14 +85,14 @@ class ScenarioSpec:
                 means = _floats(self.params.get(key, [[0.0] * self.dim]))
                 if means is None or means.shape[1:] != (self.dim,) or len(means) == 0:
                     raise InvalidSpec(f"{key} entries must be {self.dim}-vectors", field=key)
-                if not np.isfinite(means).all():
-                    raise InvalidSpec(f"{key} entries must be finite", field=key)
+                if not (np.abs(means) <= COORD_LIMIT).all():
+                    raise InvalidSpec(f"{key} entries must lie in {_RANGE}", field=key)
                 counts[key] = len(means)
                 reach = max(reach, float(np.abs(means).max()))
             # Python floats overflow to inf without numpy's warning
-            if not reach + float(spread) * _NORMAL_BOUND < math.inf:
+            if not reach + float(spread) * _NORMAL_BOUND <= COORD_LIMIT:
                 raise InvalidSpec(
-                    f"points up to {_NORMAL_BOUND:.2f} x spread from the means overflow",
+                    f"points up to {_NORMAL_BOUND:.2f} x spread from the means leave {_RANGE}",
                     field="spread",
                 )
             if counts["means_origin"] != counts["means_destination"]:
@@ -106,13 +106,10 @@ class ScenarioSpec:
             box = _floats(self.params.get("box", DEFAULT_BOX))
             if box is None or box.shape != (4,):
                 raise InvalidSpec("box must be 4 numbers [min0, min1, max0, max1]", field="box")
-            if not np.isfinite(box).all():
-                raise InvalidSpec("box corners must be finite", field="box")
+            if not (np.abs(box) <= COORD_LIMIT).all():
+                raise InvalidSpec(f"box corners must lie in {_RANGE}", field="box")
             if not (box[2] > box[0] and box[3] > box[1]):
                 raise InvalidSpec("box corners must be ordered", field="box")
-            low0, low1, high0, high1 = box.tolist()
-            if not (high0 - low0 < math.inf and high1 - low1 < math.inf):
-                raise InvalidSpec("box span overflows", field="box")
             units = self.params.get("units", "meters")
             if units not in ("meters", "degrees"):
                 raise InvalidSpec("units must be 'meters' or 'degrees'", field="units")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix, reduction_constant
-from .errors import AllocationError, DimensionMismatch, IterationLimit, MassMismatch
+from .errors import DimensionMismatch, IterationLimit, MassMismatch
 from .measures import DiscreteMeasure, TaskSet, index_pushforward
 from .rng import rng_stream
 
@@ -625,8 +625,8 @@ def check_stability(
 ) -> StabilityReport:
     """Optimality certificate: u_i + v_j <= c_ij everywhere, equality on support.
 
-    It also needs the plan's row and column sums within ``_MASS_TOL`` of
-    ``mu_w`` and ``nu_w``, and ``plan.objective`` equal to <c, plan>.  ``tol``
+    It also needs nonnegative masses, row and column sums within ``_MASS_TOL``
+    of ``mu_w`` and ``nu_w``, and ``plan.objective`` equal to <c, plan>.  ``tol``
     is relative to max(1, max|c_ij|), the scale the simplex prices with:
     costs near 1e8 (city boxes in meters) have a float spacing above 1e-8.
     """
@@ -639,17 +639,19 @@ def check_stability(
     with np.errstate(over="ignore", invalid="ignore"):
         gap = duals.u[:, None] + duals.v[None, :] - cost.values
         max_violation = float(gap.max())
-        max_slack = 0.0
+        max_slack, nonnegative = 0.0, True
         if plan.entries:
-            rows, cols, _ = zip(*plan.entries)
+            rows, cols, masses = zip(*plan.entries)
             max_slack = float(np.abs(gap[rows, cols]).max())  # a nan slack stays nan
+            nonnegative = bool(np.min(masses) >= 0.0)  # a nan mass fails too
         dense = plan.to_dense()
         marginal_error = _marginals(dense, mu, nu)[2]
         recomputed = float((dense * cost.values).sum())  # an inf or nan fails the check below
     objective_ok = abs(plan.objective - recomputed) <= bound
     passed = max_violation <= bound and max_slack <= bound and marginal_error <= _MASS_TOL
     return StabilityReport(
-        max_violation, max_slack, marginal_error, recomputed, objective_ok, passed and objective_ok
+        max_violation, max_slack, marginal_error, recomputed, objective_ok,
+        passed and nonnegative and objective_ok,
     )
 
 
@@ -704,7 +706,7 @@ def solve(
     ``exact`` runs ``solve_exact`` on the trip-cost matrix: an assignment
     when the instance is uniform and square, the simplex otherwise.
     ``reduced`` runs it on the rank-n cost of s = o + d and lifts objective
-    and duals back through ``marginal_terms``; an overflow there raises.
+    and duals back through ``marginal_terms``.
     Both pass the duals of the matrix they solved (for ``reduced``, before
     the lift) to ``support_is_unique``.  ``entropic`` runs Sinkhorn on the
     trip-cost matrix; ``epsilon`` defaults to 1e-3 x the cost spread, but no
@@ -714,18 +716,12 @@ def solve(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "reduced":
-        # checked before the pushforward: an index o + d that overflows makes alpha inf too
-        alpha, beta = marginal_terms(tasks, agents)
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise DimensionMismatch("cost matrix has non-finite entries")  # as the full cost would
         reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
         plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
         unique = support_is_unique(reduced, tasks.weights, agents.weights, plan, duals)
-        with np.errstate(over="ignore", invalid="ignore"):  # K and 2 v can overflow, c not
-            objective = reduction_constant(tasks, agents) + 2.0 * plan.objective
-            duals = DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
-        if not all(np.isfinite(x).all() for x in (objective, duals.u, duals.v)):
-            raise AllocationError("reduced objective or duals overflow in the trip-cost lift")
+        alpha, beta = marginal_terms(tasks, agents)
+        objective = reduction_constant(tasks, agents) + 2.0 * plan.objective
+        duals = DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
         plan = TransportPlan(plan.entries, objective, plan.n_tasks, plan.n_agents)
         return Solution(plan, duals, unique)
     cost = cost_matrix(tasks, agents)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from odtalloc.analysis import (
+    _interp_knots,
     check_nestedness_1d,
     cross_difference,
     verify_monge,
@@ -132,6 +133,26 @@ class TestNestedness:
         assert report.passed
         # all index points coincide at 2, so thresholds are flat
         assert abs(report.worst_case) <= 1e-12
+
+    def test_single_task_gives_flat_thresholds(self):
+        # one index atom at s = 0.8: every agent level maps to it
+        tasks = TaskSet([[0.3]], [[0.5]])
+        agents = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.2, 0.5, 0.3])
+        report = check_nestedness_1d(tasks, agents, grid=16)
+        assert report.passed and report.worst_case == 0.0
+        assert report.witness[1].tolist() == [0.8, 0.8]
+
+    def test_index_weight_on_the_first_atom_spaces_the_knots_evenly(self):
+        # cumulative weights [1, 1, 1] have no span to scale by, so the sorted atoms sit at
+        # 0, 1/2 and 1, as they do for uniform weights
+        positions, values = _interp_knots(np.array([3.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+        assert positions.tolist() == [0.0, 0.5, 1.0] and values.tolist() == [0.0, 1.0, 3.0]
+        points = [[1.5], [0.0], [0.5]]
+        agents = DiscreteMeasure([[0.0], [0.4], [1.0]])
+        heavy = check_nestedness_1d(TaskSet(points, points, [0.0, 1.0, 0.0]), agents, grid=16)
+        uniform = check_nestedness_1d(TaskSet(points, points), agents, grid=16)
+        assert heavy.passed == uniform.passed
+        assert_allclose(heavy.worst_case, uniform.worst_case, atol=1e-12)
 
     def test_degenerate_grid_levels(self):
         # coincident agent atoms make consecutive quantiles equal

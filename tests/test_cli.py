@@ -19,7 +19,13 @@ import odtalloc.measures
 import odtalloc.solver
 from odtalloc.cli import main
 from odtalloc.cost import cost_matrix
-from odtalloc.measures import DiscreteMeasure, TaskSet, load_agents_csv, load_tasks_csv
+from odtalloc.measures import (
+    COORD_LIMIT,
+    DiscreteMeasure,
+    TaskSet,
+    load_agents_csv,
+    load_tasks_csv,
+)
 from odtalloc.solver import METHODS, DualPotentials, Solution, TransportPlan
 
 
@@ -163,12 +169,12 @@ class TestGen:
         ],
     )
     def test_overflowing_points_are_rejected_by_field(self, tmp_path, capsys, kind, flags, field):
-        # caught by the spec, not later as a non-finite coordinate after numpy's overflow warning
+        # caught by the spec, not later by the measure as an out-of-range coordinate
         out = tmp_path / "x"
         assert run("gen", "--kind", kind, *flags, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid scenario ({field}):")
-        assert "Warning" not in err and "non-finite" not in err
+        assert "Warning" not in err and "coordinate" not in err
         assert not out.exists()
 
     def test_non_object_params_with_flag_overrides(self, tmp_path, capsys):
@@ -410,15 +416,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_overflowing_cost_is_one_error_line(self, canonical, tmp_path, method):
-        # with the agent, the reduced path's own cost stays finite, its marginal terms do
-        # not; with the task, its index o + d overflows as well; in a subprocess, so numpy
-        # warnings reach the stderr that is checked
+        # an agent at 1e200 and a task at 1e308 lie beyond COORD_LIMIT; in a subprocess, so
+        # numpy warnings reach the stderr that is checked
         agents = tmp_path / "agents.csv"
         agents.write_text("id,y1,weight\na0,1e200,1\na1,0,1\n")
         tasks = tmp_path / "tasks.csv"
         tasks.write_text("id,o1,d1,weight\nt0,1e308,1e308,1\n")
-        for task_file, agent_file in ((canonical / "tasks.csv", agents),
-                                      (tasks, canonical / "agents.csv")):
+        for task_file, agent_file, value in ((canonical / "tasks.csv", agents, "1e+200"),
+                                             (tasks, canonical / "agents.csv", "1e+308")):
             done = subprocess.run(
                 [sys.executable, "-m", "odtalloc.cli", "solve", "--tasks", str(task_file),
                  "--agents", str(agent_file), "--method", method, "--out", str(tmp_path / "sol")],
@@ -426,12 +431,12 @@ class TestSolve:
                 timeout=60,
             )
             assert done.returncode == 2
-            assert done.stderr == "error: cost matrix has non-finite entries\n"
+            assert done.stderr == f"error: coordinate {value} is outside [-1e+100, 1e+100]\n"
             assert not (tmp_path / "sol").exists()
 
     def test_overflowing_reduced_lift_is_one_error_line(self, tmp_path):
-        # the trip cost 1.8e307 is finite, but K and 2 x the reduced dual overflow; in a
-        # subprocess, so numpy warnings reach the stderr that is checked
+        # the trip cost 1.8e307 is finite, but K and 2 x the reduced dual would overflow; both
+        # methods reject the coordinates; in a subprocess, so numpy warnings reach the stderr
         (tmp_path / "tasks.csv").write_text("id,o1,d1,weight\nt0,6e153,6e153,1\n")
         (tmp_path / "agents.csv").write_text("id,y1,weight\na0,9e153,1\n")
         files = ["--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv")]
@@ -443,16 +448,52 @@ class TestSolve:
                 capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
                 timeout=60,
             )
-            if method == "reduced":
-                assert done.returncode == 2
-                assert done.stderr == (
-                    "error: reduced objective or duals overflow in the trip-cost lift\n"
-                )
-                assert not out.exists()
-            else:
-                assert done.returncode == 0 and done.stderr == ""
-                plan = json.loads((out / "plan.json").read_text())
-                assert plan["objective"] == 1.7999999999999998e307
+            assert done.returncode == 2
+            assert done.stderr == "error: coordinate 6e+153 is outside [-1e+100, 1e+100]\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_instances_near_the_float_limit_are_one_error_line(self, tmp_path, capsys, method):
+        # the 3x2 1-D instance crashed the simplex, and the uniform 2x2 2-D one has trip costs
+        # near 1e307; warnings are errors here, so a numpy warning fails the test
+        instances = [
+            ("id,o1,d1,weight\n"
+             "t0,7.721975438853418e+152,7.721975438853418e+152,0.3445428322963644\n"
+             "t1,3.7065299993566365e+153,3.7065299993566365e+153,0.10626377797328006\n"
+             "t2,4.476994084606754e+153,4.476994084606754e+153,0.5491933897303555\n",
+             "id,y1,weight\n"
+             "a0,9.152939566387362e+153,0.5718737151900283\n"
+             "a1,-3.700050679949915e+153,0.42812628480997184\n",
+             "7.721975438853418e+152"),
+            ("id,o1,o2,d1,d2,weight\nt0,1.2e153,-3e152,4e152,9e152,1\nt1,-8e152,1e153,0,5e152,1\n",
+             "id,y1,y2,weight\na0,1e153,1e153,1\na1,-1e153,2e152,1\n",
+             "1.2e+153"),
+        ]
+        for tasks_text, agents_text, value in instances:
+            (tmp_path / "tasks.csv").write_text(tasks_text)
+            (tmp_path / "agents.csv").write_text(agents_text)
+            assert run("solve", "--tasks", str(tmp_path / "tasks.csv"), "--agents",
+                       str(tmp_path / "agents.csv"), "--method", method,
+                       "--out", str(tmp_path / "sol")) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: coordinate {value} is outside [-1e+100, 1e+100]\n"
+            assert not (tmp_path / "sol").exists()
+
+    def test_index_point_beyond_the_limit_fails_reduced_and_nestedness_alike(
+        self, tmp_path, capsys
+    ):
+        # o = d = 6e99 lie within COORD_LIMIT, the index point o + d does not
+        (tmp_path / "tasks.csv").write_text("id,o1,d1,weight\nt0,6e99,6e99,1\nt1,0.5,0.5,1\n")
+        (tmp_path / "agents.csv").write_text("id,y1,weight\na0,0.0,1\na1,1.0,1\n")
+        files = ["--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv")]
+        assert run("solve", *files, "--out", str(tmp_path / "exact")) == 0
+        capsys.readouterr()
+        expected = f"error: coordinate {6e99 + 6e99!r} is outside [-1e+100, 1e+100]\n"
+        assert run("solve", *files, "--method", "reduced", "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err == expected
+        assert run("verify", "--check", "nestedness", *files, "--out", str(tmp_path / "v")) == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "r").exists() and not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize("epsilon", ["1e300", "1e306"])
     def test_overflowing_potentials_are_one_error_line(self, tmp_path, epsilon):
@@ -937,7 +978,7 @@ class TestVerify:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
         )
         assert done.returncode == 2
-        assert done.stderr == "error: non-finite coordinate in measure\n"
+        assert done.stderr == "error: coordinate 1e+308 is outside [-1e+100, 1e+100]\n"
         assert not (tmp_path / "v").exists()
 
     def test_plan_marginals_revalidated(self, canonical, tmp_path):
@@ -1023,6 +1064,9 @@ _JSON_VALUES = st.recursive(
 _PLAN_FLOATS = st.sampled_from([5e-324, -0.0, 1e300, 1 / 3, 0.25]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
+_PLAN_COORDS = st.sampled_from([5e-324, -0.0, COORD_LIMIT, 1 / 3, 0.25]) | st.floats(
+    -COORD_LIMIT, COORD_LIMIT
+)
 
 
 @st.composite
@@ -1035,7 +1079,7 @@ def _plan_outputs(draw):
     task_ids, agent_ids = draw(ids), draw(ids)
     m, n = len(task_ids), len(agent_ids)
     dim = draw(st.integers(1, 2))
-    coords = [[draw(_PLAN_FLOATS) for _ in range(rows * dim)] for rows in (m, m, n)]
+    coords = [[draw(_PLAN_COORDS) for _ in range(rows * dim)] for rows in (m, m, n)]
     tasks = TaskSet(*(np.reshape(c, (m, dim)) for c in coords[:2]), np.ones(m), ids=task_ids)
     agents = DiscreteMeasure(np.reshape(coords[2], (n, dim)), np.ones(n), ids=agent_ids)
     if m == n and draw(st.booleans()):

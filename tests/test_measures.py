@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -16,6 +17,7 @@ from odtalloc.errors import (
     ParseError,
 )
 from odtalloc.measures import (
+    COORD_LIMIT,
     DiscreteMeasure,
     TaskSet,
     index_pushforward,
@@ -95,6 +97,17 @@ class TestMeasureConstruction:
             DiscreteMeasure([[0.0], [1.0]], ids=("a", "a"))
         with pytest.raises(ParseError, match="'t'"):
             TaskSet([[0.0], [1.0]], [[1.0], [0.0]], ids=("t", "t"))
+
+    def test_coordinates_within_the_limit(self):
+        assert DiscreteMeasure([[COORD_LIMIT], [-COORD_LIMIT]]).points.tolist() == [
+            [COORD_LIMIT], [-COORD_LIMIT]
+        ]
+        for bad in (math.nextafter(COORD_LIMIT, math.inf), -math.inf, math.nan):
+            message = re.escape(f"coordinate {bad!r} is outside [-1e+100, 1e+100]")
+            with pytest.raises(OutOfRange, match=message):
+                DiscreteMeasure([[0.0], [bad]])
+            with pytest.raises(OutOfRange, match=message):
+                TaskSet([[0.0]], [[bad]])
 
 
 class TestIndexPushforward:

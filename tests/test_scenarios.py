@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from odtalloc.errors import InvalidSpec
-from odtalloc.measures import project_lonlat, write_agents_csv, write_tasks_csv
+from odtalloc.measures import COORD_LIMIT, project_lonlat, write_agents_csv, write_tasks_csv
 from odtalloc.rng import RngStream, rng_stream
 from odtalloc.scenarios import DEFAULT_BOX, ScenarioSpec, generate
 
@@ -247,6 +247,12 @@ class TestCityBoxScenario:
         for cloud in (tasks.origins, tasks.destinations, agents.points):
             assert np.all(cloud >= corners[0]) and np.all(cloud <= corners[1])
 
+    def test_box_at_the_coordinate_limit(self):
+        box = [-COORD_LIMIT, -COORD_LIMIT, COORD_LIMIT, COORD_LIMIT]
+        tasks, agents = generate(ScenarioSpec("city_box", 2, 20, 20, seed=4, params={"box": box}))
+        for cloud in (tasks.origins, tasks.destinations, agents.points):
+            assert np.all(np.abs(cloud) <= COORD_LIMIT)
+
     def test_unordered_box_rejected(self):
         with pytest.raises(InvalidSpec) as err:
             ScenarioSpec("city_box", 2, 2, 2, params={"box": [1.0, 0.0, 0.0, 1.0]})
@@ -266,7 +272,7 @@ class TestSpecValidation:
             ("gaussian_mixture", {"spread": 10**400}, "spread"),
             ("gaussian_mixture", {"spread": float("inf")}, "spread"),
             ("gaussian_mixture", {"spread": 1e308}, "spread"),
-            ("gaussian_mixture", {"means_agent": [[1.7e308, 0]], "spread": 1e307}, "spread"),
+            ("gaussian_mixture", {"means_agent": [[9e99, 0]], "spread": 1e99}, "spread"),
             ("gaussian_mixture", {"means_agent": [[float("nan"), 0]]}, "means_agent"),
             ("gaussian_mixture", {"means_agent": [1]}, "means_agent"),
             ("gaussian_mixture", {"means_origin": []}, "means_origin"),

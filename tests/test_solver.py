@@ -14,12 +14,13 @@ from scipy.special import logsumexp
 import odtalloc
 import odtalloc.solver
 from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix, reduction_constant
-from odtalloc.errors import IterationLimit, MassMismatch
-from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
+from odtalloc.errors import IterationLimit, MassMismatch, OutOfRange
+from odtalloc.measures import COORD_LIMIT, DiscreteMeasure, TaskSet, index_pushforward
 from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import (
     _UNIQUENESS_SEED,
+    METHODS,
     DualPotentials,
     TransportPlan,
     _assignment,
@@ -566,6 +567,17 @@ class TestStability:
         assert report.recomputed_objective == 0.0 and report.max_marginal_error == 0.0
         assert not report.objective_ok and not report.passed
 
+    def test_negative_mass_fails(self):
+        # 0.6 / -0.1 / -0.1 / 0.6 meets both marginals, and every cost and dual is zero
+        entries = ((0, 0, 0.6), (0, 1, -0.1), (1, 0, -0.1), (1, 1, 0.6))
+        zero = DualPotentials([0.0, 0.0], [0.0, 0.0])
+        report = check_stability(
+            TransportPlan(entries, 0.0, 2, 2), zero, CostMatrix(np.zeros((2, 2))), HALF, HALF
+        )
+        assert report.max_violation == report.max_slack_on_support == 0.0
+        assert report.max_marginal_error <= 1e-15 and report.objective_ok
+        assert not report.passed
+
     def test_empty_plan_fails(self):
         zero = DualPotentials([0.0, 0.0], [0.0, 0.0])
         report = check_stability(TransportPlan((), 0.0, 2, 2), zero, CANONICAL, HALF, HALF)
@@ -938,6 +950,23 @@ def _drawn_instances(draw):
     return TaskSet(points(m), points(m), weights(m)), DiscreteMeasure(points(n), weights(n))
 
 
+@st.composite
+def _instances_at_the_limit(draw):
+    """1-4 points a side in 1-2 D, every coordinate anywhere in [-COORD_LIMIT, COORD_LIMIT],
+    weights in [0, 1] with some weight on each side."""
+    dim = draw(st.integers(1, 2))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def points(rows):
+        return draw(hnp.arrays(float, (rows, dim), elements=st.floats(-COORD_LIMIT, COORD_LIMIT)))
+
+    def weights(size):
+        elements = st.floats(0.0, 1.0)
+        return draw(hnp.arrays(float, size, elements=elements).filter(lambda w: w.sum() > 0.0))
+
+    return TaskSet(points(m), points(m), weights(m)), DiscreteMeasure(points(n), weights(n))
+
+
 class TestSolve:
     def test_exact_is_the_direct_solve(self):
         tasks, agents = _random_instance(rng_stream(401), 7, 6, uniform=False)
@@ -981,6 +1010,26 @@ class TestSolve:
         tasks, agents = _random_instance(rng_stream(404), 2, 2)
         with pytest.raises(ValueError):
             solve(tasks, agents, "greedy")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_instances_at_the_limit())
+    def test_coordinates_at_the_limit_solve_and_certify(self, instance):
+        # warnings are errors here, so an overflow in any step fails the test
+        tasks, agents = instance
+        cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
+        for method in METHODS:
+            if method == "reduced" and not np.all(
+                np.abs(tasks.origins + tasks.destinations) <= COORD_LIMIT
+            ):
+                with pytest.raises(OutOfRange):
+                    solve(tasks, agents, method)
+                continue
+            solution = solve(tasks, agents, method)
+            masses = [mass for _, _, mass in solution.plan.entries]
+            assert np.isfinite(solution.plan.objective) and np.isfinite(masses).all()
+            if method != "entropic":
+                assert np.isfinite(solution.duals.u).all() and np.isfinite(solution.duals.v).all()
+                assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_drawn_instances())
