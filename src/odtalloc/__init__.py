@@ -22,7 +22,6 @@ from .cost import (
     mixed_hessian,
     reduced_cost,
     reduced_cost_matrix,
-    reduction_constant,
     trip_cost,
     whiten,
     wpd_cost,
@@ -32,7 +31,6 @@ from .measures import (
     COORD_LIMIT,
     DiscreteMeasure,
     TaskSet,
-    index_pushforward,
     load_agents_csv,
     load_tasks_csv,
     normalize,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cost import grad_x, mixed_hessian, reduced_cost
 from .errors import DimensionMismatch
-from .measures import DiscreteMeasure, TaskSet, index_pushforward
+from .measures import DiscreteMeasure, TaskSet
 from .rng import rng_stream
 
 
@@ -166,8 +166,7 @@ def check_nestedness_1d(
         raise DimensionMismatch("nestedness check is defined for 1-D instances")
     if grid < 2:
         raise DimensionMismatch("grid must have at least 2 points")
-    index = index_pushforward(tasks)
-    s_pos, s_val = _interp_knots(index.points.ravel(), index.weights)
+    s_pos, s_val = _interp_knots((tasks.origins + tasks.destinations).ravel(), tasks.weights)
     y_pos, y_val = _interp_knots(agents.points.ravel(), np.asarray(agents.weights))
     levels = np.linspace(0.0, 1.0, grid)
     y_grid = np.interp(levels, y_pos, y_val)  # quantiles of the agents

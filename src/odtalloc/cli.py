@@ -151,7 +151,8 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def _write_plan_json(
-    path, solution: Solution, method: str, tasks: TaskSet, agents: DiscreteMeasure
+    path, solution: Solution, method: str, tasks: TaskSet, agents: DiscreteMeasure,
+    masses: list[str],
 ) -> None:
     """Write ``plan.json``: ``json.dumps(plan, indent=2)`` and a newline, byte for byte.
 
@@ -159,14 +160,15 @@ def _write_plan_json(
     unique), so it is written from an ``indent=2`` template rather than
     walked as a dict of dicts.  Each task and agent id is encoded once, not
     once per entry: an entropic plan holds several entries per task and
-    per agent.  Each dual list is one join.
+    per agent.  Each dual list is one join.  ``masses`` holds each entry's
+    mass as its repr, made once for this file and ``plot.csv``.
     """
     task_ids = [*map(encode_basestring_ascii, tasks.ids)]
     agent_ids = [*map(encode_basestring_ascii, agents.ids)]
     entries = [
         f'{{\n      "task": {task_ids[i]},\n      "agent": {agent_ids[j]},\n'
-        f'      "mass": {float.__repr__(mass)}\n    }}'
-        for i, j, mass in solution.plan.entries
+        f'      "mass": {mass}\n    }}'
+        for (i, j, _), mass in zip(solution.plan.entries, masses)
     ]
     duals = "null"
     if solution.duals is not None:
@@ -197,13 +199,13 @@ def _csv_id(text: str) -> str:
     return buffer.getvalue()[:-2]  # without the empty second field's "," and the line end
 
 
-def _write_plot_csv(path, plan, tasks, agents) -> None:
+def _write_plot_csv(path, plan, tasks, agents, masses: list[str]) -> None:
     """Write ``plot.csv``: a ``task_id,agent_id,mass,o..,d..,y..`` line per plan entry.
 
     Byte for byte what ``csv.writer(lineterminator="\\n")`` writes for those
     rows, floats as their repr.  Each id and each task's and agent's run of
     coordinates is formatted once, not once per entry, and each line is one
-    f-string of those parts and the entry's mass.
+    f-string of those parts and the entry's mass from ``masses``.
     """
     header = ["task_id", "agent_id", "mass"]
     header += [f"{end}{k + 1}" for end in "ody" for k in range(tasks.dim)]
@@ -214,8 +216,8 @@ def _write_plot_csv(path, plan, tasks, agents) -> None:
     agent_coords = [",".join(map(repr, row)) for row in agents.points.tolist()]
     lines = [",".join(header) + "\n"]
     lines += [
-        f"{task_ids[i]},{agent_ids[j]},{float.__repr__(mass)},{task_coords[i]},{agent_coords[j]}\n"
-        for i, j, mass in plan.entries
+        f"{task_ids[i]},{agent_ids[j]},{mass},{task_coords[i]},{agent_coords[j]}\n"
+        for (i, j, _), mass in zip(plan.entries, masses)
     ]
     _write_file(path, "".join(lines).encode("utf-8"))
 
@@ -241,9 +243,10 @@ def cmd_solve(args, argv) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     plan_start = time.perf_counter()
-    _write_plan_json(outdir / "plan.json", solution, args.method, tasks, agents)
+    masses = [float.__repr__(mass) for _, _, mass in solution.plan.entries]
+    _write_plan_json(outdir / "plan.json", solution, args.method, tasks, agents, masses)
     plot_start = time.perf_counter()
-    _write_plot_csv(outdir / "plot.csv", solution.plan, tasks, agents)
+    _write_plot_csv(outdir / "plot.csv", solution.plan, tasks, agents, masses)
     plot_end = time.perf_counter()
     if args.dump_cost:
         full_cost = cost_matrix(tasks, agents)

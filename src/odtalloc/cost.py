@@ -5,10 +5,10 @@ The round trip of an agent parked at y serving the task (o, d) costs
 
     pickup |o - y|^2  +  shipping |o - d|^2  +  return |d - y|^2,
 
-all squared Euclidean norms.  Expanding the squares shows that, against any
-coupling with fixed marginals, this equals a marginal-only constant plus
-twice the correlation cost -(o + d) . y, which is what the reduced solver
-path exploits.
+all squared Euclidean norms.  About the agents' weighted mean z it splits as
+c_ij = alpha_i + beta_j + 2 c_hat_ij with c_hat_ij = -((o_i - z) + (d_i - z)) . (y_j - z),
+so every coupling pi with marginals mu, nu has <c, pi> = mu.alpha + nu.beta
++ 2 <c_hat, pi>: the rank-n correlation cost the reduced solver path uses.
 """
 
 from __future__ import annotations
@@ -126,37 +126,35 @@ def cost_matrix(tasks: TaskSet, agents: DiscreteMeasure) -> CostMatrix:
     return CostMatrix(total)
 
 
-def reduced_cost_matrix(index_measure: DiscreteMeasure, agents: DiscreteMeasure) -> CostMatrix:
-    """Correlation cost -(s_i . y_j) of every (index, agent) pair; may be negative."""
-    if index_measure.dim != agents.dim:
-        raise DimensionMismatch(
-            f"index dim {index_measure.dim} != agents dim {agents.dim}"
-        )
-    return CostMatrix(-(index_measure.points @ agents.points.T))
+def _about_agent_mean(tasks: TaskSet, agents: DiscreteMeasure):
+    """o - z, d - z and y - z for the agents' weighted mean z."""
+    if tasks.dim != agents.dim:
+        raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
+    z = agents.weights @ agents.points
+    return tasks.origins - z, tasks.destinations - z, agents.points - z
+
+
+def reduced_cost_matrix(tasks: TaskSet, agents: DiscreteMeasure) -> CostMatrix:
+    """Correlation cost c_hat_ij = -((o_i - z) + (d_i - z)) . (y_j - z); may be negative.
+
+    This is -(s_i . y_j) for s = o + d plus terms of one row or one column
+    only, so it has the optimal plans of -(s . y) and of the trip cost.
+    """
+    o, d, y = _about_agent_mean(tasks, agents)
+    return CostMatrix(-((o + d) @ y.T))
 
 
 def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The marginal-only parts (alpha, beta) of the trip cost's split.
+    """The marginal-only parts (alpha, beta) of the trip cost's split about z.
 
-    c_ij = alpha_i + beta_j + 2 c_hat_ij, with c_hat_ij = -(o_i + d_i) . y_j,
-    alpha_i = 2|o_i|^2 + 2|d_i|^2 - 2 o_i.d_i and beta_j = 2|y_j|^2.
+    c_ij = alpha_i + beta_j + 2 c_hat_ij, with c_hat from ``reduced_cost_matrix``,
+    alpha_i = 2|o_i - z|^2 + 2|d_i - z|^2 - 2 (o_i - z).(d_i - z) and
+    beta_j = 2|y_j - z|^2.  About z every term is at the scale of the trip
+    costs, also in projected city coordinates, where |o|^2 alone is near 1e13.
     """
-    o, d = tasks.origins, tasks.destinations
+    o, d, y = _about_agent_mean(tasks, agents)
     alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
-    beta = 2.0 * (agents.points**2).sum(axis=1)
-    return alpha, beta
-
-
-def reduction_constant(tasks: TaskSet, agents: DiscreteMeasure) -> float:
-    """Marginal-only constant K linking the full and reduced objectives.
-
-    K = sum_j nu_j beta_j + sum_i mu_i alpha_i (see ``marginal_terms``);
-    for every coupling pi with these marginals, <c, pi> = K + 2 <c_hat, pi>.
-    """
-    if tasks.dim != agents.dim:
-        raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
-    alpha, beta = marginal_terms(tasks, agents)
-    return float(agents.weights @ beta) + float(tasks.weights @ alpha)
+    return alpha, 2.0 * (y**2).sum(axis=1)
 
 
 @dataclass(frozen=True)

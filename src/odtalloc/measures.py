@@ -25,10 +25,11 @@ EARTH_RADIUS_M = 6371000.0
 COORD_LIMIT = 1e100
 """Largest |coordinate| a measure accepts (nan and inf are outside too).
 
-A trip cost is then at most 12 dim L^2 for L = COORD_LIMIT, and each sum the
-solvers form holds at most m + n such terms: assignment path sums, simplex
-duals, the re-solve's c - u - v, the reduced lift K + 2 c_hat, the
-certificate's u + v - c.  For any instance that fits in memory these stay
+A trip cost, and each term of its split about the agents' mean, is then at
+most 24 dim L^2 for L = COORD_LIMIT, and each sum the solvers form holds at
+most m + n such terms: assignment path sums, simplex duals, the re-solve's
+c - u - v, the reduced lift mu.alpha + nu.beta + 2 c_hat, the certificate's
+u + v - c.  For any instance that fits in memory these stay
 below about 1e215, so no later step needs an overflow check.
 """
 _RANGE = f"[-{COORD_LIMIT:g}, {COORD_LIMIT:g}]"
@@ -148,17 +149,6 @@ class TaskSet:
 
     def __len__(self) -> int:
         return self.origins.shape[0]
-
-
-def index_pushforward(tasks: TaskSet) -> DiscreteMeasure:
-    """Push each task to its index point s_i = o_i + d_i (twice the OD midpoint).
-
-    Weights are passed through unchanged (bit-identical), one atom per task,
-    so task identity is preserved by position.  Distinct tasks may map to
-    the same index point; they are then interchangeable for the reduced
-    objective.  An index point beyond ``COORD_LIMIT`` is rejected, as any coordinate is.
-    """
-    return DiscreteMeasure(tasks.origins + tasks.destinations, tasks.weights, ids=tasks.ids)
 
 
 def project_lonlat(points, ref) -> np.ndarray:

@@ -24,7 +24,7 @@ the next starts one stage higher (256 x eps, then 1024 x eps, ...).  Only
 the assignment path imports scipy, inside the function.  Both return plans
 whose row/column sums reproduce the prescribed marginals.  ``solve`` is the
 one entry point for a task set and agents: it builds the cost, runs a
-method and certifies.
+method and states the plan's trip cost; ``check_stability`` certifies.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix, reduction_constant
+from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix
 from .errors import DimensionMismatch, IterationLimit, MassMismatch
-from .measures import DiscreteMeasure, TaskSet, index_pushforward
+from .measures import DiscreteMeasure, TaskSet
 from .rng import rng_stream
 
 _MASS_DROP = 1e-14  # plan entries at or below this are not stored, nor counted in the objective
@@ -705,8 +705,8 @@ def solve(
 
     ``exact`` runs ``solve_exact`` on the trip-cost matrix: an assignment
     when the instance is uniform and square, the simplex otherwise.
-    ``reduced`` runs it on the rank-n cost of s = o + d and lifts objective
-    and duals back through ``marginal_terms``.
+    ``reduced`` runs it on ``reduced_cost_matrix`` and lifts objective and
+    duals back through ``marginal_terms``, both taken about the agents' mean.
     Both pass the duals of the matrix they solved (for ``reduced``, before
     the lift) to ``support_is_unique``.  ``entropic`` runs Sinkhorn on the
     trip-cost matrix; ``epsilon`` defaults to 1e-3 x the cost spread, but no
@@ -715,27 +715,23 @@ def solve(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    mu, nu = tasks.weights, agents.weights
+    if method == "entropic":
+        cost = cost_matrix(tasks, agents)
+        if epsilon is None:
+            # (f + g - c) / eps carries a rounding error near 1e-16 x max|c| / eps, which the
+            # floor keeps near 1e-10, well below tol; a constant cost has spread 0
+            values = cost.values
+            spread = float(values.max() - values.min())
+            epsilon = 1e-3 * max(spread, 1e-3 * float(np.abs(values).max()), 1e-12)
+        plan = solve_entropic(cost, mu, nu, epsilon=epsilon, tol=tol, max_iter=max_iter)
+        return Solution(plan, None, False)
+    cost = reduced_cost_matrix(tasks, agents) if method == "reduced" else cost_matrix(tasks, agents)
+    plan, duals = solve_exact(cost, mu, nu)
+    unique = support_is_unique(cost, mu, nu, plan, duals)
     if method == "reduced":
-        reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
-        plan, duals = solve_exact(reduced, tasks.weights, agents.weights)
-        unique = support_is_unique(reduced, tasks.weights, agents.weights, plan, duals)
         alpha, beta = marginal_terms(tasks, agents)
-        objective = reduction_constant(tasks, agents) + 2.0 * plan.objective
+        objective = float(nu @ beta) + float(mu @ alpha) + 2.0 * plan.objective
         duals = DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
         plan = TransportPlan(plan.entries, objective, plan.n_tasks, plan.n_agents)
-        return Solution(plan, duals, unique)
-    cost = cost_matrix(tasks, agents)
-    if method == "exact":
-        plan, duals = solve_exact(cost, tasks.weights, agents.weights)
-        unique = support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
-        return Solution(plan, duals, unique)
-    if epsilon is None:
-        # (f + g - c) / eps carries a rounding error near 1e-16 x max|c| / eps, which the
-        # floor keeps near 1e-10, well below tol; a constant cost has spread 0
-        values = cost.values
-        scale = max(float(values.max() - values.min()), 1e-3 * float(np.abs(values).max()), 1e-12)
-        epsilon = 1e-3 * scale
-    plan = solve_entropic(
-        cost, tasks.weights, agents.weights, epsilon=epsilon, tol=tol, max_iter=max_iter
-    )
-    return Solution(plan, None, False)
+    return Solution(plan, duals, unique)

@@ -14,7 +14,7 @@ from odtalloc.analysis import (
 )
 from odtalloc.cost import reduced_cost_matrix, trip_cost
 from odtalloc.errors import DimensionMismatch
-from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
+from odtalloc.measures import DiscreteMeasure, TaskSet
 from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import solve_exact
@@ -197,12 +197,12 @@ class TestMonotoneMap:
                 np.array(rng.normals(size)).reshape(size, 1),
             )
             agents = DiscreteMeasure(np.array(rng.normals(size)).reshape(size, 1))
-            idx = index_pushforward(tasks)
-            mono = monotone_map_1d(idx, agents)
-            exact, _ = solve_exact(
-                reduced_cost_matrix(idx, agents), tasks.weights, agents.weights
-            )
-            assert abs(mono.objective - exact.objective) <= 1e-9
+            idx = DiscreteMeasure(tasks.origins + tasks.destinations, tasks.weights)
+            reduced = reduced_cost_matrix(tasks, agents)
+            exact, _ = solve_exact(reduced, tasks.weights, agents.weights)
+            # the comonotone coupling, priced on the cost the solve ran on
+            mono = sum(m * reduced.values[i, j] for i, j, m in monotone_map_1d(idx, agents).entries)
+            assert abs(mono - exact.objective) <= 1e-9
 
     def test_rejects_multidimensional(self):
         with pytest.raises(DimensionMismatch):

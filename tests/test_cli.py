@@ -479,21 +479,39 @@ class TestSolve:
             assert err == f"error: coordinate {value} is outside [-1e+100, 1e+100]\n"
             assert not (tmp_path / "sol").exists()
 
-    def test_index_point_beyond_the_limit_fails_reduced_and_nestedness_alike(
-        self, tmp_path, capsys
-    ):
-        # o = d = 6e99 lie within COORD_LIMIT, the index point o + d does not
+    def test_index_point_beyond_the_limit_solves_reduced_and_checks_nestedness(self, tmp_path):
+        # o = d = 6e99 lie within COORD_LIMIT, the index point o + d does not; no step
+        # builds a measure of o + d, so both commands take the input as exact does
         (tmp_path / "tasks.csv").write_text("id,o1,d1,weight\nt0,6e99,6e99,1\nt1,0.5,0.5,1\n")
         (tmp_path / "agents.csv").write_text("id,y1,weight\na0,0.0,1\na1,1.0,1\n")
         files = ["--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv")]
-        assert run("solve", *files, "--out", str(tmp_path / "exact")) == 0
-        capsys.readouterr()
-        expected = f"error: coordinate {6e99 + 6e99!r} is outside [-1e+100, 1e+100]\n"
-        assert run("solve", *files, "--method", "reduced", "--out", str(tmp_path / "r")) == 2
-        assert capsys.readouterr().err == expected
-        assert run("verify", "--check", "nestedness", *files, "--out", str(tmp_path / "v")) == 2
-        assert capsys.readouterr().err == expected
-        assert not (tmp_path / "r").exists() and not (tmp_path / "v").exists()
+        plans = {}
+        for method in ("exact", "reduced"):
+            assert run("solve", *files, "--method", method, "--out", str(tmp_path / method)) == 0
+            plans[method] = json.loads((tmp_path / method / "plan.json").read_text())
+        assert run("verify", "--check", "stability", *files, "--plan",
+                   str(tmp_path / "reduced" / "plan.json"), "--out", str(tmp_path / "s")) == 0
+        exact, reduced = plans["exact"]["objective"], plans["reduced"]["objective"]
+        assert abs(reduced - exact) <= 1e-12 * abs(exact)  # both plans tie in floats
+        assert run("verify", "--check", "nestedness", *files, "--out", str(tmp_path / "v")) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reduced_certifies_in_projected_city_coordinates(self, tmp_path, seed):
+        # a 1 km box at UTM-like eastings and northings: |o|^2 is near 1e13, trip costs 1e6
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "city_box", "--tasks", "30", "--agents", "30",
+                   "--box", "500000,5000000,501000,5001000", "--seed", str(seed),
+                   "--out", str(inst)) == 0
+        files = ["--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv")]
+        plans = {}
+        for method in ("exact", "reduced"):
+            assert run("solve", *files, "--method", method, "--out", str(tmp_path / method)) == 0
+            plans[method] = json.loads((tmp_path / method / "plan.json").read_text())
+        assert run("verify", "--check", "stability", *files, "--plan",
+                   str(tmp_path / "reduced" / "plan.json"), "--out", str(tmp_path / "s")) == 0
+        exact, reduced = plans["exact"]["objective"], plans["reduced"]["objective"]
+        assert abs(reduced - exact) <= 1e-12 * abs(exact)
+        assert plans["reduced"]["unique"] == plans["exact"]["unique"]
 
     @pytest.mark.parametrize("epsilon", ["1e300", "1e306"])
     def test_overflowing_potentials_are_one_error_line(self, tmp_path, epsilon):
@@ -1139,8 +1157,9 @@ class TestFiles:
         # the oracles are the generic writers: a dict for json.dumps, one csv row per entry
         solution, method, tasks, agents = outputs
         base = tmp_path_factory.getbasetemp()
-        odtalloc.cli._write_plan_json(base / "plan.json", solution, method, tasks, agents)
-        odtalloc.cli._write_plot_csv(base / "plot.csv", solution.plan, tasks, agents)
+        masses = [float.__repr__(mass) for _, _, mass in solution.plan.entries]
+        odtalloc.cli._write_plan_json(base / "plan.json", solution, method, tasks, agents, masses)
+        odtalloc.cli._write_plot_csv(base / "plot.csv", solution.plan, tasks, agents, masses)
         duals = solution.duals
         document = {
             "objective": solution.plan.objective,

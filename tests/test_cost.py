@@ -11,14 +11,13 @@ from odtalloc.cost import (
     mixed_hessian,
     reduced_cost,
     reduced_cost_matrix,
-    reduction_constant,
     trip_cost,
     whiten,
     wpd_cost,
     wpd_gramian,
 )
 from odtalloc.errors import DimensionMismatch, NotControllable, SingularGramian
-from odtalloc.measures import DiscreteMeasure, TaskSet, index_pushforward
+from odtalloc.measures import DiscreteMeasure, TaskSet
 from odtalloc.rng import rng_stream
 
 
@@ -198,11 +197,21 @@ class TestReducedCost:
         assert reduced_cost([1.0, 1.0], [1.0, -1.0]) == 0.0
 
     def test_matrix(self):
-        idx = DiscreteMeasure([[0.0], [2.0]])
+        # index points s = 0, 2 and agents 0, 1 about their mean z = 0.5: s - 2z = -1, 1
+        tasks = TaskSet([[0.0], [1.0]], [[0.0], [1.0]])
         agents = DiscreteMeasure([[0.0], [1.0]])
-        assert_allclose(
-            reduced_cost_matrix(idx, agents).values, [[0.0, 0.0], [0.0, -2.0]]
-        )
+        reduced = reduced_cost_matrix(tasks, agents).values
+        assert_allclose(reduced, [[-0.5, 0.5], [0.5, -0.5]])
+        # -(s . y) = [[0, 0], [0, -2]] differs by a row term plus a column term
+        shift = np.array([[0.0, 0.0], [0.0, -2.0]]) - reduced
+        assert_allclose(shift - shift[:, :1] - shift[:1, :] + shift[0, 0], 0.0, atol=1e-15)
+
+    def test_matrix_dimension_mismatch(self):
+        tasks = TaskSet([[0.0, 1.0]], [[1.0, 0.0]])
+        with pytest.raises(DimensionMismatch):
+            reduced_cost_matrix(tasks, DiscreteMeasure([[0.0]]))
+        with pytest.raises(DimensionMismatch):
+            marginal_terms(tasks, DiscreteMeasure([[0.0]]))
 
 
 def _proportional_fitting(seed, mu, nu, iters=400):
@@ -215,21 +224,41 @@ def _proportional_fitting(seed, mu, nu, iters=400):
     return plan
 
 
+def _reduction_constant(tasks, agents) -> float:
+    """K = mu.alpha + nu.beta, so that <c, pi> = K + 2 <c_hat, pi> for every coupling pi."""
+    alpha, beta = marginal_terms(tasks, agents)
+    return float(agents.weights @ beta) + float(tasks.weights @ alpha)
+
+
 class TestReductionConstant:
     def test_single_pair(self):
-        # K = 2*0 (agent at origin) + 2*1 + 2*0 - 0 = 2; full cost 2 = K + 2*0
+        # z = 0 (the one agent): K = 2*0 + 2*1 + 2*0 - 0 = 2; full cost 2 = K + 2*0
         tasks = TaskSet([[1.0]], [[0.0]])
         agents = DiscreteMeasure([[0.0]])
-        k = reduction_constant(tasks, agents)
+        k = _reduction_constant(tasks, agents)
         assert k == 2.0
         full = cost_matrix(tasks, agents).values[0, 0]
-        reduced = reduced_cost_matrix(index_pushforward(tasks), agents).values[0, 0]
+        reduced = reduced_cost_matrix(tasks, agents).values[0, 0]
         assert_allclose(full, k + 2.0 * reduced)
 
     def test_all_at_origin(self):
         tasks = TaskSet([[0.0, 0.0]], [[0.0, 0.0]])
         agents = DiscreteMeasure([[0.0, 0.0]])
-        assert reduction_constant(tasks, agents) == 0.0
+        assert _reduction_constant(tasks, agents) == 0.0
+
+    def test_split_does_not_see_a_common_translation(self):
+        # taken about the agents' mean, every term stays at the scale of the trip costs;
+        # the bound is about 100 float spacings of a coordinate near 5e6
+        rng = rng_stream(57)
+        o, d = np.array(rng.normals(8)).reshape(4, 2), np.array(rng.normals(8)).reshape(4, 2)
+        y, nu = np.array(rng.normals(6)).reshape(3, 2), np.array(rng.uniforms(3)) + 0.1
+        near = TaskSet(o, d), DiscreteMeasure(y, nu)
+        shift = np.array([5e5, 5e6])
+        far = TaskSet(o + shift, d + shift), DiscreteMeasure(y + shift, nu)
+        for got, expected in zip(marginal_terms(*far), marginal_terms(*near)):
+            assert_allclose(got, expected, rtol=0.0, atol=1e-7)
+        got, expected = (reduced_cost_matrix(*pair).values for pair in (far, near))
+        assert_allclose(got, expected, rtol=0.0, atol=1e-7)
 
     def test_identity_on_random_feasible_couplings(self):
         rng = rng_stream(55)
@@ -242,8 +271,8 @@ class TestReductionConstant:
             np.array(rng.normals(10)).reshape(5, 2), np.array(rng.uniforms(5)) + 0.1
         )
         full = cost_matrix(tasks, agents).values
-        reduced = reduced_cost_matrix(index_pushforward(tasks), agents).values
-        constant = reduction_constant(tasks, agents)
+        reduced = reduced_cost_matrix(tasks, agents).values
+        constant = _reduction_constant(tasks, agents)
         mu = np.asarray(tasks.weights)
         nu = np.asarray(agents.weights)
         nu = nu * (mu.sum() / nu.sum())
@@ -260,10 +289,11 @@ class TestReductionConstant:
         )
         agents = DiscreteMeasure(np.array(rng.normals(6)).reshape(3, 2))
         full = cost_matrix(tasks, agents).values
-        reduced = reduced_cost_matrix(index_pushforward(tasks), agents).values
+        reduced = reduced_cost_matrix(tasks, agents).values
         alpha, beta = marginal_terms(tasks, agents)
         assert_allclose(full, alpha[:, None] + beta[None, :] + 2.0 * reduced, atol=1e-12)
-        o, d, y = tasks.origins, tasks.destinations, agents.points
+        z = agents.weights @ agents.points
+        o, d, y = tasks.origins - z, tasks.destinations - z, agents.points - z
         for i in range(4):
             for j in range(3):
                 expected = (

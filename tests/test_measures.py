@@ -20,7 +20,6 @@ from odtalloc.measures import (
     COORD_LIMIT,
     DiscreteMeasure,
     TaskSet,
-    index_pushforward,
     load_agents_csv,
     load_tasks_csv,
     normalize,
@@ -108,28 +107,6 @@ class TestMeasureConstruction:
                 DiscreteMeasure([[0.0], [bad]])
             with pytest.raises(OutOfRange, match=message):
                 TaskSet([[0.0]], [[bad]])
-
-
-class TestIndexPushforward:
-    def test_sum_of_endpoints(self):
-        tasks = TaskSet([[1.0]], [[0.0]])
-        assert_allclose(index_pushforward(tasks).points, [[1.0]])
-
-    def test_zero(self):
-        tasks = TaskSet([[0.0, 0.0]], [[0.0, 0.0]])
-        assert_allclose(index_pushforward(tasks).points, [[0.0, 0.0]])
-
-    def test_distinct_tasks_same_index(self):
-        # two distinct tasks collapsing onto one index point
-        tasks = TaskSet([[0.0, 0.0], [1.0, 1.0]], [[2.0, 0.0], [1.0, -1.0]])
-        idx = index_pushforward(tasks)
-        assert_allclose(idx.points, [[2.0, 0.0], [2.0, 0.0]])
-
-    def test_weights_bitwise_preserved(self):
-        tasks = TaskSet([[0.0], [1.0], [2.0]], [[1.0], [2.0], [4.0]], [1, 2, 4])
-        idx = index_pushforward(tasks)
-        assert idx.weights.tobytes() == tasks.weights.tobytes()
-        assert len(idx) == len(tasks)
 
 
 class TestProjection:

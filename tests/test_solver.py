@@ -13,9 +13,9 @@ from scipy.special import logsumexp
 
 import odtalloc
 import odtalloc.solver
-from odtalloc.cost import CostMatrix, cost_matrix, reduced_cost_matrix, reduction_constant
-from odtalloc.errors import IterationLimit, MassMismatch, OutOfRange
-from odtalloc.measures import COORD_LIMIT, DiscreteMeasure, TaskSet, index_pushforward
+from odtalloc.cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix
+from odtalloc.errors import IterationLimit, MassMismatch
+from odtalloc.measures import COORD_LIMIT, DiscreteMeasure, TaskSet
 from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import (
@@ -407,7 +407,7 @@ def _uniform_square_costs():
         for size in (6, 25, 60):
             tasks, agents = generate(ScenarioSpec("gaussian_mixture", dim, size, size, size, params))
             yield pytest.param(cost_matrix(tasks, agents), id=f"mixture{dim}d_{size}_full")
-            reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
+            reduced = reduced_cost_matrix(tasks, agents)
             yield pytest.param(reduced, id=f"mixture{dim}d_{size}_reduced")
 
 
@@ -853,14 +853,18 @@ class TestEntropic:
 
 class TestReduction:
     def test_canonical_instance_constants(self):
-        # verified against solve_exact: K = 2, reduced optimum -1, full 0
+        # about the agents' mean z = 0.5, verified against solve_exact: alpha = beta = 0.5,
+        # so K = 1, the reduced optimum is -0.5 and the full one 0
         tasks = TaskSet([[0.0], [1.0]], [[0.0], [1.0]])
         agents = DiscreteMeasure([[0.0], [1.0]])
-        reduced = reduced_cost_matrix(index_pushforward(tasks), agents)
-        assert_allclose(reduced.values, [[0.0, 0.0], [0.0, -2.0]])
+        reduced = reduced_cost_matrix(tasks, agents)
+        assert_allclose(reduced.values, [[-0.5, 0.5], [0.5, -0.5]])
+        alpha, beta = marginal_terms(tasks, agents)
+        assert_array_equal(alpha, [0.5, 0.5])
+        assert_array_equal(beta, [0.5, 0.5])
         plan = solve(tasks, agents, "reduced").plan
         assert plan.support() == {(0, 0), (1, 1)}
-        assert solve_exact(reduced, tasks.weights, agents.weights)[0].objective == -1.0
+        assert solve_exact(reduced, tasks.weights, agents.weights)[0].objective == -0.5
         exact, _ = solve_exact(cost_matrix(tasks, agents), tasks.weights, agents.weights)
         assert abs(plan.objective - exact.objective) <= 1e-12
         assert plan.objective == 0.0
@@ -928,7 +932,7 @@ class TestReduction:
             if not uniform:
                 tasks = TaskSet(tasks.origins, tasks.destinations, rng.uniforms(m) + 0.2)
                 agents = DiscreteMeasure(agents.points, rng.uniforms(n) + 0.2)
-            costs = (cost_matrix(tasks, agents), reduced_cost_matrix(index_pushforward(tasks), agents))
+            costs = (cost_matrix(tasks, agents), reduced_cost_matrix(tasks, agents))
             for cost in costs:
                 plan, duals = solve_exact(cost, tasks.weights, agents.weights)
                 assert support_is_unique(cost, tasks.weights, agents.weights, plan, duals) == (
@@ -967,6 +971,25 @@ def _instances_at_the_limit(draw):
     return TaskSet(points(m), points(m), weights(m)), DiscreteMeasure(points(n), weights(n))
 
 
+@st.composite
+def _instances_far_from_the_origin(draw):
+    """1-4 points a side in 1-2 D at offset + U(-1, 1), unequal weights in [0.1, 1], where
+    the offset has norm 1e3-1e8 and a random direction, as projected city coordinates do."""
+    dim = draw(st.integers(1, 2))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    direction = np.array([math.cos(angle), math.sin(angle)][:dim])
+    offset = 10.0 ** draw(st.floats(3.0, 8.0)) * direction / np.linalg.norm(direction)
+
+    def points(rows):
+        return offset + draw(hnp.arrays(float, (rows, dim), elements=st.floats(-1.0, 1.0)))
+
+    def weights(size):
+        return draw(hnp.arrays(float, size, elements=st.floats(0.1, 1.0)))
+
+    return TaskSet(points(m), points(m), weights(m)), DiscreteMeasure(points(n), weights(n))
+
+
 class TestSolve:
     def test_exact_is_the_direct_solve(self):
         tasks, agents = _random_instance(rng_stream(401), 7, 6, uniform=False)
@@ -997,8 +1020,9 @@ class TestSolve:
         tasks, agents = _random_instance(rng_stream(405), 6, 5, uniform=False)
         mu, nu = tasks.weights, agents.weights
         cost = cost_matrix(tasks, agents)
-        reduced = solve_exact(reduced_cost_matrix(index_pushforward(tasks), agents), mu, nu)[0]
-        lifted = reduction_constant(tasks, agents) + 2.0 * reduced.objective
+        reduced = solve_exact(reduced_cost_matrix(tasks, agents), mu, nu)[0]
+        alpha, beta = marginal_terms(tasks, agents)
+        lifted = float(nu @ beta) + float(mu @ alpha) + 2.0 * reduced.objective
         assert solve(tasks, agents, "reduced").plan.objective.hex() == lifted.hex()
         exact = solve_exact(cost, mu, nu)[0]
         assert solve(tasks, agents, "exact").plan.objective == exact.objective
@@ -1018,18 +1042,23 @@ class TestSolve:
         tasks, agents = instance
         cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
         for method in METHODS:
-            if method == "reduced" and not np.all(
-                np.abs(tasks.origins + tasks.destinations) <= COORD_LIMIT
-            ):
-                with pytest.raises(OutOfRange):
-                    solve(tasks, agents, method)
-                continue
             solution = solve(tasks, agents, method)
             masses = [mass for _, _, mass in solution.plan.entries]
             assert np.isfinite(solution.plan.objective) and np.isfinite(masses).all()
             if method != "entropic":
                 assert np.isfinite(solution.duals.u).all() and np.isfinite(solution.duals.v).all()
                 assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_instances_far_from_the_origin())
+    def test_reduced_certifies_far_from_the_origin(self, instance):
+        # the split is taken about the agents' mean, so no term grows with the offset
+        tasks, agents = instance
+        cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
+        exact = solve(tasks, agents, "exact").plan.objective
+        reduced = solve(tasks, agents, "reduced")
+        assert check_stability(reduced.plan, reduced.duals, cost, mu, nu).passed
+        assert abs(reduced.plan.objective - exact) <= 1e-12 * max(1.0, abs(exact))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_drawn_instances())
