@@ -45,6 +45,7 @@ from .solver import (
     DualPotentials,
     Solution,
     TransportPlan,
+    _entries,
     check_stability,
     solve,
 )
@@ -165,10 +166,11 @@ def _write_plan_json(
     """
     task_ids = [*map(encode_basestring_ascii, tasks.ids)]
     agent_ids = [*map(encode_basestring_ascii, agents.ids)]
+    plan = solution.plan.entries
     entries = [
         f'{{\n      "task": {task_ids[i]},\n      "agent": {agent_ids[j]},\n'
         f'      "mass": {mass}\n    }}'
-        for (i, j, _), mass in zip(solution.plan.entries, masses)
+        for i, j, mass in zip(plan["task"].tolist(), plan["agent"].tolist(), masses)
     ]
     duals = "null"
     if solution.duals is not None:
@@ -217,7 +219,7 @@ def _write_plot_csv(path, plan, tasks, agents, masses: list[str]) -> None:
     lines = [",".join(header) + "\n"]
     lines += [
         f"{task_ids[i]},{agent_ids[j]},{mass},{task_coords[i]},{agent_coords[j]}\n"
-        for (i, j, _), mass in zip(plan.entries, masses)
+        for i, j, mass in zip(plan.entries["task"].tolist(), plan.entries["agent"].tolist(), masses)
     ]
     _write_file(path, "".join(lines).encode("utf-8"))
 
@@ -243,7 +245,7 @@ def cmd_solve(args, argv) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     plan_start = time.perf_counter()
-    masses = [float.__repr__(mass) for _, _, mass in solution.plan.entries]
+    masses = [*map(float.__repr__, solution.plan.entries["mass"].tolist())]
     _write_plan_json(outdir / "plan.json", solution, args.method, tasks, agents, masses)
     plot_start = time.perf_counter()
     _write_plot_csv(outdir / "plot.csv", solution.plan, tasks, agents, masses)
@@ -295,15 +297,13 @@ def _verify_stability(args, inputs: dict) -> dict:
     agent_index = {aid: j for j, aid in enumerate(agents.ids)}
     try:
         payload = json.loads(_plan_text(_read_input(args.plan, inputs)))
-        entries = tuple(
-            (task_index[e["task"]], agent_index[e["agent"]], _json_number(e["mass"], "mass"))
-            for e in payload["entries"]
-        )
-        for _, _, mass in entries:
-            if mass < 0.0:
-                raise ValueError(f"plan mass {mass!r} is negative")
+        task = [task_index[e["task"]] for e in payload["entries"]]
+        agent = [agent_index[e["agent"]] for e in payload["entries"]]
+        mass = [_json_number(e["mass"], "mass") for e in payload["entries"]]
+        if min(mass, default=0.0) < 0.0:
+            raise ValueError(f"plan mass {min(mass)!r} is negative")
         objective = _json_number(payload["objective"], "objective")
-        plan = TransportPlan(entries, objective, len(tasks), len(agents))
+        plan = TransportPlan(_entries(task, agent, mass), objective, len(tasks), len(agents))
         duals = payload["duals"]
         if duals is not None:
             duals = DualPotentials(*([_json_number(x, "dual") for x in duals[k]] for k in "uv"))
@@ -312,14 +312,14 @@ def _verify_stability(args, inputs: dict) -> dict:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _UsageFailure(f"malformed plan file: {exc}") from exc
     if duals is None:
-        report = ConditionReport("stability", False, len(entries), float("inf")).to_json()
+        report = ConditionReport("stability", False, len(mass), float("inf")).to_json()
         report["note"] = "plan carries no dual certificate"
         return report
     stability = check_stability(
         plan, duals, cost_matrix(tasks, agents), tasks.weights, agents.weights, tol=args.tol
     )
     worst = max(stability.max_violation, stability.max_slack_on_support)
-    report = ConditionReport("stability", stability.passed, len(entries), worst).to_json()
+    report = ConditionReport("stability", stability.passed, len(mass), worst).to_json()
     report["max_violation"] = stability.max_violation
     report["max_slack_on_support"] = stability.max_slack_on_support
     report["max_marginal_error"] = stability.max_marginal_error

@@ -54,26 +54,37 @@ _NEWTON_HALVINGS = 20  # trials per step before the attempt is given up
 _NEWTON_RIDGE = 1e-10  # diagonal ridge of the Newton system, relative to the largest marginal
 
 METHODS = ("exact", "entropic", "reduced")
+ENTRY = np.dtype([("task", np.intp), ("agent", np.intp), ("mass", np.float64)])  # a plan entry
 
 
 @dataclass(frozen=True)
 class TransportPlan:
     """Sparse coupling over task x agent indices.
 
-    ``objective`` is <c, pi> for the cost matrix the plan was solved
-    against.  Zero-mass entries are never stored; an exact solve stores at
-    most n_tasks + n_agents - 1 entries (a basic feasible solution).
+    ``entries`` is a read-only ``ENTRY`` array (or its (task, agent, mass) records);
+    an index outside n_tasks x n_agents raises ``DimensionMismatch``.  Solvers store
+    each cell once, sorted by (task, agent), with mass above 1e-14 (exact) or 1e-18
+    (entropic).  ``objective`` is <c, pi> for the cost the plan was solved against.
     """
 
-    entries: tuple[tuple[int, int, float], ...]
+    entries: np.ndarray
     objective: float
     n_tasks: int
     n_agents: int
 
+    def __post_init__(self):
+        entries = self.entries
+        if not isinstance(entries, np.ndarray):
+            entries = np.fromiter(entries, ENTRY)
+        task, agent = entries["task"], entries["agent"]
+        if ((task < 0) | (task >= self.n_tasks) | (agent < 0) | (agent >= self.n_agents)).any():
+            raise DimensionMismatch(f"a plan entry lies outside {self.n_tasks}x{self.n_agents}")
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_tasks, self.n_agents))
-        for i, j, mass in self.entries:
-            dense[i, j] += mass
+        np.add.at(dense, (self.entries["task"], self.entries["agent"]), self.entries["mass"])
         return dense
 
     def row_sums(self) -> np.ndarray:
@@ -83,7 +94,13 @@ class TransportPlan:
         return self.to_dense().sum(axis=0)
 
     def support(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, j, _ in self.entries}
+        return set(zip(self.entries["task"].tolist(), self.entries["agent"].tolist()))
+
+
+def _entries(task, agent, mass) -> np.ndarray:
+    entries = np.empty(len(mass), ENTRY)
+    entries["task"], entries["agent"], entries["mass"] = task, agent, mass
+    return entries
 
 
 @dataclass(frozen=True)
@@ -322,15 +339,13 @@ def _assignment(cost: np.ndarray, mu: np.ndarray):
 
 
 def _plan_from_mass(mass, cost: np.ndarray, m: int, n: int) -> TransportPlan:
-    entries = tuple(
-        (i, j, value)
-        for (i, j), value in sorted(mass.items())
-        if value > _MASS_DROP
-    )
-    objective = float(
-        sum(value * cost[i, j] for (i, j), value in mass.items() if value > _MASS_DROP)
-    )
-    return TransportPlan(entries, objective, m, n)
+    # the cells mass maps above _MASS_DROP; the objective sums left to right in mass's order
+    cells = np.array([*mass], dtype=np.intp).reshape(-1, 2)
+    entries = _entries(cells[:, 0], cells[:, 1], np.fromiter(mass.values(), float, len(mass)))
+    entries = entries[entries["mass"] > _MASS_DROP]
+    products = entries["mass"] * cost[entries["task"], entries["agent"]]
+    objective = float(np.cumsum(np.append(0.0, products))[-1])
+    return TransportPlan(np.sort(entries, order=["task", "agent"]), objective, m, n)
 
 
 def solve_exact(cost: CostMatrix, mu_w, nu_w) -> tuple[TransportPlan, DualPotentials]:
@@ -615,9 +630,8 @@ def solve_entropic(
                 violation=violation,
             )
     rows, cols = np.nonzero(plan > 1e-18)
-    entries = tuple(zip(rows.tolist(), cols.tolist(), plan[rows, cols].tolist()))
     objective = float((plan * C).sum())
-    return TransportPlan(entries, objective, mu.size, nu.size)
+    return TransportPlan(_entries(rows, cols, plan[rows, cols]), objective, mu.size, nu.size)
 
 
 def check_stability(
@@ -633,17 +647,14 @@ def check_stability(
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     mu, nu = _checked_weights(cost, mu_w, nu_w)
-    if duals.u.size != cost.n_tasks or duals.v.size != cost.n_agents:
-        raise DimensionMismatch("dual sizes do not match the cost matrix")
+    if (plan.n_tasks, plan.n_agents, duals.u.size, duals.v.size) != 2 * cost.values.shape:
+        raise DimensionMismatch("plan shape or dual sizes do not match the cost matrix")
     bound = tol * max(1.0, float(np.abs(cost.values).max()))
     with np.errstate(over="ignore", invalid="ignore"):
         gap = duals.u[:, None] + duals.v[None, :] - cost.values
         max_violation = float(gap.max())
-        max_slack, nonnegative = 0.0, True
-        if plan.entries:
-            rows, cols, masses = zip(*plan.entries)
-            max_slack = float(np.abs(gap[rows, cols]).max())  # a nan slack stays nan
-            nonnegative = bool(np.min(masses) >= 0.0)  # a nan mass fails too
+        max_slack = float(np.abs(gap[plan.entries["task"], plan.entries["agent"]]).max(initial=0.0))
+        nonnegative = bool(plan.entries["mass"].min(initial=0.0) >= 0.0)  # a nan mass fails too
         dense = plan.to_dense()
         marginal_error = _marginals(dense, mu, nu)[2]
         recomputed = float((dense * cost.values).sum())  # an inf or nan fails the check below
@@ -678,7 +689,7 @@ def support_is_unique(
     perturbed -= duals.v[None, :]
     perturbed += noise.reshape(cost.n_tasks, cost.n_agents)
     re_plan, _ = solve_exact(CostMatrix(perturbed), mu_w, nu_w)
-    return re_plan.support() == plan.support()
+    return np.array_equal(re_plan.entries[["task", "agent"]], plan.entries[["task", "agent"]])
 
 
 @dataclass(frozen=True)

@@ -173,13 +173,13 @@ class TestMonotoneMap:
         idx = DiscreteMeasure([[0.0], [2.0]])
         agents = DiscreteMeasure([[0.0], [1.0]])
         plan = monotone_map_1d(idx, agents)
-        assert plan.entries == ((0, 0, 0.5), (1, 1, 0.5))
+        assert plan.entries.tolist() == [(0, 0, 0.5), (1, 1, 0.5)]
         # objective: 0.5*(-0*0) + 0.5*(-2*1)
         assert plan.objective == -1.0
 
     def test_forced_single(self):
         plan = monotone_map_1d(DiscreteMeasure([[3.0]]), DiscreteMeasure([[2.0]]))
-        assert plan.entries == ((0, 0, 1.0),)
+        assert plan.entries.tolist() == [(0, 0, 1.0)]
         assert plan.objective == -6.0
 
     def test_unsorted_inputs_pair_by_rank(self):

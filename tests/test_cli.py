@@ -954,6 +954,28 @@ class TestVerify:
                    *files, "--out", str(tmp_path / "v")) == 0
         assert "note" not in json.loads((tmp_path / "v" / "report.json").read_text())
 
+    def test_split_cell_verifies_like_one_entry(self, tmp_path):
+        # a cell listed twice adds up: its two halves give the one-entry file's figures
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "gaussian_mixture", "--tasks", "10", "--agents", "10",
+                   "--seed", "1", "--out", str(inst)) == 0
+        files = ["--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv")]
+        assert run("solve", *files, "--out", str(tmp_path / "sol")) == 0
+        payload = json.loads((tmp_path / "sol" / "plan.json").read_text())
+        first = payload["entries"][0]
+        first["mass"] /= 2
+        payload["entries"].insert(1, dict(first))
+        (tmp_path / "split.json").write_text(json.dumps(payload))
+        figures = ("max_violation", "max_slack_on_support", "max_marginal_error")
+        reports = []
+        plans = (("one", tmp_path / "sol" / "plan.json"), ("split", tmp_path / "split.json"))
+        for name, plan in plans:
+            assert run("verify", "--check", "stability", "--plan", str(plan), *files,
+                       "--out", str(tmp_path / name)) == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            reports.append([report[key] for key in figures])
+        assert reports[0] == reports[1]
+
     def test_overflowing_plan_cost_fails_quietly(self, canonical, tmp_path, capsys):
         # 1e308 x the cost 2 of t0 -> a1 overflows <c, plan>; a numpy warning would raise here
         sol = tmp_path / "sol"

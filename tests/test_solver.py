@@ -14,12 +14,13 @@ from scipy.special import logsumexp
 import odtalloc
 import odtalloc.solver
 from odtalloc.cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix
-from odtalloc.errors import IterationLimit, MassMismatch
+from odtalloc.errors import DimensionMismatch, IterationLimit, MassMismatch
 from odtalloc.measures import COORD_LIMIT, DiscreteMeasure, TaskSet
 from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import (
     _UNIQUENESS_SEED,
+    ENTRY,
     METHODS,
     DualPotentials,
     TransportPlan,
@@ -249,7 +250,7 @@ class TestSolveExact:
 
     def test_forced_single_pair(self):
         plan, duals = solve_exact(CostMatrix([[3.5]]), [1.0], [1.0])
-        assert plan.entries == ((0, 0, 1.0),)
+        assert plan.entries.tolist() == [(0, 0, 1.0)]
         assert plan.objective == 3.5
         assert duals.u[0] == 0.0 and duals.v[0] == 3.5
 
@@ -378,7 +379,7 @@ class TestSolveExact:
         w = np.full(6, 1.0 / 6)
         first, _ = solve_exact(cost, w, w)
         second, _ = solve_exact(cost, w, w)
-        assert first.entries == second.entries
+        assert np.array_equal(first.entries, second.entries)
         assert first.objective == second.objective
 
     def test_mass_mismatch_guard(self):
@@ -428,7 +429,7 @@ class TestAssignmentPath:
         scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
         perturbed = CostMatrix(cost.values + scale * noise.reshape(cost.values.shape))
         if _simplex(perturbed, w, w)[0].support() == reference.support():
-            assert plan.entries == reference.entries
+            assert np.array_equal(plan.entries, reference.entries)
 
     def test_duals_match_all_rows_bellman_ford(self):
         # relaxing only through the rows whose u fell gives the all-rows u and v bit for bit
@@ -485,7 +486,7 @@ class TestBruteForce:
 
     def test_forced(self):
         plan = brute_force_small(CostMatrix([[7.0]]), [1.0], [1.0])
-        assert plan.entries == ((0, 0, 1.0),)
+        assert plan.entries.tolist() == [(0, 0, 1.0)]
 
     def test_constant_cost(self):
         plan = brute_force_small(CostMatrix(np.ones((3, 3))), np.full(3, 1 / 3), np.full(3, 1 / 3))
@@ -584,6 +585,29 @@ class TestStability:
         assert report.max_marginal_error == 0.5
         assert not report.passed
 
+    def test_index_outside_the_cost_is_rejected(self):
+        # numpy wraps row -3 to row 0 of a 3x3 cost, so the shifted plan would be certified
+        third = np.full(3, 1.0 / 3)
+        cost = CostMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        plan, duals = solve_exact(cost, third, third)
+        shifted = [(i - 3, j, mass) for i, j, mass in plan.entries]
+        with pytest.raises(DimensionMismatch):
+            TransportPlan(shifted, plan.objective, 3, 3)
+        with pytest.raises(DimensionMismatch):
+            TransportPlan([(0, 0, 0.5), (0, 5, 0.5)], 0.0, 3, 3)
+        with pytest.raises(DimensionMismatch):
+            TransportPlan([(2, 0, 1.0)], 0.0, 2, 3)
+        assert check_stability(plan, duals, cost, third, third).passed
+
+    def test_plan_shape_must_match_the_cost(self):
+        third = np.full(3, 1.0 / 3)
+        cost = CostMatrix([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        plan, duals = solve_exact(cost, third, third)
+        for n_tasks, n_agents in ((4, 3), (3, 4)):
+            wide = TransportPlan(plan.entries, plan.objective, n_tasks, n_agents)
+            with pytest.raises(DimensionMismatch):
+                check_stability(wide, duals, cost, third, third)
+
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_bad_tol_rejected(self, tol):
         plan, duals = solve_exact(CANONICAL, HALF, HALF)
@@ -659,7 +683,7 @@ class TestEntropic:
             cost, mu, nu, epsilon, tol, _textbook_logsumexp
         )
         plan = solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps)
-        assert plan.entries == entries
+        assert plan.entries.tolist() == list(entries)
         assert plan.objective == objective
         with pytest.raises(IterationLimit if sweeps > 1 else ValueError):  # max_iter 0 is invalid
             solve_entropic(cost, mu, nu, epsilon, tol=tol, max_iter=sweeps - 1)
@@ -991,12 +1015,27 @@ def _instances_far_from_the_origin(draw):
 
 
 class TestSolve:
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_entries_are_one_sorted_read_only_array(self, method, uniform):
+        tasks, agents = _random_instance(rng_stream(406), 7, 7 if uniform else 6, uniform=uniform)
+        entries = solve(tasks, agents, method).plan.entries
+        assert type(entries) is np.ndarray and entries.dtype == ENTRY and entries.ndim == 1
+        assert not entries.flags.writeable
+        with pytest.raises(ValueError):
+            entries["mass"][0] = 0.0
+        cells = entries[["task", "agent"]].tolist()
+        assert all(a < b for a, b in zip(cells, cells[1:]))  # (task, agent) strictly increases
+        assert entries["mass"].min() > (1e-18 if method == "entropic" else 1e-14)
+
     def test_exact_is_the_direct_solve(self):
         tasks, agents = _random_instance(rng_stream(401), 7, 6, uniform=False)
         solution = solve(tasks, agents, "exact")
         cost = cost_matrix(tasks, agents)
         plan, duals = solve_exact(cost, tasks.weights, agents.weights)
-        assert solution.plan == plan and solution.plan.objective == plan.objective
+        assert np.array_equal(solution.plan.entries, plan.entries)
+        assert (solution.plan.objective, solution.plan.n_tasks, solution.plan.n_agents) == (
+            plan.objective, plan.n_tasks, plan.n_agents)
         assert_array_equal(solution.duals.u, duals.u)
         assert_array_equal(solution.duals.v, duals.v)
         unique = support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
@@ -1013,7 +1052,10 @@ class TestSolve:
         cost = cost_matrix(tasks, agents)
         epsilon = 1e-3 * float(cost.values.max() - cost.values.min())
         solution = solve(tasks, agents, "entropic")
-        assert solution.plan == solve_entropic(cost, tasks.weights, agents.weights, epsilon)
+        plan = solve_entropic(cost, tasks.weights, agents.weights, epsilon)
+        assert np.array_equal(solution.plan.entries, plan.entries)
+        assert (solution.plan.objective, solution.plan.n_tasks, solution.plan.n_agents) == (
+            plan.objective, plan.n_tasks, plan.n_agents)
         assert solution.duals is None and solution.unique is False
 
     def test_every_method_states_the_trip_cost(self):
