@@ -166,11 +166,11 @@ def _write_plan_json(
     """
     task_ids = [*map(encode_basestring_ascii, tasks.ids)]
     agent_ids = [*map(encode_basestring_ascii, agents.ids)]
-    plan = solution.plan.entries
+    cells = solution.plan.entries
     entries = [
         f'{{\n      "task": {task_ids[i]},\n      "agent": {agent_ids[j]},\n'
         f'      "mass": {mass}\n    }}'
-        for i, j, mass in zip(plan["task"].tolist(), plan["agent"].tolist(), masses)
+        for i, j, mass in zip(cells["task"].tolist(), cells["agent"].tolist(), masses)
     ]
     duals = "null"
     if solution.duals is not None:
