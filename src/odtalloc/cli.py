@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import sys
@@ -45,7 +46,6 @@ from .solver import (
     DualPotentials,
     Solution,
     TransportPlan,
-    _entries,
     check_stability,
     solve,
 )
@@ -297,13 +297,14 @@ def _verify_stability(args, inputs: dict) -> dict:
     agent_index = {aid: j for j, aid in enumerate(agents.ids)}
     try:
         payload = json.loads(_plan_text(_read_input(args.plan, inputs)))
-        task = [task_index[e["task"]] for e in payload["entries"]]
-        agent = [agent_index[e["agent"]] for e in payload["entries"]]
-        mass = [_json_number(e["mass"], "mass") for e in payload["entries"]]
-        if min(mass, default=0.0) < 0.0:
-            raise ValueError(f"plan mass {min(mass)!r} is negative")
+        entries = [
+            (task_index[e["task"]], agent_index[e["agent"]], _json_number(e["mass"], "mass"))
+            for e in payload["entries"]
+        ]
+        smallest = min((mass for _, _, mass in entries), default=0.0)
+        if smallest < 0.0:
+            raise ValueError(f"plan mass {smallest!r} is negative")
         objective = _json_number(payload["objective"], "objective")
-        plan = TransportPlan(_entries(task, agent, mass), objective, len(tasks), len(agents))
         duals = payload["duals"]
         if duals is not None:
             duals = DualPotentials(*([_json_number(x, "dual") for x in duals[k]] for k in "uv"))
@@ -312,14 +313,15 @@ def _verify_stability(args, inputs: dict) -> dict:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _UsageFailure(f"malformed plan file: {exc}") from exc
     if duals is None:
-        report = ConditionReport("stability", False, len(mass), float("inf")).to_json()
+        report = ConditionReport("stability", False, len(entries), float("inf")).to_json()
         report["note"] = "plan carries no dual certificate"
         return report
+    plan = TransportPlan(entries, objective, len(tasks), len(agents))
     stability = check_stability(
         plan, duals, cost_matrix(tasks, agents), tasks.weights, agents.weights, tol=args.tol
     )
     worst = max(stability.max_violation, stability.max_slack_on_support)
-    report = ConditionReport("stability", stability.passed, len(mass), worst).to_json()
+    report = ConditionReport("stability", stability.passed, len(entries), worst).to_json()
     report["max_violation"] = stability.max_violation
     report["max_slack_on_support"] = stability.max_slack_on_support
     report["max_marginal_error"] = stability.max_marginal_error
@@ -360,7 +362,10 @@ def cmd_verify(args, argv) -> int:
     start = time.perf_counter()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "report.json", report)
+    strict = {  # strict JSON has no inf or nan: a figure that is not finite is written null
+        k: None if type(v) is float and not math.isfinite(v) else v for k, v in report.items()
+    }
+    _write_json(outdir / "report.json", strict)
     timings["write_ms"] = (time.perf_counter() - start) * 1000.0
     _write_manifest(outdir, argv, inputs, seed, args.check, timings)
     verdict = "PASS" if report["passed"] else "FAIL"

@@ -277,7 +277,7 @@ class _SimplexState:
 
 
 def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
-    """Optimal basis masses and duals for the balanced transportation LP."""
+    """Optimal basis (task, agent, mass) columns, in basis order, and duals of the balanced LP."""
     state = _SimplexState(cost, mu, nu)
     m, n = cost.shape
     tol = 1e-11 * max(1.0, float(np.abs(cost).max()))
@@ -294,14 +294,16 @@ def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
             flat = int(np.argmin(reduced))
         enter_i, enter_j = divmod(flat, n)
         if reduced[enter_i, enter_j] >= -tol:
-            return state.mass, state.u, state.v
+            cells = np.array([*state.mass], dtype=np.intp).reshape(-1, 2)
+            mass = np.fromiter(state.mass.values(), float, len(state.mass))
+            return cells[:, 0], cells[:, 1], mass, state.u, state.v
         theta = state.pivot(enter_i, enter_j)
         degenerate_run = degenerate_run + 1 if theta <= 1e-15 else 0
     raise IterationLimit(f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
-def _assignment(cost: np.ndarray, mu: np.ndarray):
-    """Optimal permutation masses and duals for a uniform square instance.
+def _assignment(cost: np.ndarray):
+    """Optimal permutation (task i to agent sigma[i]) and duals for a uniform square instance.
 
     Duals: with v_sigma(k) = c_k,sigma(k) - u_k the constraint u_i + v_j <= c_ij
     reads u_i <= u_k + c_i,sigma(k) - c_k,sigma(k), a shortest-path problem over
@@ -334,18 +336,7 @@ def _assignment(cost: np.ndarray, mu: np.ndarray):
     u -= u[0]
     v = np.empty(n)
     v[sigma] = on_support - u
-    mass = {(i, int(sigma[i])): mu[i] for i in range(n)}
-    return mass, u, v
-
-
-def _plan_from_mass(mass, cost: np.ndarray, m: int, n: int) -> TransportPlan:
-    # the cells mass maps above _MASS_DROP; the objective sums left to right in mass's order
-    cells = np.array([*mass], dtype=np.intp).reshape(-1, 2)
-    entries = _entries(cells[:, 0], cells[:, 1], np.fromiter(mass.values(), float, len(mass)))
-    entries = entries[entries["mass"] > _MASS_DROP]
-    products = entries["mass"] * cost[entries["task"], entries["agent"]]
-    objective = float(np.cumsum(np.append(0.0, products))[-1])
-    return TransportPlan(np.sort(entries, order=["task", "agent"]), objective, m, n)
+    return sigma, u, v
 
 
 def solve_exact(cost: CostMatrix, mu_w, nu_w) -> tuple[TransportPlan, DualPotentials]:
@@ -356,14 +347,21 @@ def solve_exact(cost: CostMatrix, mu_w, nu_w) -> tuple[TransportPlan, DualPotent
     them; the plan is a permutation.  Any other input runs the simplex,
     where ties in the entering cell resolve row-major and ties in the
     leaving ratio by smallest row then column index.  Both are deterministic.
+    The plan keeps the masses above ``_MASS_DROP``; its objective sums them
+    left to right in the solver's order, before they are sorted.
     """
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     if mu.size == nu.size and np.all(mu == mu[0]) and np.all(nu == mu[0]):
-        mass, u, v = _assignment(cost.values, mu)
+        sigma, u, v = _assignment(cost.values)
+        entries = _entries(np.arange(mu.size), sigma, mu)
     else:
-        mass, u, v = _transportation_simplex(cost.values, mu, nu)
-    plan = _plan_from_mass(mass, cost.values, mu.size, nu.size)
-    return plan, DualPotentials(u, v)
+        task, agent, mass, u, v = _transportation_simplex(cost.values, mu, nu)
+        entries = _entries(task, agent, mass)
+    entries = entries[entries["mass"] > _MASS_DROP]
+    products = entries["mass"] * cost.values[entries["task"], entries["agent"]]
+    objective = float(np.cumsum(np.append(0.0, products))[-1])
+    entries = entries[np.lexsort((entries["agent"], entries["task"]))]
+    return TransportPlan(entries, objective, mu.size, nu.size), DualPotentials(u, v)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from odtalloc.cost import CostMatrix
 from odtalloc.errors import AllocationError, DimensionMismatch
 from odtalloc.measures import DiscreteMeasure
-from odtalloc.solver import TransportPlan, _checked_weights, _plan_from_mass
+from odtalloc.solver import TransportPlan, _checked_weights
 
 
 class TooLarge(AllocationError):
@@ -105,7 +105,9 @@ def brute_force_small(cost: CostMatrix, mu_w, nu_w) -> TransportPlan:
         total = sum(mass * C[i, j] for (i, j), mass in zip(edges, masses))
         if total < best_total - 1e-15:
             best_masses, best_edges, best_total = masses, edges, total
-    return _plan_from_mass(dict(zip(best_edges, best_masses)), C, m, n)
+    # a plan stores masses above 1e-14 only, and states the cost of what it stores
+    entries = sorted((i, j, mass) for (i, j), mass in zip(best_edges, best_masses) if mass > 1e-14)
+    return TransportPlan(entries, sum(mass * C[i, j] for i, j, mass in entries), m, n)
 
 
 def purity(plan: TransportPlan, tol: float = 1e-9) -> float:

@@ -23,6 +23,21 @@ from oracles import monotone_map_1d
 ROOT8 = 2.0 * math.sqrt(2.0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: verify_nondegeneracy(0, 10), "need dim >= 1"),
+        (lambda: verify_nondegeneracy(2, 0), "samples >= 1"),
+        (lambda: check_nestedness_1d(TaskSet([[0.0]], [[1.0]]), DiscreteMeasure([[0.5]]), grid=1),
+         "grid must have at least 2 points"),
+    ],
+    ids=["nondegeneracy_dim", "nondegeneracy_samples", "nestedness_grid"],
+)
+def test_malformed_input_is_rejected(build, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        build()
+
+
 class TestTwist:
     def test_known_pair_ratio(self):
         # gradient difference is [2(y'-y); 2(y'-y)], norm 2*sqrt(2)*|y'-y|

@@ -33,6 +33,15 @@ def run(*argv):
     return main(list(argv))
 
 
+def _strict_report(out: Path) -> dict:
+    """``out``/report.json read as strict JSON parsers read it: NaN and +-Infinity raise."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads((out / "report.json").read_text(), parse_constant=reject)
+
+
 @pytest.fixture
 def canonical(tmp_path):
     out = tmp_path / "inst"
@@ -64,6 +73,35 @@ def test_package_runs_as_module():
     )
     assert done.returncode == 0
     assert done.stdout == odtalloc.__version__ + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--kind", "grid", "--dim", "0"], "invalid scenario (dim)"),
+        (["gen", "--kind", "city_box", "--params", '{"units": "feet"}'],
+         "invalid scenario (units)"),
+        (["verify", "--check", "nondegeneracy", "--dim", "0"], "need dim >= 1"),
+        (["verify", "--check", "nestedness", "--agents", "agents.csv"],
+         "--check nestedness needs --tasks and --agents"),
+    ],
+    ids=["gen_dim", "gen_units", "nondegeneracy_dim", "nestedness_without_tasks"],
+)
+def test_rejected_input_exits_2(tmp_path, capsys, argv, message):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    # every odtalloc line of the fenced block under "## CLI", in order, in a fresh directory
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("odtalloc ")]
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(*shlex.split(line)[1:]) == 0, line
 
 
 @st.composite
@@ -894,10 +932,10 @@ class TestVerify:
         assert json.loads((sol / "plan.json").read_text())["duals"] is None
         assert run("verify", "--check", "stability", "--plan", str(sol / "plan.json"),
                    *files, "--out", str(tmp_path / "v")) == 1
-        report = json.loads((tmp_path / "v" / "report.json").read_text())
-        assert report["passed"] is False
+        report = _strict_report(tmp_path / "v")
+        assert report["passed"] is False and report["worst_case"] is None
         assert report["note"] == "plan carries no dual certificate"
-        assert "stability: FAIL" in capsys.readouterr().out
+        assert "stability: FAIL (worst_case=inf)" in capsys.readouterr().out
 
     def test_crlf_plan_verifies_like_lf_plan(self, canonical, tmp_path):
         files = ["--tasks", str(canonical / "tasks.csv"), "--agents", str(canonical / "agents.csv")]
@@ -986,7 +1024,7 @@ class TestVerify:
         (tmp_path / "plan.json").write_text(json.dumps(payload))
         assert run("verify", "--check", "stability", "--plan", str(tmp_path / "plan.json"),
                    *files, "--out", str(tmp_path / "v")) == 1
-        assert "<c, plan> = inf" in json.loads((tmp_path / "v" / "report.json").read_text())["note"]
+        assert "<c, plan> = inf" in _strict_report(tmp_path / "v")["note"]
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("case", ["duals", "masses"])
@@ -1005,7 +1043,13 @@ class TestVerify:
         (tmp_path / "plan.json").write_text(json.dumps(payload))
         assert run("verify", "--check", "stability", "--plan", str(tmp_path / "plan.json"),
                    *files, "--out", str(tmp_path / "v")) == 1
-        assert capsys.readouterr().err == ""
+        report = _strict_report(tmp_path / "v")  # the overflowed figures are null
+        figures = ["worst_case", "max_violation", "max_slack_on_support", "max_marginal_error"]
+        overflowed = figures[:3] if case == "duals" else figures[3:]
+        assert [key for key in figures if report[key] is None] == overflowed
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert ("worst_case=inf" in captured.out) == (case == "duals")
 
     def test_overflowing_index_point_is_one_error_line(self, tmp_path):
         # o + d of t0 overflows; in a subprocess, so numpy warnings reach the stderr checked

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from odtalloc.cost import (
+    CostMatrix,
     DynamicsSpec,
     cost_matrix,
     grad_x,
@@ -50,6 +51,22 @@ class TestTripCost:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             trip_cost([0.0, 1.0], [0.0], [0.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: trip_cost([], [], []), "is empty"),
+        (lambda: CostMatrix([[0.0, np.nan]]), "non-finite"),
+        (lambda: DynamicsSpec([[0.0, 1.0]], [[1.0]]), "A must be square"),
+        (lambda: DynamicsSpec(np.zeros((2, 2)), [[1.0]]), "B has 1 rows for 2 states"),
+        (lambda: DynamicsSpec([[0.0]], [[1.0]], 1.0, 1.0), "need t1 > t0"),
+    ],
+    ids=["empty_vector", "non_finite_cost", "non_square_a", "b_rows", "empty_interval"],
+)
+def test_malformed_input_is_rejected(build, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        build()
 
 
 def _central_diff(fun, point, h=1e-5):

@@ -48,3 +48,16 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_module_reads_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_imports_no_private_solver_name():
+    # the CLI does I/O only: it reaches the solver through its public names
+    tree = ast.parse((ROOT / "src" / "odtalloc" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("solver", "odtalloc.solver")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -63,6 +63,22 @@ class TestNormalize:
             DiscreteMeasure([[0.0], [1.0]], weights)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: normalize([]), AllZero, "empty weight vector"),
+        (lambda: DiscreteMeasure([[0.0], [1.0]], ids=("a",)), DimensionMismatch, "1 ids for 2"),
+        (lambda: DiscreteMeasure([[0.0], [1.0]], [1.0]), DimensionMismatch, "1 weights for 2"),
+        (lambda: DiscreteMeasure(np.empty((0, 2))), DimensionMismatch, "at least one point"),
+        (lambda: project_lonlat([[0.0, 0.0, 0.0]], (0.0, 0.0)), DimensionMismatch, "2-vectors"),
+    ],
+    ids=["empty_weights", "ids_count", "weights_count", "no_points", "lonlat_arity"],
+)
+def test_malformed_input_is_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestMeasureConstruction:
     def test_dim_and_len(self):
         m = DiscreteMeasure([[0.0, 1.0], [1.0, 1.0]])

@@ -26,7 +26,6 @@ from odtalloc.solver import (
     TransportPlan,
     _assignment,
     _logsumexp,
-    _plan_from_mass,
     _transportation_simplex,
     check_stability,
     solve,
@@ -61,11 +60,14 @@ def _balanced(tasks, agents):
 
 def _simplex(cost, mu, nu):
     """The simplex alone: solve_exact sends uniform square input to the assignment path."""
-    mass, u, v = _transportation_simplex(cost.values, mu, nu)
-    return _plan_from_mass(mass, cost.values, cost.n_tasks, cost.n_agents), DualPotentials(u, v)
+    task, agent, mass, u, v = _transportation_simplex(cost.values, mu, nu)
+    cells = zip(task.tolist(), agent.tolist(), mass.tolist())
+    entries = sorted((i, j, w) for i, j, w in cells if w > 1e-14)
+    objective = math.fsum(w * cost.values[i, j] for i, j, w in entries)
+    return TransportPlan(entries, objective, cost.n_tasks, cost.n_agents), DualPotentials(u, v)
 
 
-def _all_rows_assignment(cost, mu):
+def _all_rows_assignment(cost):
     """The assignment path with Bellman-Ford relaxing through every row in every round."""
     n = cost.shape[0]
     _, sigma = linear_sum_assignment(cost)
@@ -82,8 +84,7 @@ def _all_rows_assignment(cost, mu):
     u -= u[0]
     v = np.empty(n)
     v[sigma] = on_support - u
-    mass = {(i, int(sigma[i])): mu[i] for i in range(n)}
-    return mass, u, v
+    return sigma, u, v
 
 
 def _perturbed_cost_unique(cost, mu, nu, plan):
@@ -412,6 +413,21 @@ def _uniform_square_costs():
             yield pytest.param(reduced, id=f"mixture{dim}d_{size}_reduced")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_exact(CANONICAL, [1.0], HALF),
+        lambda: solve_exact(CANONICAL, HALF, np.full(3, 1 / 3)),
+        lambda: solve_entropic(CANONICAL, [1.0], HALF, epsilon=0.1),
+        lambda: check_stability(*solve_exact(CANONICAL, HALF, HALF), CANONICAL, HALF, [1.0]),
+    ],
+    ids=["exact_tasks", "exact_agents", "entropic", "stability"],
+)
+def test_weights_of_the_wrong_size_are_rejected(call):
+    with pytest.raises(DimensionMismatch, match="cost is 2x2, weights are"):
+        call()
+
+
 class TestAssignmentPath:
     """solve_exact on uniform square input, against the simplex and the permutation oracle."""
 
@@ -448,14 +464,17 @@ class TestAssignmentPath:
             else:  # city-box magnitudes, where the float spacing is near 1e-8
                 values = 1e8 + 1e8 * rng.uniforms(size * size).reshape(size, size)
             w = np.full(size, 1.0 / size)
-            mass, u, v = _assignment(values, w)
-            ref_mass, ref_u, ref_v = _all_rows_assignment(values, w)
+            sigma, u, v = _assignment(values)
+            ref_sigma, ref_u, ref_v = _all_rows_assignment(values)
             assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
-            assert list(mass.items()) == list(ref_mass.items())
-            assert all(mass[cell].hex() == ref_mass[cell].hex() for cell in mass)
+            assert sigma.tobytes() == ref_sigma.tobytes()
             cost = CostMatrix(values)
-            plan = _plan_from_mass(mass, values, size, size)
-            assert check_stability(plan, DualPotentials(u, v), cost, w, w).passed
+            plan, duals = solve_exact(cost, w, w)
+            assert plan.entries["task"].tolist() == list(range(size))
+            assert plan.entries["agent"].tobytes() == sigma.tobytes()
+            assert plan.entries["mass"].tobytes() == w.tobytes()
+            assert duals.u.tobytes() == u.tobytes() and duals.v.tobytes() == v.tobytes()
+            assert check_stability(plan, duals, cost, w, w).passed
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -743,6 +762,26 @@ class TestEntropic:
         cost, mu, nu, epsilon, tol = _entropic_case(case)
         solve_entropic(cost, mu, nu, epsilon, tol=tol)
         assert 1 <= directions <= 16
+
+    def test_unsolvable_newton_system_hands_back_to_the_sweeps(self, monkeypatch):
+        # a LinAlgError from the Newton system fails the attempt, and the sweeps go on
+        # from their own potentials: the plan is the one of the sweeps alone, bit for bit
+        cost, mu, nu, epsilon, tol = _entropic_case("criterion7_4")
+        monkeypatch.setattr(odtalloc.solver, "_newton_finish", lambda *args: None)
+        sweeps_alone = solve_entropic(cost, mu, nu, epsilon, tol=tol)
+        monkeypatch.undo()
+        solves = 0
+
+        def singular(*args):
+            nonlocal solves
+            solves += 1
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        plan = solve_entropic(cost, mu, nu, epsilon, tol=tol)
+        assert solves >= 1
+        assert np.array_equal(plan.entries, sweeps_alone.entries)
+        assert plan.objective == sweeps_alone.objective
 
     def test_failed_attempts_widen_the_wait(self, monkeypatch):
         # tol below the rounding floor: every attempt fails, and each failure doubles the
