@@ -40,7 +40,7 @@ from .measures import (
     write_agents_csv,
     write_tasks_csv,
 )
-from .scenarios import ScenarioSpec, generate
+from .scenarios import KINDS, PARAM_KEYS, ScenarioSpec, generate
 from .solver import (
     METHODS,
     DualPotentials,
@@ -104,21 +104,11 @@ def _write_manifest(outdir, argv, inputs: dict, seed, method, timings) -> None:
 def cmd_gen(args, argv) -> int:
     seed = _resolve_seed(args.seed)
     params = {}
-    if args.params:
+    if args.params is not None:
         try:
             params = json.loads(args.params)
         except json.JSONDecodeError as exc:
             raise _UsageFailure(f"--params is not valid JSON: {exc}") from exc
-    box = None
-    if args.box is not None:
-        try:
-            box = [float(v) for v in args.box.split(",")]
-        except ValueError:
-            raise _UsageFailure(f"--box {args.box!r} is not a comma list of numbers") from None
-    if isinstance(params, dict):  # ScenarioSpec rejects any other --params
-        for key, value in (("spread", args.spread), ("box", box), ("units", args.units)):
-            if value is not None:
-                params[key] = value
     try:
         spec = ScenarioSpec(
             kind=args.kind,
@@ -383,16 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a scenario instance")
-    gen.add_argument("--kind", required=True, choices=["gaussian_mixture", "grid", "city_box"])
+    gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--dim", type=int, default=2)
     gen.add_argument("--tasks", type=int, default=10)
     gen.add_argument("--agents", type=int, default=10)
     gen.add_argument("--seed", type=int, default=None, help="fallback: ODTALLOC_SEED, then 0")
-    gen.add_argument("--spread", type=float, default=None)
-    gen.add_argument("--box", type=str, default=None,
-                     help="min0,min1,max0,max1, e.g. --box -0.1,51.4,0.1,51.6")
-    gen.add_argument("--units", choices=["meters", "degrees"], default=None)
-    gen.add_argument("--params", type=str, default=None, help="extra params as JSON")
+    keys = "; ".join(f"{kind}: {', '.join(names) or 'none'}" for kind, names in PARAM_KEYS.items())
+    gen.add_argument("--params", help=f"a JSON object of the kind's keys ({keys})")
     gen.add_argument("--out", type=str, default=".")
 
     solve = sub.add_parser("solve", help="solve an instance from CSV files")
@@ -430,23 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None  # built by the first main call
 
 
-def _joined_box(argv: list[str]) -> list[str]:
-    """``argv`` with ``--box <value>`` written ``--box=<value>`` where the value is negative.
-
-    argparse reads a value that starts with '-' and is not a plain negative
-    number, such as the box -0.1,51.4,0.1,51.6 west of Greenwich, as a flag.
-    A value counts as negative when '-' is followed by a digit or '.'.
-    """
-    joined = []
-    for token in argv:
-        negative = len(token) > 1 and token[0] == "-" and token[1] in "0123456789."
-        if negative and joined and joined[-1] == "--box":
-            joined[-1] = "--box=" + token
-        else:
-            joined.append(token)
-    return joined
-
-
 def main(argv=None) -> int:
     """Run one command and return its exit code; never raises SystemExit.
 
@@ -460,7 +430,7 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(_joined_box(argv))
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     command = {"gen": cmd_gen, "solve": cmd_solve, "verify": cmd_verify}[args.command]

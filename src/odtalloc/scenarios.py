@@ -27,7 +27,12 @@ from .errors import InvalidSpec
 from .measures import _RANGE, COORD_LIMIT, DiscreteMeasure, TaskSet, project_lonlat
 from .rng import RngStream, box_muller, rng_stream
 
-KINDS = ("gaussian_mixture", "grid", "city_box")
+PARAM_KEYS = {  # the ``params`` keys each kind reads; a spec with any other key is rejected
+    "gaussian_mixture": ("spread", "means_origin", "means_destination", "means_agent"),
+    "grid": (),
+    "city_box": ("box", "units"),
+}
+KINDS = tuple(PARAM_KEYS)
 
 DEFAULT_BOX = (0.0, 0.0, 10000.0, 10000.0)  # 10 km x 10 km, meters
 # the largest |normal| ``box_muller`` gives: its 1 - u1 is at least 2^-53
@@ -76,6 +81,11 @@ class ScenarioSpec:
             raise InvalidSpec("n_agents must be >= 1", field="n_agents")
         if not isinstance(self.params, dict):
             raise InvalidSpec("params must be a JSON object (a dict)", field="params")
+        keys = PARAM_KEYS[self.kind]
+        unread = sorted(self.params.keys() - keys, key=str)
+        if unread:
+            message = f"{self.kind} takes no key {unread[0]!r} (keys: {', '.join(keys) or 'none'})"
+            raise InvalidSpec(message, field=unread[0])
         if self.kind == "gaussian_mixture":
             spread = _floats(self.params.get("spread", 1.0))
             if spread is None or spread.ndim != 0 or not 0.0 < spread < np.inf:

@@ -1,8 +1,10 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -25,7 +27,10 @@ from odtalloc.measures import (
     TaskSet,
     load_agents_csv,
     load_tasks_csv,
+    write_agents_csv,
+    write_tasks_csv,
 )
+from odtalloc.scenarios import ScenarioSpec, generate
 from odtalloc.solver import METHODS, DualPotentials, Solution, TransportPlan
 
 
@@ -102,6 +107,20 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert run(*shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_names_only_options_the_parser_has():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    text = "\n".join(line for line in readme.splitlines() if "pip install" not in line)
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    options, parsers = set(), [odtalloc.cli.build_parser()]
+    while parsers:  # the top-level parser and each subcommand's
+        for action in parsers.pop()._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert "--params" in named and "--max-iter" in named
+    assert named <= options, sorted(named - options)
 
 
 @st.composite
@@ -200,10 +219,10 @@ class TestGen:
     @pytest.mark.parametrize(
         "kind, flags, field",
         [
-            ("gaussian_mixture", ["--spread", "1e308"], "spread"),
-            ("gaussian_mixture", ["--spread", "inf"], "spread"),
-            ("city_box", ["--box=-1e308,0,1e308,1"], "box"),
-            ("city_box", ["--box=0,0,inf,1"], "box"),
+            ("gaussian_mixture", ["--params", '{"spread": 1e308}'], "spread"),
+            ("gaussian_mixture", ["--params", '{"spread": Infinity}'], "spread"),
+            ("city_box", ["--params", '{"box": [-1e308, 0, 1e308, 1]}'], "box"),
+            ("city_box", ["--params", '{"box": [0, 0, Infinity, 1]}'], "box"),
         ],
     )
     def test_overflowing_points_are_rejected_by_field(self, tmp_path, capsys, kind, flags, field):
@@ -215,29 +234,73 @@ class TestGen:
         assert "Warning" not in err and "coordinate" not in err
         assert not out.exists()
 
-    def test_non_object_params_with_flag_overrides(self, tmp_path, capsys):
-        assert run("gen", "--kind", "gaussian_mixture", "--params", "[1]", "--spread", "2",
-                   "--out", str(tmp_path / "x")) == 2
-        assert "invalid scenario (params)" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "kind, params, flags, key, value",
+        "kind, flags, error",
         [
-            ("gaussian_mixture", '{"spread": 3.0}', ["--spread", "0.5"], "spread", 0.5),
-            ("city_box", '{"box": [0, 0, 1, 1]}', ["--box=-5,-5,5,5"], "box", [-5.0, -5, 5, 5]),
-            ("city_box", '{"units": "degrees"}', ["--units", "meters"], "units", "meters"),
+            # a key the kind does not read; of several, the first in sorted order
+            ("gaussian_mixture", ["--params", '{"sprad": 5}'], "invalid scenario (sprad)"),
+            ("gaussian_mixture", ["--params", '{"spread": 2, "units": "meters", "box": [0, 1]}'],
+             "invalid scenario (box)"),
+            ("city_box", ["--params", '{"spread": 3}'], "invalid scenario (spread)"),
+            ("city_box", ["--params", '{"box": [0, 0, 1, 1], "means_agent": [[0, 0]]}'],
+             "invalid scenario (means_agent)"),
+            ("grid", ["--params", '{"box": [1, 2]}'], "invalid scenario (box)"),
+            ("grid", ["--params", '{"spread": 1.0}'], "invalid scenario (spread)"),
+            # params keys are not flags
+            ("city_box", ["--spread", "3"], "unrecognized arguments: --spread 3"),
+            ("grid", ["--box", "1,2"], "unrecognized arguments: --box 1,2"),
+            ("city_box", ["--units", "degrees"], "unrecognized arguments: --units degrees"),
+            # a subset of the kind's keys is read and recorded as given
+            ("gaussian_mixture", ["--params", '{"spread": 0.5}'], None),
+            ("gaussian_mixture", ["--params", '{"means_origin": [[0, 0], [4, 4]], '
+                                  '"means_destination": [[1, 1], [2, 2]], '
+                                  '"means_agent": [[3, 3]]}'], None),
+            ("city_box", ["--params", '{"box": [-0.1, 51.4, 0.1, 51.6], "units": "degrees"}'],
+             None),
+            ("city_box", ["--params", '{"box": [0, 0, 5, 5]}'], None),
+            ("grid", ["--params", "{}"], None),
         ],
     )
-    def test_flag_overrides_params_key(self, tmp_path, kind, params, flags, key, value):
+    def test_params_hold_only_the_kinds_keys(self, tmp_path, capsys, kind, flags, error):
         out = tmp_path / "x"
-        assert run("gen", "--kind", kind, "--params", params, *flags, "--out", str(out)) == 0
-        assert json.loads((out / "spec.json").read_text())["params"][key] == value
+        code = run("gen", "--kind", kind, "--tasks", "3", "--agents", "2", *flags,
+                   "--out", str(out))
+        if error is None:
+            assert code == 0
+            assert json.loads((out / "spec.json").read_text())["params"] == json.loads(flags[1])
+        else:
+            assert code == 2
+            assert error in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("grid", None),
+            ("gaussian_mixture", '{"means_origin": [[0, 0], [9, 9]], '
+                                 '"means_destination": [[1, 1], [3, 3]], "spread": 2.5}'),
+            ("city_box", '{"box": [-0.1, 51.4, 0.1, 51.6], "units": "degrees"}'),
+        ],
+    )
+    def test_spec_json_regenerates_its_instance(self, tmp_path, kind, params):
+        # spec.json holds every input of the draw: read back, it gives the same files
+        out, again = tmp_path / "gen", tmp_path / "again"
+        flags = [] if params is None else ["--params", params]
+        assert run("gen", "--kind", kind, "--tasks", "12", "--agents", "9", "--seed", "5",
+                   *flags, "--out", str(out)) == 0
+        spec = ScenarioSpec(**json.loads((out / "spec.json").read_text()))
+        tasks, agents = generate(spec)
+        again.mkdir()
+        write_tasks_csv(tasks, again / "tasks.csv")
+        write_agents_csv(agents, again / "agents.csv")
+        for name in ("tasks.csv", "agents.csv"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
     def test_city_box_points_lie_in_box(self, tmp_path):
-        # a box west of Greenwich, given in the = form
+        # a box west of Greenwich, its numbers read as meters
         out = tmp_path / "x"
-        assert run("gen", "--kind", "city_box", "--tasks", "20", "--agents", "15",
-                   "--box=-0.1,51.4,0.1,51.6", "--units", "meters", "--out", str(out)) == 0
+        assert run("gen", "--kind", "city_box", "--tasks", "20", "--agents", "15", "--params",
+                   '{"box": [-0.1, 51.4, 0.1, 51.6], "units": "meters"}', "--out", str(out)) == 0
         tasks, agents = load_tasks_csv(out / "tasks.csv"), load_agents_csv(out / "agents.csv")
         for points in (tasks.origins, tasks.destinations, agents.points):
             assert np.all((points >= [-0.1, 51.4]) & (points <= [0.1, 51.6]))
@@ -245,24 +308,13 @@ class TestGen:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--box", "a,b"], "error: --box 'a,b' is not a comma list of numbers"),
+            (["--params", ""], "error: --params is not valid JSON"),
             (["--params", "{"], "error: --params is not valid JSON"),
         ],
     )
     def test_malformed_flag_is_usage_error(self, tmp_path, capsys, flags, message):
         assert run("gen", "--kind", "city_box", *flags, "--out", str(tmp_path / "x")) == 2
         assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("box", ["-0.1,51.4,0.1,51.6", "-.5,-2,0.5,-1"])
-    def test_negative_box_value_reads_as_the_equals_form(self, tmp_path, box):
-        # argparse alone would read a value that starts with '-' as a flag
-        specs = []
-        for name, flags in (("natural", ["--box", box]), ("equals", [f"--box={box}"])):
-            out = tmp_path / name
-            assert run("gen", "--kind", "city_box", "--seed", "3", *flags, "--out", str(out)) == 0
-            specs.append((out / "spec.json").read_bytes())
-        assert specs[0] == specs[1]
-        assert json.loads(specs[0])["params"]["box"] == [float(v) for v in box.split(",")]
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ODTALLOC_SEED", "42")
@@ -538,7 +590,7 @@ class TestSolve:
         # a 1 km box at UTM-like eastings and northings: |o|^2 is near 1e13, trip costs 1e6
         inst = tmp_path / "inst"
         assert run("gen", "--kind", "city_box", "--tasks", "30", "--agents", "30",
-                   "--box", "500000,5000000,501000,5001000", "--seed", str(seed),
+                   "--params", '{"box": [500000, 5000000, 501000, 5001000]}', "--seed", str(seed),
                    "--out", str(inst)) == 0
         files = ["--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv")]
         plans = {}

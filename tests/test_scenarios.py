@@ -301,6 +301,10 @@ class TestSpecValidation:
                 {"means_origin": [[0, 0], [1, 1]], "means_destination": [[0, 0]]},
                 "means_destination",
             ),
+            # a key the kind does not read, before any value is checked; the first in order
+            ("grid", {"box": [0, 0, 1, 1]}, "box"),
+            ("city_box", {"spread": 1.0, "means_agent": [[0, 0]], "box": 5}, "means_agent"),
+            ("gaussian_mixture", {"units": "meters", "spread": "x"}, "units"),
         ],
     )
     def test_malformed_params_name_the_field(self, kind, params, field):
