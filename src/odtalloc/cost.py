@@ -157,6 +157,22 @@ def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray,
     return alpha, 2.0 * (y**2).sum(axis=1)
 
 
+def gaussian_prices(tasks: TaskSet, agents: DiscreteMeasure) -> np.ndarray:
+    """Column prices -psi(q_j) for the reduced cost -p.q, p = (o - z) + (d - z), q = y - z.
+
+    psi = mean(p).q + 0.5 sum_k scale_k q_k^2, scale = sqrt(var(p) / var(q)), is
+    the potential of the axis-wise map of the agents' normal fit onto the tasks'
+    (Dowson & Landau 1982).  An axis where the agents do not spread can make a
+    price inf or nan, with no warning.
+    """
+    o, d, q = _about_agent_mean(tasks, agents)
+    p = o + d
+    mean = tasks.weights @ p
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.sqrt((tasks.weights @ (p - mean) ** 2) / (agents.weights @ q**2))
+        return -(q @ mean + 0.5 * (q**2 @ scale))
+
+
 @dataclass(frozen=True)
 class DynamicsSpec:
     """Constant linear prior dynamics xdot = A x + B u on [t0, t1]."""

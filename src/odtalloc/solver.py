@@ -3,13 +3,14 @@
 The exact path has two solvers, chosen from the input.  A uniform square
 instance (n tasks, n agents, every weight equal) has a permutation as an
 optimal coupling (Birkhoff), so it is solved as an assignment by scipy's
-``linear_sum_assignment`` (Crouse 2016), and its duals are recovered by
-Bellman-Ford on the row potentials.  Every other instance goes to a
-transportation (network) simplex over the dense task x agent grid: the
-basis is a spanning tree on the bipartite node set, duals come from the
-tree with u_0 = 0, the entering cell is the most negative reduced cost,
-and Bland's rule takes over after a run of degenerate pivots so
-termination is guaranteed.  The entropic path is
+``linear_sum_assignment`` (Crouse 2016), on a large one after its columns
+are shifted by the prices of a Gaussian map, which keeps the optimal set,
+and its duals are recovered by Bellman-Ford on the row potentials.  Every
+other instance goes to a transportation (network) simplex over the dense
+task x agent grid: the basis is a spanning tree on the bipartite node set,
+duals come from the tree with u_0 = 0, the entering cell is the most
+negative reduced cost, and Bland's rule takes over after a run of
+degenerate pivots so termination is guaranteed.  The entropic path is
 log-domain Sinkhorn scaling (stabilised as in Schmitzer 2019) on the
 textbook max-shifted log-sum-exp; its convergence check reuses the next
 sweep's log-sum-exp.  Once the sweeps
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix
+from .cost import CostMatrix, cost_matrix, gaussian_prices, marginal_terms, reduced_cost_matrix
 from .errors import DimensionMismatch, IterationLimit, MassMismatch
 from .measures import DiscreteMeasure, TaskSet
 from .rng import rng_stream
@@ -52,6 +53,8 @@ _NEWTON_STEPS = 60  # Newton steps per stage before the attempt is given up
 _NEWTON_REACH = 5.0  # a step's first trial moves no potential by more than this x eps
 _NEWTON_HALVINGS = 20  # trials per step before the attempt is given up
 _NEWTON_RIDGE = 1e-10  # diagonal ridge of the Newton system, relative to the largest marginal
+# tasks x agents from which solve prices an assignment, near break-even (mean of 10 seeds, LSA
+_WARM_START_MIN = 2500  # alone vs prices + LSA: 96 vs 116 us at 50x50, 199 vs 172 at 60x60)
 
 METHODS = ("exact", "entropic", "reduced")
 ENTRY = np.dtype([("task", np.intp), ("agent", np.intp), ("mass", np.float64)])  # a plan entry
@@ -302,7 +305,7 @@ def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
     raise IterationLimit(f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots")
 
 
-def _assignment(cost: np.ndarray):
+def _assignment(cost: np.ndarray, prices=None):
     """Optimal permutation (task i to agent sigma[i]) and duals for a uniform square instance.
 
     Duals: with v_sigma(k) = c_k,sigma(k) - u_k the constraint u_i + v_j <= c_ij
@@ -320,7 +323,8 @@ def _assignment(cost: np.ndarray):
     from scipy.optimize import linear_sum_assignment  # ~0.2 s to import: only when used
 
     n = cost.shape[0]
-    _, sigma = linear_sum_assignment(cost)
+    finite = prices is not None and np.isfinite(prices).all()
+    _, sigma = linear_sum_assignment(cost - prices if finite else cost)
     on_support = cost[np.arange(n), sigma]
     edge = cost.T[sigma] - on_support[:, None]  # edge[k, i] = c_i,sigma(k) - c_k,sigma(k)
     u = edge.min(axis=0) + 0.0  # as edge + 0.0 would, + 0.0 turns a -0.0 minimum into 0.0
@@ -339,20 +343,24 @@ def _assignment(cost: np.ndarray):
     return sigma, u, v
 
 
-def solve_exact(cost: CostMatrix, mu_w, nu_w) -> tuple[TransportPlan, DualPotentials]:
+def solve_exact(cost: CostMatrix, mu_w, nu_w, prices=None) -> tuple[TransportPlan, DualPotentials]:
     """Globally optimal basic feasible solution of the transportation LP.
 
     A square cost with every entry of ``mu_w`` and ``nu_w`` equal is solved as
-    an assignment, and ties resolve as ``linear_sum_assignment`` resolves
-    them; the plan is a permutation.  Any other input runs the simplex,
-    where ties in the entering cell resolve row-major and ties in the
+    an assignment; the plan is a permutation.  Finite ``prices``, one per agent,
+    shift its columns first: every plan's cost moves by one constant, so the
+    optimal set and the duals of ``cost`` are kept, and ties resolve as scipy's
+    search does on the shifted matrix.  Any other input runs the simplex, which
+    ignores ``prices``; ties in its entering cell resolve row-major, in the
     leaving ratio by smallest row then column index.  Both are deterministic.
     The plan keeps the masses above ``_MASS_DROP``; its objective sums them
     left to right in the solver's order, before they are sorted.
     """
     mu, nu = _checked_weights(cost, mu_w, nu_w)
+    if prices is not None and np.shape(prices) != nu.shape:
+        raise DimensionMismatch(f"{np.size(prices)} prices for {nu.size} agents")
     if mu.size == nu.size and np.all(mu == mu[0]) and np.all(nu == mu[0]):
-        sigma, u, v = _assignment(cost.values)
+        sigma, u, v = _assignment(cost.values, prices)
         entries = _entries(np.arange(mu.size), sigma, mu)
     else:
         task, agent, mass, u, v = _transportation_simplex(cost.values, mu, nu)
@@ -715,12 +723,15 @@ def solve(
     ``exact`` runs ``solve_exact`` on the trip-cost matrix: an assignment
     when the instance is uniform and square, the simplex otherwise.
     ``reduced`` runs it on ``reduced_cost_matrix`` and lifts objective and
-    duals back through ``marginal_terms``, both taken about the agents' mean.
-    Both pass the duals of the matrix they solved (for ``reduced``, before
-    the lift) to ``support_is_unique``.  ``entropic`` runs Sinkhorn on the
-    trip-cost matrix; ``epsilon`` defaults to 1e-3 x the cost spread, but no
-    less than 1e-6 x the largest |cost|, and ``tol`` and ``max_iter`` apply
-    to it alone.  Every plan's ``objective`` is its trip cost.
+    duals back through ``marginal_terms``, both taken about the agents'
+    mean.  Both pass the duals of the matrix they solved (for ``reduced``,
+    before the lift) to ``support_is_unique``.  From ``_WARM_START_MIN``
+    cells on they pass ``solve_exact`` the ``gaussian_prices`` (for
+    ``exact``, beta + 2 x each price), which an assignment starts from.
+    ``entropic`` runs Sinkhorn on the trip-cost matrix; ``epsilon``
+    defaults to 1e-3 x the cost spread, but no less than 1e-6 x the
+    largest |cost|, and ``tol`` and ``max_iter`` apply to it alone.  Every
+    plan's ``objective`` is its trip cost.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -736,7 +747,10 @@ def solve(
         plan = solve_entropic(cost, mu, nu, epsilon=epsilon, tol=tol, max_iter=max_iter)
         return Solution(plan, None, False)
     cost = reduced_cost_matrix(tasks, agents) if method == "reduced" else cost_matrix(tasks, agents)
-    plan, duals = solve_exact(cost, mu, nu)
+    prices = gaussian_prices(tasks, agents) if mu.size * nu.size >= _WARM_START_MIN else None
+    if method == "exact" and prices is not None:
+        prices = marginal_terms(tasks, agents)[1] + 2.0 * prices
+    plan, duals = solve_exact(cost, mu, nu, prices)
     unique = support_is_unique(cost, mu, nu, plan, duals)
     if method == "reduced":
         alpha, beta = marginal_terms(tasks, agents)

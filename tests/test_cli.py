@@ -652,6 +652,28 @@ class TestSolve:
                 for name in ("plan.json", "plot.csv"):
                     assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_exact_plan_does_not_depend_on_blas_threads(self, tmp_path):
+        # a tied 60x60 instance, so the plan is the one the priced search picks among optima;
+        # the prices use matrix-vector products, which a threaded BLAS could round differently
+        rng = np.random.default_rng(11)
+        sites = rng.integers(0, 6, size=(8, 2)).astype(float)
+        tasks = TaskSet(sites[rng.integers(0, 8, 60)], sites[rng.integers(0, 8, 60)])
+        write_tasks_csv(tasks, tmp_path / "tasks.csv")
+        write_agents_csv(DiscreteMeasure(rng.integers(0, 6, (60, 2)).astype(float)),
+                         tmp_path / "agents.csv")
+        plans = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "odtalloc", "solve", "--tasks", str(tmp_path / "tasks.csv"),
+                 "--agents", str(tmp_path / "agents.csv"), "--method", "exact", "--out", str(out)],
+                capture_output=True, check=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+            )
+            plans.append((out / "plan.json").read_bytes())
+        assert json.loads(plans[0])["unique"] is False
+        assert plans[0] == plans[1]
+
     def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
         # 8 tasks, 7 agents: uniform square input is an assignment and never pivots
         inst = tmp_path / "inst"

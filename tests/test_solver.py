@@ -13,7 +13,13 @@ from scipy.special import logsumexp
 
 import odtalloc
 import odtalloc.solver
-from odtalloc.cost import CostMatrix, cost_matrix, marginal_terms, reduced_cost_matrix
+from odtalloc.cost import (
+    CostMatrix,
+    cost_matrix,
+    gaussian_prices,
+    marginal_terms,
+    reduced_cost_matrix,
+)
 from odtalloc.errors import DimensionMismatch, IterationLimit, MassMismatch
 from odtalloc.measures import COORD_LIMIT, DiscreteMeasure, TaskSet
 from odtalloc.rng import rng_stream
@@ -1154,3 +1160,102 @@ class TestSolve:
             assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
             assert np.abs(solution.plan.row_sums() - tasks.weights).max() <= 1e-9
             assert np.abs(solution.plan.col_sums() - agents.weights).max() <= 1e-9
+
+
+@st.composite
+def _priced_uniform_squares(draw):
+    """A uniform square cost, n <= 8, of reals or of tying integers 0-2, and finite column
+    prices within 10 x max|c|, often at the extremes."""
+    n = draw(st.integers(1, 8))
+    elements = draw(st.sampled_from([st.floats(-100.0, 100.0), st.integers(0, 2).map(float)]))
+    values = draw(hnp.arrays(float, (n, n), elements=elements))
+    factor = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-10.0, 10.0]))
+    prices = draw(hnp.arrays(float, n, elements=factor)) * float(np.abs(values).max())
+    return values, prices
+
+
+def _same_solution(a, b):
+    return (
+        np.array_equal(a.plan.entries, b.plan.entries)
+        and a.plan.objective.hex() == b.plan.objective.hex()
+        and a.duals.u.tobytes() == b.duals.u.tobytes()
+        and a.duals.v.tobytes() == b.duals.v.tobytes()
+        and a.unique == b.unique
+    )
+
+
+def _cold_solve(monkeypatch, tasks, agents, method):
+    with monkeypatch.context() as patch:
+        patch.setattr(odtalloc.solver, "_WARM_START_MIN", math.inf)
+        return solve(tasks, agents, method)
+
+
+def _line_of_agents(offset):
+    agents = generate(ScenarioSpec("gaussian_mixture", 2, 60, 60, 3))[1].points.copy()
+    agents[:, 1] = offset
+    return agents
+
+
+class TestWarmStart:
+    """solve prices the columns of a large assignment; the search starts from the prices."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_priced_uniform_squares())
+    def test_prices_are_a_hint_never_an_input(self, drawn):
+        values, prices = drawn
+        cost = CostMatrix(values)
+        w = np.full(cost.n_tasks, 1.0 / cost.n_tasks)
+        cold, cold_duals = solve_exact(cost, w, w)
+        warm, warm_duals = solve_exact(cost, w, w, prices)
+        # cost - prices rounds each entry by up to 1.1e-16 x 11 max|c|, so the shifted search's
+        # optimum can miss the true one by 2n such errors: relative to max|c|, as an objective
+        # near 0 (1e-68 against 1e-80 in one drawn case) has no relative precision left
+        bound = 1e-12 * max(abs(cold.objective), float(np.abs(values).max()))
+        assert abs(warm.objective - cold.objective) <= bound
+        assert check_stability(warm, warm_duals, cost, w, w).passed
+        if warm.support() == cold.support():
+            assert np.array_equal(warm.entries, cold.entries)
+            assert warm_duals.u.tobytes() == cold_duals.u.tobytes()
+            assert warm_duals.v.tobytes() == cold_duals.v.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind,dim,size,seed,params",
+        [
+            ("gaussian_mixture", 2, 300, 1, {}),
+            ("gaussian_mixture", 2, 300, 7, {}),
+            ("city_box", 2, 300, 1, {"units": "meters"}),
+            ("gaussian_mixture", 1, 200, 1, {}),
+            ("gaussian_mixture", 3, 200, 1, {}),
+        ],
+    )
+    def test_warm_is_cold_where_the_optimum_is_unique(self, monkeypatch, kind, dim, size, seed,
+                                                      params):
+        tasks, agents = generate(ScenarioSpec(kind, dim, size, size, seed, params))
+        assert np.isfinite(gaussian_prices(tasks, agents)).all()  # the warm path runs
+        for method in ("exact", "reduced"):
+            warm = solve(tasks, agents, method)
+            assert warm.unique
+            assert _same_solution(warm, _cold_solve(monkeypatch, tasks, agents, method))
+
+    @pytest.mark.parametrize(
+        "points,finite",
+        [
+            (_line_of_agents(0.0), False),  # y - z is exactly 0 on the line's axis
+            (_line_of_agents(0.75), True),  # z rounds off the line: y - z is -3.3e-16
+            (np.tile([0.5, -1.25], (60, 1)), False),
+            (np.tile([0.3, 0.7], (60, 1)), True),  # every price is the same
+        ],
+        ids=["line_at_0", "line_at_0.75", "point_exact_mean", "point_rounded_mean"],
+    )
+    def test_agents_that_do_not_spread_fall_back_quietly(self, monkeypatch, points, finite):
+        # warnings are errors here, so a nan or inf price that warns fails the test
+        tasks = generate(ScenarioSpec("gaussian_mixture", 2, 60, 60, 3))[0]
+        agents = DiscreteMeasure(points)
+        assert bool(np.isfinite(gaussian_prices(tasks, agents)).all()) == finite
+        for method in ("exact", "reduced"):
+            cold = _cold_solve(monkeypatch, tasks, agents, method)
+            assert _same_solution(solve(tasks, agents, method), cold)
+
+    def test_prices_of_the_wrong_size_are_rejected(self):
+        with pytest.raises(DimensionMismatch, match="3 prices for 2 agents"):
+            solve_exact(CANONICAL, HALF, HALF, np.zeros(3))
