@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance from CSV files")
     solve.add_argument("--tasks", required=True)
     solve.add_argument("--agents", required=True)
-    solve.add_argument("--method", choices=METHODS, default="exact")
+    solve.add_argument("--method", choices=METHODS, default="exact",
+                       help="reduced is another name for exact")
     solve.add_argument("--epsilon", type=float, default=None,
                        help="entropic regularization "
                             "(default: 1e-3 x cost spread, at least 1e-6 x max cost)")

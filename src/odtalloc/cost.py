@@ -8,7 +8,7 @@ The round trip of an agent parked at y serving the task (o, d) costs
 all squared Euclidean norms.  About the agents' weighted mean z it splits as
 c_ij = alpha_i + beta_j + 2 c_hat_ij with c_hat_ij = -((o_i - z) + (d_i - z)) . (y_j - z),
 so every coupling pi with marginals mu, nu has <c, pi> = mu.alpha + nu.beta
-+ 2 <c_hat, pi>: the rank-n correlation cost the reduced solver path uses.
++ 2 <c_hat, pi>: the rank-n correlation cost every exact solve runs on.
 """
 
 from __future__ import annotations

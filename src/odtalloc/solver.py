@@ -24,8 +24,9 @@ that fails hands back to the sweeps, the wait before the next doubles, and
 the next starts one stage higher (256 x eps, then 1024 x eps, ...).  Only
 the assignment path imports scipy, inside the function.  Both return plans
 whose row/column sums reproduce the prescribed marginals.  ``solve`` is the
-one entry point for a task set and agents: it builds the cost, runs a
-method and states the plan's trip cost; ``check_stability`` certifies.
+one entry point for a task set and agents: exact on the rank-n reduced cost,
+entropic on the trip-cost matrix, and every plan states its trip cost;
+``check_stability`` certifies against the trip-cost matrix.
 """
 
 from __future__ import annotations
@@ -720,14 +721,14 @@ def solve(
 ) -> Solution:
     """Allocate ``agents`` to ``tasks`` by one of ``METHODS``.
 
-    ``exact`` runs ``solve_exact`` on the trip-cost matrix: an assignment
-    when the instance is uniform and square, the simplex otherwise.
-    ``reduced`` runs it on ``reduced_cost_matrix`` and lifts objective and
-    duals back through ``marginal_terms``, both taken about the agents'
-    mean.  Both pass the duals of the matrix they solved (for ``reduced``,
-    before the lift) to ``support_is_unique``.  From ``_WARM_START_MIN``
-    cells on they pass ``solve_exact`` the ``gaussian_prices`` (for
-    ``exact``, beta + 2 x each price), which an assignment starts from.
+    ``exact`` runs ``solve_exact`` on ``reduced_cost_matrix``, the rank-n
+    form: an assignment when the instance is uniform and square, the
+    simplex otherwise.  From ``_WARM_START_MIN`` cells on it passes the
+    ``gaussian_prices``, which an assignment starts from.
+    ``support_is_unique`` runs on the reduced duals, and objective and
+    duals are then lifted to the trip cost through ``marginal_terms``, both
+    taken about the agents' mean.  ``reduced`` is another name for
+    ``exact`` and gives the same ``Solution``.
     ``entropic`` runs Sinkhorn on the trip-cost matrix; ``epsilon``
     defaults to 1e-3 x the cost spread, but no less than 1e-6 x the
     largest |cost|, and ``tol`` and ``max_iter`` apply to it alone.  Every
@@ -746,15 +747,12 @@ def solve(
             epsilon = 1e-3 * max(spread, 1e-3 * float(np.abs(values).max()), 1e-12)
         plan = solve_entropic(cost, mu, nu, epsilon=epsilon, tol=tol, max_iter=max_iter)
         return Solution(plan, None, False)
-    cost = reduced_cost_matrix(tasks, agents) if method == "reduced" else cost_matrix(tasks, agents)
+    cost = reduced_cost_matrix(tasks, agents)
     prices = gaussian_prices(tasks, agents) if mu.size * nu.size >= _WARM_START_MIN else None
-    if method == "exact" and prices is not None:
-        prices = marginal_terms(tasks, agents)[1] + 2.0 * prices
     plan, duals = solve_exact(cost, mu, nu, prices)
     unique = support_is_unique(cost, mu, nu, plan, duals)
-    if method == "reduced":
-        alpha, beta = marginal_terms(tasks, agents)
-        objective = float(nu @ beta) + float(mu @ alpha) + 2.0 * plan.objective
-        duals = DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
-        plan = TransportPlan(plan.entries, objective, plan.n_tasks, plan.n_agents)
+    alpha, beta = marginal_terms(tasks, agents)
+    objective = float(nu @ beta) + float(mu @ alpha) + 2.0 * plan.objective
+    duals = DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
+    plan = TransportPlan(plan.entries, objective, plan.n_tasks, plan.n_agents)
     return Solution(plan, duals, unique)

@@ -31,7 +31,15 @@ from odtalloc.measures import (
     write_tasks_csv,
 )
 from odtalloc.scenarios import ScenarioSpec, generate
-from odtalloc.solver import METHODS, DualPotentials, Solution, TransportPlan
+from odtalloc.solver import (
+    METHODS,
+    DualPotentials,
+    Solution,
+    TransportPlan,
+    solve,
+    solve_exact,
+    support_is_unique,
+)
 
 
 def run(*argv):
@@ -352,17 +360,44 @@ class TestSolve:
         assert (out / "plot.csv").exists()
 
     def test_reduced_matches_exact(self, canonical, tmp_path):
-        exact_out = tmp_path / "e"
-        reduced_out = tmp_path / "r"
-        for method, out in (("exact", exact_out), ("reduced", reduced_out)):
-            assert run(
-                "solve", "--tasks", str(canonical / "tasks.csv"),
-                "--agents", str(canonical / "agents.csv"), "--method", method,
-                "--out", str(out),
-            ) == 0
-        exact = json.loads((exact_out / "plan.json").read_text())
-        reduced = json.loads((reduced_out / "plan.json").read_text())
-        assert abs(exact["objective"] - reduced["objective"]) <= 1e-8
+        # the oracle is the direct solve of the trip-cost matrix
+        tasks, agents = load_tasks_csv(canonical / "tasks.csv"), load_agents_csv(
+            canonical / "agents.csv")
+        cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
+        oracle, duals = solve_exact(cost, mu, nu)
+        assert run(
+            "solve", "--tasks", str(canonical / "tasks.csv"),
+            "--agents", str(canonical / "agents.csv"), "--method", "exact",
+            "--out", str(tmp_path / "e"),
+        ) == 0
+        exact = json.loads((tmp_path / "e" / "plan.json").read_text())
+        assert abs(exact["objective"] - oracle.objective) <= 1e-8
+        assert support_is_unique(cost, mu, nu, oracle, duals)
+        assert [(e["task"], e["agent"], e["mass"]) for e in exact["entries"]] == [
+            (tasks.ids[t], agents.ids[a], mass) for t, a, mass in oracle.entries.tolist()]
+
+    @pytest.mark.parametrize("tasks_n, agents_n", [(12, 9), (60, 60)], ids=["simplex", "warm"])
+    def test_reduced_is_exact_under_another_name(self, tmp_path, tasks_n, agents_n):
+        inst = tmp_path / "inst"
+        assert run("gen", "--kind", "gaussian_mixture", "--tasks", str(tasks_n), "--agents",
+                   str(agents_n), "--seed", "5", "--out", str(inst)) == 0
+        tasks, agents = load_tasks_csv(inst / "tasks.csv"), load_agents_csv(inst / "agents.csv")
+        exact, reduced = solve(tasks, agents, "exact"), solve(tasks, agents, "reduced")
+        assert np.array_equal(exact.plan.entries, reduced.plan.entries)
+        assert exact.plan.objective.hex() == reduced.plan.objective.hex()
+        assert exact.duals.u.tobytes() == reduced.duals.u.tobytes()
+        assert exact.duals.v.tobytes() == reduced.duals.v.tobytes()
+        assert exact.unique == reduced.unique
+        files = {}
+        for method in ("exact", "reduced"):
+            assert run("solve", "--tasks", str(inst / "tasks.csv"), "--agents",
+                       str(inst / "agents.csv"), "--method", method,
+                       "--out", str(tmp_path / method)) == 0
+            files[method] = [(tmp_path / method / name).read_bytes()
+                             for name in ("plan.json", "plot.csv")]
+        assert b'"method": "reduced"' in files["reduced"][0]
+        renamed = files["reduced"][0].replace(b'"method": "reduced"', b'"method": "exact"')
+        assert [renamed, files["reduced"][1]] == files["exact"]
 
     def test_entropic_large_epsilon_near_product(self, canonical, tmp_path):
         out = tmp_path / "ent"
@@ -575,14 +610,16 @@ class TestSolve:
         (tmp_path / "tasks.csv").write_text("id,o1,d1,weight\nt0,6e99,6e99,1\nt1,0.5,0.5,1\n")
         (tmp_path / "agents.csv").write_text("id,y1,weight\na0,0.0,1\na1,1.0,1\n")
         files = ["--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv")]
-        plans = {}
-        for method in ("exact", "reduced"):
-            assert run("solve", *files, "--method", method, "--out", str(tmp_path / method)) == 0
-            plans[method] = json.loads((tmp_path / method / "plan.json").read_text())
+        tasks, agents = load_tasks_csv(tmp_path / "tasks.csv"), load_agents_csv(
+            tmp_path / "agents.csv")
+        oracle = solve_exact(cost_matrix(tasks, agents), tasks.weights, agents.weights)[0]
+        assert run("solve", *files, "--method", "exact", "--out", str(tmp_path / "exact")) == 0
+        plan = json.loads((tmp_path / "exact" / "plan.json").read_text())
         assert run("verify", "--check", "stability", *files, "--plan",
-                   str(tmp_path / "reduced" / "plan.json"), "--out", str(tmp_path / "s")) == 0
-        exact, reduced = plans["exact"]["objective"], plans["reduced"]["objective"]
-        assert abs(reduced - exact) <= 1e-12 * abs(exact)  # both plans tie in floats
+                   str(tmp_path / "exact" / "plan.json"), "--out", str(tmp_path / "s")) == 0
+        # both plans tie in floats on the full matrix, so the oracle's plan is not asserted: its
+        # re-solve calls it unique, yet the rank-n solve picks the other plan
+        assert abs(plan["objective"] - oracle.objective) <= 1e-12 * abs(oracle.objective)
         assert run("verify", "--check", "nestedness", *files, "--out", str(tmp_path / "v")) == 0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -593,15 +630,18 @@ class TestSolve:
                    "--params", '{"box": [500000, 5000000, 501000, 5001000]}', "--seed", str(seed),
                    "--out", str(inst)) == 0
         files = ["--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv")]
-        plans = {}
-        for method in ("exact", "reduced"):
-            assert run("solve", *files, "--method", method, "--out", str(tmp_path / method)) == 0
-            plans[method] = json.loads((tmp_path / method / "plan.json").read_text())
+        tasks, agents = load_tasks_csv(inst / "tasks.csv"), load_agents_csv(inst / "agents.csv")
+        cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
+        oracle, duals = solve_exact(cost, mu, nu)
+        assert run("solve", *files, "--method", "exact", "--out", str(tmp_path / "exact")) == 0
+        plan = json.loads((tmp_path / "exact" / "plan.json").read_text())
         assert run("verify", "--check", "stability", *files, "--plan",
-                   str(tmp_path / "reduced" / "plan.json"), "--out", str(tmp_path / "s")) == 0
-        exact, reduced = plans["exact"]["objective"], plans["reduced"]["objective"]
-        assert abs(reduced - exact) <= 1e-12 * abs(exact)
-        assert plans["reduced"]["unique"] == plans["exact"]["unique"]
+                   str(tmp_path / "exact" / "plan.json"), "--out", str(tmp_path / "s")) == 0
+        assert abs(plan["objective"] - oracle.objective) <= 1e-12 * abs(oracle.objective)
+        assert plan["unique"] == support_is_unique(cost, mu, nu, oracle, duals)
+        if plan["unique"]:
+            assert [(e["task"], e["agent"], e["mass"]) for e in plan["entries"]] == [
+                (tasks.ids[t], agents.ids[a], mass) for t, a, mass in oracle.entries.tolist()]
 
     @pytest.mark.parametrize("epsilon", ["1e300", "1e306"])
     def test_overflowing_potentials_are_one_error_line(self, tmp_path, epsilon):
@@ -653,26 +693,29 @@ class TestSolve:
                     assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_exact_plan_does_not_depend_on_blas_threads(self, tmp_path):
-        # a tied 60x60 instance, so the plan is the one the priced search picks among optima;
-        # the prices use matrix-vector products, which a threaded BLAS could round differently
+        # tied instances, so the plan is the one the priced search picks among optima; the
+        # prices use matrix-vector products and the rank-n cost the product (o + d) @ y.T, which
+        # a threaded BLAS could round differently, the more so on a larger product
         rng = np.random.default_rng(11)
-        sites = rng.integers(0, 6, size=(8, 2)).astype(float)
-        tasks = TaskSet(sites[rng.integers(0, 8, 60)], sites[rng.integers(0, 8, 60)])
-        write_tasks_csv(tasks, tmp_path / "tasks.csv")
-        write_agents_csv(DiscreteMeasure(rng.integers(0, 6, (60, 2)).astype(float)),
-                         tmp_path / "agents.csv")
-        plans = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "odtalloc", "solve", "--tasks", str(tmp_path / "tasks.csv"),
-                 "--agents", str(tmp_path / "agents.csv"), "--method", "exact", "--out", str(out)],
-                capture_output=True, check=True, timeout=60,
-                env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
-            )
-            plans.append((out / "plan.json").read_bytes())
-        assert json.loads(plans[0])["unique"] is False
-        assert plans[0] == plans[1]
+        for size in (60, 300):
+            sites = rng.integers(0, 6, size=(8, 2)).astype(float)
+            tasks = TaskSet(sites[rng.integers(0, 8, size)], sites[rng.integers(0, 8, size)])
+            write_tasks_csv(tasks, tmp_path / "tasks.csv")
+            write_agents_csv(DiscreteMeasure(rng.integers(0, 6, (size, 2)).astype(float)),
+                             tmp_path / "agents.csv")
+            plans = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{size}_threads{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "odtalloc", "solve", "--tasks",
+                     str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv"),
+                     "--method", "exact", "--out", str(out)],
+                    capture_output=True, check=True, timeout=60,
+                    env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+                )
+                plans.append((out / "plan.json").read_bytes())
+            assert json.loads(plans[0])["unique"] is False
+            assert plans[0] == plans[1]
 
     def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
         # 8 tasks, 7 agents: uniform square input is an assignment and never pivots
@@ -722,7 +765,8 @@ class TestSolve:
         assert d1[str(canonical / "agents.csv")] == d2[str(canonical / "agents.csv")]
 
     def test_golden_output_bytes(self, tmp_path):
-        # unequal task weights take the transportation simplex; both quoted ids need RFC 4180
+        # unequal task weights take the transportation simplex; both quoted ids need RFC 4180;
+        # the duals are lifted from the rank-n cost's, which the tree anchors at 0 in task 0
         tasks, agents = tmp_path / "tasks.csv", tmp_path / "agents.csv"
         tasks.write_text('id,o1,d1,weight\n"t,1",0.1,1,1\nt2,2,3.5,3\n')
         agents.write_text('id,y1,weight\na1,0,1\n"a""2",3,1\n')
@@ -743,7 +787,7 @@ class TestSolve:
 
 
 _GOLDEN_PLAN = """{
-  "objective": 6.83,
+  "objective": 6.829999999999999,
   "entries": [
     {
       "task": "t,1",
@@ -763,12 +807,12 @@ _GOLDEN_PLAN = """{
   ],
   "duals": {
     "u": [
-      0.0,
-      16.68
+      3.02,
+      19.7
     ],
     "v": [
-      1.82,
-      -13.18
+      -1.1999999999999993,
+      -16.2
     ]
   },
   "method": "exact",
@@ -780,10 +824,10 @@ _GOLDEN_REPORT = """{
   "condition": "stability",
   "passed": true,
   "samples": 3,
-  "worst_case": 0.0,
+  "worst_case": 6.661338147750939e-16,
   "witness": null,
-  "max_violation": 0.0,
-  "max_slack_on_support": 0.0,
+  "max_violation": 6.661338147750939e-16,
+  "max_slack_on_support": 6.661338147750939e-16,
   "max_marginal_error": 0.0
 }
 """

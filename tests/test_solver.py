@@ -1074,15 +1074,20 @@ class TestSolve:
         assert entries["mass"].min() > (1e-18 if method == "entropic" else 1e-14)
 
     def test_exact_is_the_direct_solve(self):
+        # the direct solve of the trip-cost matrix is the oracle; solve lifts its duals from
+        # the rank-n cost, so they are the oracle's up to the one shift a tree basis leaves
         tasks, agents = _random_instance(rng_stream(401), 7, 6, uniform=False)
         solution = solve(tasks, agents, "exact")
         cost = cost_matrix(tasks, agents)
         plan, duals = solve_exact(cost, tasks.weights, agents.weights)
+        assert len(plan.entries) == 7 + 6 - 1  # a nondegenerate basis: its duals are unique
         assert np.array_equal(solution.plan.entries, plan.entries)
-        assert (solution.plan.objective, solution.plan.n_tasks, solution.plan.n_agents) == (
-            plan.objective, plan.n_tasks, plan.n_agents)
-        assert_array_equal(solution.duals.u, duals.u)
-        assert_array_equal(solution.duals.v, duals.v)
+        assert (solution.plan.n_tasks, solution.plan.n_agents) == (plan.n_tasks, plan.n_agents)
+        assert abs(solution.plan.objective - plan.objective) <= 1e-14 * abs(plan.objective)
+        shift = solution.duals.u[0]
+        bound = 1e-14 * float(np.abs(cost.values).max())
+        assert_allclose(solution.duals.u - shift, duals.u, rtol=0.0, atol=bound)
+        assert_allclose(solution.duals.v + shift, duals.v, rtol=0.0, atol=bound)
         unique = support_is_unique(cost, tasks.weights, agents.weights, plan, duals)
         assert solution.unique == unique
 
@@ -1110,9 +1115,9 @@ class TestSolve:
         reduced = solve_exact(reduced_cost_matrix(tasks, agents), mu, nu)[0]
         alpha, beta = marginal_terms(tasks, agents)
         lifted = float(nu @ beta) + float(mu @ alpha) + 2.0 * reduced.objective
-        assert solve(tasks, agents, "reduced").plan.objective.hex() == lifted.hex()
+        assert solve(tasks, agents, "exact").plan.objective.hex() == lifted.hex()
         exact = solve_exact(cost, mu, nu)[0]
-        assert solve(tasks, agents, "exact").plan.objective == exact.objective
+        assert abs(lifted - exact.objective) <= 1e-14 * abs(exact.objective)
         epsilon = 1e-3 * float(cost.values.max() - cost.values.min())
         entropic = solve_entropic(cost, mu, nu, epsilon)
         assert solve(tasks, agents, "entropic").plan.objective == entropic.objective
@@ -1142,24 +1147,25 @@ class TestSolve:
         # the split is taken about the agents' mean, so no term grows with the offset
         tasks, agents = instance
         cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
-        exact = solve(tasks, agents, "exact").plan.objective
-        reduced = solve(tasks, agents, "reduced")
-        assert check_stability(reduced.plan, reduced.duals, cost, mu, nu).passed
-        assert abs(reduced.plan.objective - exact) <= 1e-12 * max(1.0, abs(exact))
+        exact = solve_exact(cost, mu, nu)[0].objective
+        solution = solve(tasks, agents, "exact")
+        assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
+        assert abs(solution.plan.objective - exact) <= 1e-12 * max(1.0, abs(exact))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_drawn_instances())
     def test_exact_and_reduced_agree_and_certify(self, instance):
         tasks, agents = instance
         cost, mu, nu = cost_matrix(tasks, agents), tasks.weights, agents.weights
-        exact = solve(tasks, agents, "exact")
-        reduced = solve(tasks, agents, "reduced")
-        objective = exact.plan.objective
-        assert abs(objective - reduced.plan.objective) <= 1e-9 * max(1.0, abs(objective))
-        for solution in (exact, reduced):
-            assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
-            assert np.abs(solution.plan.row_sums() - tasks.weights).max() <= 1e-9
-            assert np.abs(solution.plan.col_sums() - agents.weights).max() <= 1e-9
+        oracle, oracle_duals = solve_exact(cost, mu, nu)
+        solution = solve(tasks, agents, "exact")
+        objective = oracle.objective
+        assert abs(objective - solution.plan.objective) <= 1e-9 * max(1.0, abs(objective))
+        if support_is_unique(cost, mu, nu, oracle, oracle_duals):
+            assert np.array_equal(solution.plan.entries, oracle.entries)
+        assert check_stability(solution.plan, solution.duals, cost, mu, nu).passed
+        assert np.abs(solution.plan.row_sums() - tasks.weights).max() <= 1e-9
+        assert np.abs(solution.plan.col_sums() - agents.weights).max() <= 1e-9
 
 
 @st.composite
@@ -1232,10 +1238,9 @@ class TestWarmStart:
                                                       params):
         tasks, agents = generate(ScenarioSpec(kind, dim, size, size, seed, params))
         assert np.isfinite(gaussian_prices(tasks, agents)).all()  # the warm path runs
-        for method in ("exact", "reduced"):
-            warm = solve(tasks, agents, method)
-            assert warm.unique
-            assert _same_solution(warm, _cold_solve(monkeypatch, tasks, agents, method))
+        warm = solve(tasks, agents, "exact")
+        assert warm.unique
+        assert _same_solution(warm, _cold_solve(monkeypatch, tasks, agents, "exact"))
 
     @pytest.mark.parametrize(
         "points,finite",
@@ -1252,9 +1257,8 @@ class TestWarmStart:
         tasks = generate(ScenarioSpec("gaussian_mixture", 2, 60, 60, 3))[0]
         agents = DiscreteMeasure(points)
         assert bool(np.isfinite(gaussian_prices(tasks, agents)).all()) == finite
-        for method in ("exact", "reduced"):
-            cold = _cold_solve(monkeypatch, tasks, agents, method)
-            assert _same_solution(solve(tasks, agents, method), cold)
+        cold = _cold_solve(monkeypatch, tasks, agents, "exact")
+        assert _same_solution(solve(tasks, agents, "exact"), cold)
 
     def test_prices_of_the_wrong_size_are_rejected(self):
         with pytest.raises(DimensionMismatch, match="3 prices for 2 agents"):
