@@ -234,13 +234,7 @@ def cmd_solve(args, argv) -> int:
     start = time.perf_counter()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    plan_start = time.perf_counter()
-    masses = [*map(float.__repr__, solution.plan.entries["mass"].tolist())]
-    _write_plan_json(outdir / "plan.json", solution, args.method, tasks, agents, masses)
-    plot_start = time.perf_counter()
-    _write_plot_csv(outdir / "plot.csv", solution.plan, tasks, agents, masses)
-    plot_end = time.perf_counter()
-    if args.dump_cost:
+    if args.dump_cost:  # first: a dump that cannot be written leaves no plan files behind
         full_cost = cost_matrix(tasks, agents)
         _write_json(
             Path(args.dump_cost),
@@ -250,6 +244,12 @@ def cmd_solve(args, argv) -> int:
                 "values": full_cost.values.tolist(),  # row-major
             },
         )
+    plan_start = time.perf_counter()
+    masses = [*map(float.__repr__, solution.plan.entries["mass"].tolist())]
+    _write_plan_json(outdir / "plan.json", solution, args.method, tasks, agents, masses)
+    plot_start = time.perf_counter()
+    _write_plot_csv(outdir / "plot.csv", solution.plan, tasks, agents, masses)
+    plot_end = time.perf_counter()
     timings["write_ms"] = (time.perf_counter() - start) * 1000.0
     timings["plan_ms"] = (plot_start - plan_start) * 1000.0
     timings["plot_ms"] = (plot_end - plot_start) * 1000.0

@@ -27,7 +27,7 @@ COORD_LIMIT = 1e100
 
 A trip cost, and each term of its split about the agents' mean, is then at
 most 24 dim L^2 for L = COORD_LIMIT, and each sum the solvers form holds at
-most m + n such terms: assignment path sums, simplex duals, the re-solve's
+most m + n such terms: assignment path sums, the LP's duals, the re-solve's
 c - u - v, the exact lift mu.alpha + nu.beta + 2 c_hat, the certificate's
 u + v - c.  For any instance that fits in memory these stay
 below about 1e215, so no later step needs an overflow check.

@@ -6,11 +6,10 @@ optimal coupling (Birkhoff), so it is solved as an assignment by scipy's
 ``linear_sum_assignment`` (Crouse 2016), on a large one after its columns
 are shifted by the prices of a Gaussian map, which keeps the optimal set,
 and its duals are recovered by Bellman-Ford on the row potentials.  Every
-other instance goes to a transportation (network) simplex over the dense
-task x agent grid: the basis is a spanning tree on the bipartite node set,
-duals come from the tree with u_0 = 0, the entering cell is the most
-negative reduced cost, and Bland's rule takes over after a run of
-degenerate pivots so termination is guaranteed.  The entropic path is
+other instance is a linear program that scipy's HiGHS dual simplex solves on
+a candidate set of cells, chosen by dual prices and grown until the duals
+price the whole task x agent grid nonnegative; the duals are shifted to
+u_0 = 0, and the masses are read off the support.  The entropic path is
 log-domain Sinkhorn scaling (stabilised as in Schmitzer 2019) on the
 textbook max-shifted log-sum-exp; its convergence check reuses the next
 sweep's log-sum-exp.  Once the sweeps
@@ -22,7 +21,7 @@ sweeps and Newton steps at 64, 16, 4 and 1 x eps in turn, so Newton starts
 near each stage's optimum, where it converges quadratically; an attempt
 that fails hands back to the sweeps, the wait before the next doubles, and
 the next starts one stage higher (256 x eps, then 1024 x eps, ...).  Only
-the assignment path imports scipy, inside the function.  Both return plans
+the exact paths import scipy, inside the functions.  Both return plans
 whose row/column sums reproduce the prescribed marginals.  ``solve`` is the
 one entry point for a task set and agents: exact on the rank-n reduced cost,
 entropic on the trip-cost matrix, and every plan states its trip cost;
@@ -31,6 +30,7 @@ entropic on the trip-cost matrix, and every plan states its trip cost;
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +43,8 @@ from .rng import rng_stream
 _MASS_DROP = 1e-14  # plan entries at or below this are not stored, nor counted in the objective
 _MASS_TOL = 1e-9  # the total masses, and a certified plan's row and column sums, match to this
 _UNIQUENESS_SEED = 0x0D7A110C  # fixed seed for the perturbation re-solve
-_MAX_PIVOTS = 2_000_000  # the simplex raises IterationLimit beyond this
-_BLAND_AFTER = 3  # Bland's rule prices after this many x (m + n) degenerate pivots in a row
+_CANDIDATES = 4  # the exact LP starts from this many lowest reduced costs a row and a column
+_LP_COST_EXP = 11  # HiGHS gets the costs scaled by a power of two to a largest |c| in [2^11, 2^12)
 _STALL_SWEEPS = 3  # Newton starts when Sinkhorn's violation has not halved over this many sweeps
 _EPS_STAGES = 3  # the first Newton attempt starts at eps x _EPS_STAGE_FACTOR^_EPS_STAGES
 _EPS_STAGE_FACTOR = 4.0  # eps shrinks by this factor from one stage to the next
@@ -145,25 +145,25 @@ def _checked_weights(cost: CostMatrix, mu_w, nu_w) -> tuple[np.ndarray, np.ndarr
     return mu, nu
 
 
-def _northwest_corner(mu: np.ndarray, nu: np.ndarray):
-    """Initial basis by the north-west-corner rule.
+def _northwest_corner(mu: np.ndarray, nu: np.ndarray) -> list[tuple[int, int]]:
+    """The cells of the north-west-corner basis, a feasible spanning tree.
 
     When a cell exhausts row and column simultaneously the row is treated
-    as the exhausted side, which leaves a zero-mass basic cell in the next
-    row and keeps the basis at exactly m + n - 1 cells (a spanning tree).
+    as the exhausted side, which leaves a zero-mass cell in the next row
+    and keeps the basis at exactly m + n - 1 cells.
     """
     m, n = mu.size, nu.size
-    mass = {}
+    cells = []
     remaining_row = mu.copy()
     remaining_col = nu.copy()
     i = j = 0
     while True:
         alloc = min(remaining_row[i], remaining_col[j])
-        mass[(i, j)] = alloc
+        cells.append((i, j))
         remaining_row[i] -= alloc
         remaining_col[j] -= alloc
         if i == m - 1 and j == n - 1:
-            break
+            return cells
         if i == m - 1:
             j += 1
         elif j == n - 1:
@@ -172,138 +172,121 @@ def _northwest_corner(mu: np.ndarray, nu: np.ndarray):
             i += 1
         else:
             j += 1
+
+
+def _peeled_masses(task, agent, mu: np.ndarray, nu: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """The masses a forest support forces from the weights alone, peeling leaves in index order.
+
+    Nodes are rows 0..m-1 and columns m..m+n-1.  The lowest-numbered leaf
+    gives what is left of its weight to its one open cell, which closes,
+    and that weight leaves the node at the cell's other end.  The masses then
+    depend only on the support and the weights, not on the path the LP took
+    there.  A cell on a cycle, which a basic solution has not, keeps its
+    entry of ``mass``.
+    """
+    m = mu.size
+    ends = np.column_stack([task, agent + m]).tolist()
+    supply = np.concatenate([mu, nu]).tolist()
+    incident = [[] for _ in supply]
+    for k, (row, col) in enumerate(ends):
+        incident[row].append(k)
+        incident[col].append(k)
+    degree = [len(cells) for cells in incident]
+    leaves = [node for node, d in enumerate(degree) if d == 1]  # sorted: a heap
+    is_open = [True] * len(ends)
+    mass = mass.copy()
+    while leaves:
+        node = heapq.heappop(leaves)
+        if degree[node] != 1:  # its last cell closed from the other end
+            continue
+        k = next(k for k in incident[node] if is_open[k])
+        is_open[k] = False
+        other = sum(ends[k]) - node
+        mass[k] = supply[node]
+        supply[other] -= supply[node]
+        degree[node] = 0
+        degree[other] -= 1
+        if degree[other] == 1:
+            heapq.heappush(leaves, other)
     return mass
 
 
-class _SimplexState:
-    """Spanning-tree basis kept as a rooted tree.
+def _candidate_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, prices=None):
+    """Optimal (task, agent, mass) columns, sorted by (task, agent), and duals of the balanced LP.
 
-    Nodes are rows 0..m-1 and columns m..m+n-1; a basic cell (i, j) is the
-    edge i -- m+j.  The tree is rooted at row 0 with parent/depth arrays so
-    the pivot cycle is found by walking to the lowest common ancestor, and
-    duals are repaired only on the subtree that gets re-hung.
+    A shortlist solve (Gottschlich & Schuhmacher 2014) on scipy's HiGHS dual
+    simplex (Huangfu & Hall 2018).  The first candidate set holds the
+    ``_CANDIDATES`` lowest reduced costs c_ij - u_i - v_j of every row and
+    every column, with v the ``prices`` (or 0) and u_i the row
+    minimum of c_ij - v_j, and the north-west-corner basis, so it is
+    feasible.  Each round solves the LP on the candidate cells and prices
+    the full grid with its duals at 1e-11 x max(1, max|c|); every row and
+    every column with a cell below minus that adds its most negative cell,
+    until none has one.  A round that adds no cell, or a HiGHS status other
+    than optimal, raises ``IterationLimit``.
+
+    HiGHS's tolerances are absolute, so the costs it gets are scaled by a
+    power of two to a largest |c| in [2^11, 2^12), and its tolerances are
+    set to their floor, 1e-10: about 1e-14 of the largest cost, well below
+    the 1e-10 noise of ``support_is_unique``.  Column weights are scaled to
+    the row total, so the LP is balanced.  The duals are HiGHS's, scaled
+    back and shifted to u_0 = 0.  The support is the cells above
+    ``_MASS_DROP``, and its masses are ``_peeled_masses`` of the weights.
     """
+    from scipy.optimize import linprog  # as in _assignment: only when used
+    from scipy.sparse import csc_array
 
-    def __init__(self, cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
-        self.cost = cost
-        self.m, self.n = cost.shape
-        total = self.m + self.n
-        self.mass = _northwest_corner(mu, nu)
-        self.adj = [set() for _ in range(total)]
-        for i, j in self.mass:
-            self.adj[i].add(self.m + j)
-            self.adj[self.m + j].add(i)
-        self.parent = [0] * total
-        self.depth = [0] * total
-        self.u = np.zeros(self.m)
-        self.v = np.zeros(self.n)
-        self._root_from(0, 0)
-
-    def _dual_of(self, node: int, anchor: int) -> None:
-        """Set node's dual from the tree constraint u_i + v_j = c_ij."""
-        m = self.m
-        if node >= m:
-            self.v[node - m] = self.cost[anchor, node - m] - self.u[anchor]
-        else:
-            self.u[node] = self.cost[node, anchor - m] - self.v[anchor - m]
-
-    def _root_from(self, start: int, start_parent: int) -> None:
-        """(Re)hang start's subtree below start_parent, repairing parent/depth/duals.
-
-        The walk skips each node's parent; start == start_parent roots the tree.
-        """
-        self.parent[start] = start_parent
-        if start == start_parent:
-            self.depth[start] = 0
-            self.u[0] = 0.0
-        else:
-            self.depth[start] = self.depth[start_parent] + 1
-            self._dual_of(start, start_parent)
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in self.adj[a]:
-                if b != self.parent[a]:
-                    self.parent[b] = a
-                    self.depth[b] = self.depth[a] + 1
-                    self._dual_of(b, a)
-                    stack.append(b)
-
-    def pivot(self, enter_i: int, enter_j: int) -> float:
-        """Bring (enter_i, enter_j) into the basis; returns the moved mass.
-
-        The cycle closed by the entering cell is walked from both endpoints up
-        to their lowest common ancestor.  In cycle order, from the entering
-        cell, even cells receive mass and odd cells donate.
-        """
-        m = self.m
-        enter_a, enter_b = enter_i, m + enter_j
-        a, b = enter_a, enter_b
-        up_a, up_b = [a], [b]
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-            up_a.append(a)
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-            up_b.append(b)
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-            up_a.append(a)
-            up_b.append(b)
-        node_path = up_a + up_b[-2::-1]  # enter_a .. lca .. enter_b
-        cells = [(enter_i, enter_j)]
-        cells.extend(
-            (p, q - m) if p < m else (q, p - m) for p, q in zip(node_path, node_path[1:])
-        )
-        donors = cells[1::2]
-        theta = min(self.mass[c] for c in donors)
-        leave = min(c for c in donors if self.mass[c] <= theta)
-        for cell in donors:
-            self.mass[cell] = max(0.0, self.mass[cell] - theta)
-        for cell in cells[2::2]:
-            self.mass[cell] += theta
-        self.mass[(enter_i, enter_j)] = theta
-        del self.mass[leave]
-
-        # tree surgery: the leaving edge cuts off the entering endpoint on its leg of
-        # the cycle; re-hang that endpoint's side below the other endpoint
-        leave_a, leave_b = leave[0], m + leave[1]
-        self.adj[leave_a].discard(leave_b)
-        self.adj[leave_b].discard(leave_a)
-        self.adj[enter_a].add(enter_b)
-        self.adj[enter_b].add(enter_a)
-        if cells.index(leave) < len(up_a):  # on the enter_a .. lca leg
-            self._root_from(enter_a, enter_b)
-        else:
-            self._root_from(enter_b, enter_a)
-        return theta
-
-
-def _transportation_simplex(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray):
-    """Optimal basis (task, agent, mass) columns, in basis order, and duals of the balanced LP."""
-    state = _SimplexState(cost, mu, nu)
     m, n = cost.shape
-    tol = 1e-11 * max(1.0, float(np.abs(cost).max()))
-    bland_trigger = _BLAND_AFTER * (m + n)
-    degenerate_run = 0
-    reduced = np.empty_like(cost)
+    top = float(np.abs(cost).max())
+    tol = 1e-11 * max(1.0, top)
+    shift = _LP_COST_EXP + 1 - int(np.frexp(top)[1])  # 2^shift x top lies in [2^11, 2^12)
+    total = float(nu.sum())  # totals may differ by _MASS_TOL, HiGHS's tolerance is 1e-10
+    balanced = nu * (float(mu.sum()) / total) if total > 0.0 else nu
+    b_eq = np.concatenate([mu, balanced])
+    options = {"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10}
 
-    for _ in range(_MAX_PIVOTS):
-        np.subtract(cost, state.u[:, None], out=reduced)
-        np.subtract(reduced, state.v[None, :], out=reduced)
-        if degenerate_run >= bland_trigger:
-            flat = int(np.argmax(reduced < -tol))  # row-major first improving cell
-        else:
-            flat = int(np.argmin(reduced))
-        enter_i, enter_j = divmod(flat, n)
-        if reduced[enter_i, enter_j] >= -tol:
-            cells = np.array([*state.mass], dtype=np.intp).reshape(-1, 2)
-            mass = np.fromiter(state.mass.values(), float, len(state.mass))
-            return cells[:, 0], cells[:, 1], mass, state.u, state.v
-        theta = state.pivot(enter_i, enter_j)
-        degenerate_run = degenerate_run + 1 if theta <= 1e-15 else 0
-    raise IterationLimit(f"transportation simplex did not terminate within {_MAX_PIVOTS} pivots")
+    v = np.zeros(n) if prices is None else prices
+    reduced = cost - v[None, :]
+    reduced -= reduced.min(axis=1, keepdims=True)
+    k_row, k_col = min(_CANDIDATES, n), min(_CANDIDATES, m)
+    in_rows = np.argpartition(reduced, k_row - 1, axis=1)[:, :k_row]
+    in_cols = np.argpartition(reduced, k_col - 1, axis=0)[:k_col]
+    cells = np.unique(np.concatenate([
+        (np.arange(m)[:, None] * n + in_rows).ravel(),
+        (in_cols * n + np.arange(n)[None, :]).ravel(),
+        [i * n + j for i, j in _northwest_corner(mu, balanced)],
+    ]))
+    while True:
+        task, agent = np.divmod(cells, n)
+        a_eq = csc_array(
+            (np.ones(2 * cells.size), np.column_stack([task, agent + m]).ravel(),
+             np.arange(0, 2 * cells.size + 1, 2)),
+            shape=(m + n, cells.size),
+        )
+        res = linprog(np.ldexp(cost.take(cells), shift), A_eq=a_eq, b_eq=b_eq,
+                      method="highs-ds", options=options)
+        if res.status != 0:
+            raise IterationLimit(f"the exact LP stopped on {cells.size} candidate cells: "
+                                 f"{res.message}")
+        duals = np.ldexp(res.eqlin.marginals, -shift)
+        u, v = duals[:m] - duals[0], duals[m:] + duals[0]
+        np.subtract(cost, u[:, None], out=reduced)
+        reduced -= v[None, :]
+        row_best = reduced.argmin(axis=1)
+        col_best = reduced.argmin(axis=0)
+        rows = np.flatnonzero(reduced[np.arange(m), row_best] < -tol)
+        cols = np.flatnonzero(reduced[col_best, np.arange(n)] < -tol)
+        if rows.size == 0 and cols.size == 0:
+            break
+        added = np.concatenate([rows * n + row_best[rows], col_best[cols] * n + cols])
+        grown = np.union1d(cells, added)
+        if grown.size == cells.size:
+            raise IterationLimit(f"the exact LP stalled on {cells.size} candidate cells: "
+                                 f"a candidate prices below -{tol:.3e}")
+        cells = grown
+    keep = res.x > _MASS_DROP
+    task, agent = task[keep], agent[keep]
+    return task, agent, _peeled_masses(task, agent, mu, nu, res.x[keep]), u, v
 
 
 def _assignment(cost: np.ndarray, prices=None):
@@ -319,13 +302,12 @@ def _assignment(cost: np.ndarray, prices=None):
     the last minimum already, so it relaxes through those rows alone.  Each
     round's u is bit for bit the one a round through all rows gives: a
     minimum is exact, and the self edge c_i,sigma(i) - c_i,sigma(i) = 0 keeps
-    u_i in row i's minimum.  u_0 = 0, as the simplex anchors it.
+    u_i in row i's minimum.  u_0 = 0, as the general path anchors it.
     """
     from scipy.optimize import linear_sum_assignment  # ~0.2 s to import: only when used
 
     n = cost.shape[0]
-    finite = prices is not None and np.isfinite(prices).all()
-    _, sigma = linear_sum_assignment(cost - prices if finite else cost)
+    _, sigma = linear_sum_assignment(cost if prices is None else cost - prices)
     on_support = cost[np.arange(n), sigma]
     edge = cost.T[sigma] - on_support[:, None]  # edge[k, i] = c_i,sigma(k) - c_k,sigma(k)
     u = edge.min(axis=0) + 0.0  # as edge + 0.0 would, + 0.0 turns a -0.0 minimum into 0.0
@@ -351,25 +333,26 @@ def solve_exact(cost: CostMatrix, mu_w, nu_w, prices=None) -> tuple[TransportPla
     an assignment; the plan is a permutation.  Finite ``prices``, one per agent,
     shift its columns first: every plan's cost moves by one constant, so the
     optimal set and the duals of ``cost`` are kept, and ties resolve as scipy's
-    search does on the shifted matrix.  Any other input runs the simplex, which
-    ignores ``prices``; ties in its entering cell resolve row-major, in the
-    leaving ratio by smallest row then column index.  Both are deterministic.
-    The plan keeps the masses above ``_MASS_DROP``; its objective sums them
-    left to right in the solver's order, before they are sorted.
+    search does on the shifted matrix.  Any other input runs ``_candidate_lp``,
+    whose first candidates ``prices`` choose; ties resolve as HiGHS's dual
+    simplex does on the candidate set.  Both are deterministic.  The plan
+    keeps the masses above ``_MASS_DROP``, sorted by (task, agent); its
+    objective sums them left to right in that order.
     """
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     if prices is not None and np.shape(prices) != nu.shape:
         raise DimensionMismatch(f"{np.size(prices)} prices for {nu.size} agents")
+    if prices is not None and not np.isfinite(prices).all():
+        prices = None
     if mu.size == nu.size and np.all(mu == mu[0]) and np.all(nu == mu[0]):
         sigma, u, v = _assignment(cost.values, prices)
         entries = _entries(np.arange(mu.size), sigma, mu)
     else:
-        task, agent, mass, u, v = _transportation_simplex(cost.values, mu, nu)
+        task, agent, mass, u, v = _candidate_lp(cost.values, mu, nu, prices)
         entries = _entries(task, agent, mass)
     entries = entries[entries["mass"] > _MASS_DROP]
     products = entries["mass"] * cost.values[entries["task"], entries["agent"]]
     objective = float(np.cumsum(np.append(0.0, products))[-1])
-    entries = entries[np.lexsort((entries["agent"], entries["task"]))]
     return TransportPlan(entries, objective, mu.size, nu.size), DualPotentials(u, v)
 
 
@@ -648,7 +631,7 @@ def check_stability(
 
     It also needs nonnegative masses, row and column sums within ``_MASS_TOL``
     of ``mu_w`` and ``nu_w``, and ``plan.objective`` equal to <c, plan>.  ``tol``
-    is relative to max(1, max|c_ij|), the scale the simplex prices with:
+    is relative to max(1, max|c_ij|), the scale the exact LP prices with:
     costs near 1e8 (city boxes in meters) have a float spacing above 1e-8.
     """
     if not 0.0 < tol < np.inf:
@@ -685,8 +668,9 @@ def support_is_unique(
     constant, so the reduced costs have the optimal set of ``cost``; the
     re-solve starts near zero on ``plan``'s support, where an assignment
     re-solve ends its augmenting paths at once.  The scale is the one the
-    simplex prices with (its tolerance is 1e-11 of it), so the noise clears
-    that tolerance and the float spacing at any cost magnitude.  Discrete
+    exact LP prices with (its tolerance is 1e-11 of it, and HiGHS's about
+    1e-14), so the noise clears those tolerances and the float spacing at any
+    cost magnitude.  Discrete
     instances can tie, so this is a pragmatic check, not a proof.
     """
     scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
@@ -723,8 +707,8 @@ def solve(
 
     ``exact`` runs ``solve_exact`` on ``reduced_cost_matrix``, the rank-n
     form: an assignment when the instance is uniform and square, the
-    simplex otherwise.  From ``_WARM_START_MIN`` cells on it passes the
-    ``gaussian_prices``, which an assignment starts from.
+    candidate-set LP otherwise.  From ``_WARM_START_MIN`` cells on it passes
+    the ``gaussian_prices``, which both start from.
     ``support_is_unique`` runs on the reduced duals, and objective and
     duals are then lifted to the trip cost through ``marginal_terms``, both
     taken about the agents' mean.  ``reduced`` is another name for

@@ -1,7 +1,9 @@
 """Reference implementations that the tests check the solvers against.
 
-Exhaustive search over couplings (``brute_force_small``), the 1-D
-comonotone coupling (``monotone_map_1d``) and plan purity.  None of them is
+Exhaustive search over couplings (``brute_force_small``), the supports of
+every optimal vertex (``optimal_supports``), the full-grid LP optimum
+(``lp_optimum``), the 1-D comonotone coupling (``monotone_map_1d``) and
+plan purity.  None of them is
 reached by the package or the CLI, so they live with the tests.
 """
 
@@ -77,8 +79,6 @@ def brute_force_small(cost: CostMatrix, mu_w, nu_w) -> TransportPlan:
     every spanning-tree basis of the transportation polytope is enumerated
     and the best feasible vertex returned.
     """
-    from itertools import combinations
-
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     C = cost.values
     m, n = C.shape
@@ -94,20 +94,56 @@ def brute_force_small(cost: CostMatrix, mu_w, nu_w) -> TransportPlan:
         entries = tuple(sorted((i, perm[i], 1.0 / m) for i in range(m)))
         return TransportPlan(entries, total / m, m, n)
 
-    if m + n > 8:
-        raise TooLarge(f"vertex enumeration bounded at m+n<=8, got {m}+{n}")
-    cells = [(i, j) for i in range(m) for j in range(n)]
     best_masses, best_edges, best_total = None, None, np.inf
-    for edges in combinations(cells, m + n - 1):
-        masses = _tree_masses(edges, mu, nu)
-        if masses is None:
-            continue
+    for edges, masses in _vertices(m, n, mu, nu):
         total = sum(mass * C[i, j] for (i, j), mass in zip(edges, masses))
         if total < best_total - 1e-15:
             best_masses, best_edges, best_total = masses, edges, total
     # a plan stores masses above 1e-14 only, and states the cost of what it stores
     entries = sorted((i, j, mass) for (i, j), mass in zip(best_edges, best_masses) if mass > 1e-14)
     return TransportPlan(entries, sum(mass * C[i, j] for i, j, mass in entries), m, n)
+
+
+def _vertices(m: int, n: int, mu: np.ndarray, nu: np.ndarray):
+    """(basis cells, masses) of every feasible spanning-tree basis, for m + n <= 8."""
+    from itertools import combinations
+
+    if m + n > 8:
+        raise TooLarge(f"vertex enumeration bounded at m+n<=8, got {m}+{n}")
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    for edges in combinations(cells, m + n - 1):
+        masses = _tree_masses(edges, mu, nu)
+        if masses is not None:
+            yield edges, masses
+
+
+def optimal_supports(cost: CostMatrix, mu_w, nu_w) -> set[frozenset]:
+    """The supports (cells of positive mass) of every optimal vertex, m + n <= 8.
+
+    Totals are compared exactly, so ties are found only where the costs and
+    weights are small integers, whose vertex masses and totals are exact.
+    """
+    mu, nu = _checked_weights(cost, mu_w, nu_w)
+    C = cost.values
+    supports = {}
+    for edges, masses in _vertices(*C.shape, mu, nu):
+        total = sum(mass * C[i, j] for (i, j), mass in zip(edges, masses))
+        support = frozenset(cell for cell, mass in zip(edges, masses) if mass > 0.0)
+        supports.setdefault(total, set()).add(support)
+    return supports[min(supports)]
+
+
+def lp_optimum(cost: CostMatrix, mu_w, nu_w) -> float:
+    """The optimal value of the transportation LP over every cell, by HiGHS ``linprog``."""
+    from scipy.optimize import linprog
+
+    mu, nu = _checked_weights(cost, mu_w, nu_w)
+    m, n = cost.values.shape
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    res = linprog(cost.values.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu, nu]), method="highs")
+    if res.status != 0:
+        raise AssertionError(f"the oracle LP failed: {res.message}")
+    return float(res.fun)
 
 
 def purity(plan: TransportPlan, tol: float = 1e-9) -> float:

@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import odtalloc.cli
 import odtalloc.measures
-import odtalloc.solver
 from odtalloc.cli import main
 from odtalloc.cost import cost_matrix
 from odtalloc.measures import (
@@ -376,7 +376,7 @@ class TestSolve:
         assert [(e["task"], e["agent"], e["mass"]) for e in exact["entries"]] == [
             (tasks.ids[t], agents.ids[a], mass) for t, a, mass in oracle.entries.tolist()]
 
-    @pytest.mark.parametrize("tasks_n, agents_n", [(12, 9), (60, 60)], ids=["simplex", "warm"])
+    @pytest.mark.parametrize("tasks_n, agents_n", [(12, 9), (60, 60)], ids=["general", "warm"])
     def test_reduced_is_exact_under_another_name(self, tmp_path, tasks_n, agents_n):
         inst = tmp_path / "inst"
         assert run("gen", "--kind", "gaussian_mixture", "--tasks", str(tasks_n), "--agents",
@@ -693,41 +693,52 @@ class TestSolve:
                     assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_exact_plan_does_not_depend_on_blas_threads(self, tmp_path):
-        # tied instances, so the plan is the one the priced search picks among optima; the
-        # prices use matrix-vector products and the rank-n cost the product (o + d) @ y.T, which
-        # a threaded BLAS could round differently, the more so on a larger product
+        # tied instances, so the plan is the one the solver picks among optima; the prices use
+        # matrix-vector products and the rank-n cost the product (o + d) @ y.T, which a
+        # threaded BLAS could round differently, the more so on a larger product; random
+        # weights take the candidate-set LP, uniform square ones the priced assignment
         rng = np.random.default_rng(11)
-        for size in (60, 300):
+        for m, n, weighted in ((60, 60, False), (300, 300, False), (120, 100, True)):
             sites = rng.integers(0, 6, size=(8, 2)).astype(float)
-            tasks = TaskSet(sites[rng.integers(0, 8, size)], sites[rng.integers(0, 8, size)])
+            tasks = TaskSet(sites[rng.integers(0, 8, m)], sites[rng.integers(0, 8, m)],
+                            rng.uniform(0.2, 1.2, m) if weighted else None)
+            agents = DiscreteMeasure(rng.integers(0, 6, (n, 2)).astype(float),
+                                     rng.uniform(0.2, 1.2, n) if weighted else None)
             write_tasks_csv(tasks, tmp_path / "tasks.csv")
-            write_agents_csv(DiscreteMeasure(rng.integers(0, 6, (size, 2)).astype(float)),
-                             tmp_path / "agents.csv")
+            write_agents_csv(agents, tmp_path / "agents.csv")
             plans = []
             for threads in ("1", "2"):
-                out = tmp_path / f"{size}_threads{threads}"
+                out = tmp_path / f"{m}x{n}_threads{threads}"
                 subprocess.run(
                     [sys.executable, "-m", "odtalloc", "solve", "--tasks",
                      str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv"),
                      "--method", "exact", "--out", str(out)],
                     capture_output=True, check=True, timeout=60,
-                    env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+                    env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads,
+                         "OMP_NUM_THREADS": threads},
                 )
                 plans.append((out / "plan.json").read_bytes())
             assert json.loads(plans[0])["unique"] is False
             assert plans[0] == plans[1]
 
-    def test_pivot_cap_is_domain_failure(self, tmp_path, monkeypatch, capsys):
-        # 8 tasks, 7 agents: uniform square input is an assignment and never pivots
+    def test_exact_lp_that_gives_up_is_domain_failure(self, tmp_path, monkeypatch, capsys):
+        # 8 tasks, 7 agents: not uniform square, so the candidate-set LP solves it; a HiGHS
+        # run held to one iteration ends with a status other than optimal
         inst = tmp_path / "inst"
         assert run("gen", "--kind", "gaussian_mixture", "--tasks", "8", "--agents", "7",
                    "--seed", "3", "--out", str(inst)) == 0
-        monkeypatch.setattr(odtalloc.solver, "_MAX_PIVOTS", 1)
+        linprog = scipy.optimize.linprog
+
+        def one_iteration(*args, options, **kwargs):
+            return linprog(*args, options={**options, "maxiter": 1}, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", one_iteration)
         assert run(
             "solve", "--tasks", str(inst / "tasks.csv"), "--agents", str(inst / "agents.csv"),
             "--out", str(tmp_path / "sol"),
         ) == 1
         assert "IterationLimit" in capsys.readouterr().err
+        assert not (tmp_path / "sol").exists()
 
     def test_dump_cost_matrix(self, canonical, tmp_path):
         out = tmp_path / "dump"
@@ -741,6 +752,16 @@ class TestSolve:
         assert payload["n_tasks"] == 2 and payload["n_agents"] == 2
         assert payload["values"] == [[0.0, 2.0], [2.0, 0.0]]
         assert dump.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+    def test_dump_cost_that_cannot_be_written_leaves_no_plan(self, canonical, tmp_path, capsys):
+        out = tmp_path / "sol"
+        assert run(
+            "solve", "--tasks", str(canonical / "tasks.csv"),
+            "--agents", str(canonical / "agents.csv"),
+            "--dump-cost", str(tmp_path / "missing" / "cost.json"), "--out", str(out),
+        ) == 2
+        assert "cost.json" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_manifest_splits_write_time(self, canonical, tmp_path):
         out = tmp_path / "sol"
@@ -765,7 +786,7 @@ class TestSolve:
         assert d1[str(canonical / "agents.csv")] == d2[str(canonical / "agents.csv")]
 
     def test_golden_output_bytes(self, tmp_path):
-        # unequal task weights take the transportation simplex; both quoted ids need RFC 4180;
+        # unequal task weights take the candidate-set LP; both quoted ids need RFC 4180;
         # the duals are lifted from the rank-n cost's, which the tree anchors at 0 in task 0
         tasks, agents = tmp_path / "tasks.csv", tmp_path / "agents.csv"
         tasks.write_text('id,o1,d1,weight\n"t,1",0.1,1,1\nt2,2,3.5,3\n')

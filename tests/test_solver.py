@@ -31,15 +31,15 @@ from odtalloc.solver import (
     DualPotentials,
     TransportPlan,
     _assignment,
+    _candidate_lp,
     _logsumexp,
-    _transportation_simplex,
     check_stability,
     solve,
     solve_entropic,
     solve_exact,
     support_is_unique,
 )
-from oracles import TooLarge, brute_force_small, purity
+from oracles import TooLarge, brute_force_small, lp_optimum, optimal_supports, purity
 
 CANONICAL = CostMatrix([[0.0, 2.0], [2.0, 0.0]])
 HALF = np.array([0.5, 0.5])
@@ -64,9 +64,9 @@ def _balanced(tasks, agents):
     return mu, nu * (mu.sum() / nu.sum())
 
 
-def _simplex(cost, mu, nu):
-    """The simplex alone: solve_exact sends uniform square input to the assignment path."""
-    task, agent, mass, u, v = _transportation_simplex(cost.values, mu, nu)
+def _general(cost, mu, nu):
+    """The general path alone: solve_exact sends uniform square input to the assignment path."""
+    task, agent, mass, u, v = _candidate_lp(cost.values, mu, nu)
     cells = zip(task.tolist(), agent.tolist(), mass.tolist())
     entries = sorted((i, j, w) for i, j, w in cells if w > 1e-14)
     objective = math.fsum(w * cost.values[i, j] for i, j, w in entries)
@@ -346,27 +346,23 @@ class TestSolveExact:
         for size in (3, 5, 7):
             cost = CostMatrix(np.ones((size, size)))
             w = np.full(size, 1.0 / size)
-            for plan, duals in (solve_exact(cost, w, w), _simplex(cost, w, w)):
+            for plan, duals in (solve_exact(cost, w, w), _general(cost, w, w)):
                 assert abs(plan.objective - 1.0) <= 1e-12
                 assert check_stability(plan, duals, cost, w, w).passed
 
-    def test_blands_rule_matches_default_pricing(self, monkeypatch):
-        # integer costs and weights give long degenerate runs; _BLAND_AFTER = 0 prices
-        # every pivot by Bland's rule, which the default threshold seldom reaches
+    def test_integer_degenerate_instances_match_the_full_grid_lp(self):
+        # integer costs and weights leave long runs of degenerate bases; the oracle is
+        # HiGHS on every cell, where solve_exact's LP sees a candidate set
         rng = rng_stream(107)
-        instances = []
         for trial in range(60):
             m, n = 1 + trial % 19, 1 + (trial * 7) % 19
             cost = CostMatrix(np.floor(5 * np.array(rng.uniforms(m * n))).reshape(m, n))
             mu = 1 + np.floor(4 * np.array(rng.uniforms(m)))
             nu = 1 + np.floor(4 * np.array(rng.uniforms(n)))
-            instances.append((cost, mu * nu.sum(), nu * mu.sum()))
-        defaults = [_simplex(*instance)[0] for instance in instances]
-        monkeypatch.setattr(odtalloc.solver, "_BLAND_AFTER", 0)
-        for (cost, mu, nu), default in zip(instances, defaults):
-            plan, duals = _simplex(cost, mu, nu)
-            bound = 1e-12 * max(1.0, abs(default.objective))
-            assert abs(plan.objective - default.objective) <= bound
+            mu, nu = mu * nu.sum(), nu * mu.sum()
+            plan, duals = solve_exact(cost, mu, nu)
+            oracle = lp_optimum(cost, mu, nu)
+            assert abs(plan.objective - oracle) <= 1e-12 * max(1.0, abs(oracle))
             assert check_stability(plan, duals, cost, mu, nu).passed
 
     def test_uniform_instances_are_pure_permutations(self):
@@ -392,6 +388,19 @@ class TestSolveExact:
     def test_mass_mismatch_guard(self):
         with pytest.raises(MassMismatch):
             solve_exact(CANONICAL, [0.6, 0.6], HALF)
+
+    def test_totals_that_differ_within_the_tolerance_solve(self):
+        # the LP sees the agent weights scaled to the task total: HiGHS's feasibility
+        # tolerance, 1e-10, would reject totals that differ by up to 1e-9 as infeasible
+        rng = rng_stream(109)
+        cost = CostMatrix(np.array(rng.uniforms(63)).reshape(9, 7))
+        mu = np.array(rng.uniforms(9)) + 0.1
+        nu = np.array(rng.uniforms(7)) + 0.1
+        for gap in (9e-10, -9e-10):
+            off = nu / nu.sum()
+            off[0] += gap
+            plan, duals = solve_exact(cost, mu / mu.sum(), off)
+            assert check_stability(plan, duals, cost, mu / mu.sum(), off).passed
 
     def test_dual_anchor(self):
         rng = rng_stream(106)
@@ -435,22 +444,22 @@ def test_weights_of_the_wrong_size_are_rejected(call):
 
 
 class TestAssignmentPath:
-    """solve_exact on uniform square input, against the simplex and the permutation oracle."""
+    """solve_exact on uniform square input, against the general path and the permutation oracle."""
 
     @pytest.mark.parametrize("cost", list(_uniform_square_costs()))
-    def test_matches_simplex(self, cost):
+    def test_matches_the_general_path(self, cost):
         w = np.full(cost.n_tasks, 1.0 / cost.n_tasks)
         plan, duals = solve_exact(cost, w, w)
-        reference, reference_duals = _simplex(cost, w, w)
+        reference, reference_duals = _general(cost, w, w)
         assert abs(plan.objective - reference.objective) <= 1e-12 * abs(reference.objective)
         assert check_stability(plan, duals, cost, w, w).passed
         assert check_stability(reference, reference_duals, cost, w, w).passed
         assert duals.u[0] == 0.0
-        # the simplex's own uniqueness surrogate: the same perturbation, re-solved by the simplex
+        # the general path's own uniqueness surrogate: the same perturbation, re-solved by it
         noise = np.array(rng_stream(_UNIQUENESS_SEED).uniforms(cost.values.size))
         scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
         perturbed = CostMatrix(cost.values + scale * noise.reshape(cost.values.shape))
-        if _simplex(perturbed, w, w)[0].support() == reference.support():
+        if _general(perturbed, w, w)[0].support() == reference.support():
             assert np.array_equal(plan.entries, reference.entries)
 
     def test_duals_match_all_rows_bellman_ford(self):
@@ -988,6 +997,29 @@ class TestReduction:
         nu = np.array([0.25, 0.15, 0.2, 0.1, 0.3])
         plan, duals = solve_exact(cost, mu, nu)
         assert not support_is_unique(cost, mu, nu, plan, duals)
+
+    def test_a_single_optimal_support_is_reported_unique(self):
+        # integer costs 0-2 and integer weights: vertex enumeration finds every optimal
+        # support exactly; where there is one, the plan has it and is reported unique
+        rng = rng_stream(305)
+        singles = 0
+        for trial in range(150):
+            m = 1 + trial % 5
+            n = 1 + (trial // 5) % (8 - m)
+            cost = CostMatrix(np.floor(3 * np.array(rng.uniforms(m * n))).reshape(m, n))
+            if m == n and trial % 3 == 0:
+                mu = nu = np.ones(m)  # uniform square: the assignment path
+            else:
+                mu = 1 + np.floor(4 * np.array(rng.uniforms(m)))
+                nu = 1 + np.floor(4 * np.array(rng.uniforms(n)))
+                mu, nu = mu * nu.sum(), nu * mu.sum()
+            supports = optimal_supports(cost, mu, nu)
+            if len(supports) == 1:
+                singles += 1
+                plan, duals = solve_exact(cost, mu, nu)
+                assert plan.support() == set(*supports)
+                assert support_is_unique(cost, mu, nu, plan, duals)
+        assert singles >= 50
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform_square", "general_weights"])
     def test_unique_matches_perturbed_cost_resolve(self, uniform):
