@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import shlex
 import sys
 import time
@@ -55,18 +54,6 @@ class _UsageFailure(Exception):
     """Internal marker: input file or flag problem, exit 2."""
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("ODTALLOC_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageFailure(f"ODTALLOC_SEED={env!r} is not an integer") from None
-
-
 def _read_input(path, inputs: dict) -> bytes:
     """The bytes of an input file, opened once per command.
 
@@ -102,7 +89,6 @@ def _write_manifest(outdir, argv, inputs: dict, seed, method, timings) -> None:
 
 
 def cmd_gen(args, argv) -> int:
-    seed = _resolve_seed(args.seed)
     params = {}
     if args.params is not None:
         try:
@@ -115,7 +101,7 @@ def cmd_gen(args, argv) -> int:
             dim=args.dim,
             n_tasks=args.tasks,
             n_agents=args.agents,
-            seed=seed,
+            seed=args.seed,
             params=params,
         )
         tasks, agents = generate(spec)
@@ -128,7 +114,7 @@ def cmd_gen(args, argv) -> int:
     _write_json(outdir / "spec.json", spec.to_json())
     print(
         f"wrote {outdir}/tasks.csv {outdir}/agents.csv {outdir}/spec.json "
-        f"(kind={spec.kind}, {spec.n_tasks} tasks, {spec.n_agents} agents, seed={seed})"
+        f"(kind={spec.kind}, {spec.n_tasks} tasks, {spec.n_agents} agents, seed={spec.seed})"
     )
     return 0
 
@@ -330,16 +316,15 @@ def cmd_verify(args, argv) -> int:
         raise _UsageFailure(f"--samples must be at least 1, got {args.samples}")
     if args.grid < 2:
         raise _UsageFailure(f"--grid must be at least 2, got {args.grid}")
-    seed = _resolve_seed(args.seed)
     timings = {}
     start = time.perf_counter()
     inputs = {}
     if args.check == "twist":
-        report = verify_twist(args.dim, args.samples, seed).to_json()
+        report = verify_twist(args.dim, args.samples, args.seed).to_json()
     elif args.check == "nondegeneracy":
-        report = verify_nondegeneracy(args.dim, args.samples, seed).to_json()
+        report = verify_nondegeneracy(args.dim, args.samples, args.seed).to_json()
     elif args.check == "monge":
-        report = verify_monge(args.samples, seed).to_json()
+        report = verify_monge(args.samples, args.seed).to_json()
     elif args.check == "nestedness":
         if not (args.tasks and args.agents):
             raise _UsageFailure("--check nestedness needs --tasks and --agents")
@@ -357,7 +342,7 @@ def cmd_verify(args, argv) -> int:
     }
     _write_json(outdir / "report.json", strict)
     timings["write_ms"] = (time.perf_counter() - start) * 1000.0
-    _write_manifest(outdir, argv, inputs, seed, args.check, timings)
+    _write_manifest(outdir, argv, inputs, args.seed, args.check, timings)
     verdict = "PASS" if report["passed"] else "FAIL"
     print(f"{args.check}: {verdict} (worst_case={report['worst_case']!r})")
     return 0 if report["passed"] else 1
@@ -377,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, default=2)
     gen.add_argument("--tasks", type=int, default=10)
     gen.add_argument("--agents", type=int, default=10)
-    gen.add_argument("--seed", type=int, default=None, help="fallback: ODTALLOC_SEED, then 0")
+    gen.add_argument("--seed", type=int, default=0)
     keys = "; ".join(f"{kind}: {', '.join(names) or 'none'}" for kind, names in PARAM_KEYS.items())
     gen.add_argument("--params", help=f"a JSON object of the kind's keys ({keys})")
     gen.add_argument("--out", type=str, default=".")
@@ -404,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--dim", type=int, default=2)
     verify.add_argument("--samples", type=int, default=1000)
-    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--grid", type=int, default=64)
     verify.add_argument("--tasks", default=None)
     verify.add_argument("--agents", default=None)

@@ -212,7 +212,7 @@ def _read_table(path, data, header_hint: str, min_columns: int, noun: str, check
         with open(path, "rb") as fh:
             data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = []

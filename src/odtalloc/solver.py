@@ -92,10 +92,10 @@ class TransportPlan:
         return dense
 
     def row_sums(self) -> np.ndarray:
-        return self.to_dense().sum(axis=1)
+        return np.bincount(self.entries["task"], self.entries["mass"], minlength=self.n_tasks)
 
     def col_sums(self) -> np.ndarray:
-        return self.to_dense().sum(axis=0)
+        return np.bincount(self.entries["agent"], self.entries["mass"], minlength=self.n_agents)
 
     def support(self) -> set[tuple[int, int]]:
         return set(zip(self.entries["task"].tolist(), self.entries["agent"].tolist()))
@@ -105,6 +105,12 @@ def _entries(task, agent, mass) -> np.ndarray:
     entries = np.empty(len(mass), ENTRY)
     entries["task"], entries["agent"], entries["mass"] = task, agent, mass
     return entries
+
+
+def _plan_cost(entries: np.ndarray, values: np.ndarray) -> float:
+    """<c, plan> over the stored entries: mass x cost summed left to right in entry order."""
+    products = entries["mass"] * values[entries["task"], entries["agent"]]
+    return float(np.cumsum(np.append(0.0, products))[-1])
 
 
 @dataclass(frozen=True)
@@ -351,8 +357,7 @@ def solve_exact(cost: CostMatrix, mu_w, nu_w, prices=None) -> tuple[TransportPla
         task, agent, mass, u, v = _candidate_lp(cost.values, mu, nu, prices)
         entries = _entries(task, agent, mass)
     entries = entries[entries["mass"] > _MASS_DROP]
-    products = entries["mass"] * cost.values[entries["task"], entries["agent"]]
-    objective = float(np.cumsum(np.append(0.0, products))[-1])
+    objective = _plan_cost(entries, cost.values)
     return TransportPlan(entries, objective, mu.size, nu.size), DualPotentials(u, v)
 
 
@@ -633,6 +638,10 @@ def check_stability(
     of ``mu_w`` and ``nu_w``, and ``plan.objective`` equal to <c, plan>.  ``tol``
     is relative to max(1, max|c_ij|), the scale the exact LP prices with:
     costs near 1e8 (city boxes in meters) have a float spacing above 1e-8.
+    The plan is read only through its entries: the sums are ``row_sums`` and
+    ``col_sums``, and <c, plan> is summed in entry order, as ``solve_exact``
+    sums its objective.  The one array of the cost's size it builds is the
+    gap (u_i + v_j) - c_ij.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -641,13 +650,14 @@ def check_stability(
         raise DimensionMismatch("plan shape or dual sizes do not match the cost matrix")
     bound = tol * max(1.0, float(np.abs(cost.values).max()))
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = duals.u[:, None] + duals.v[None, :] - cost.values
+        gap = np.add.outer(duals.u, duals.v)
+        gap -= cost.values
         max_violation = float(gap.max())
         max_slack = float(np.abs(gap[plan.entries["task"], plan.entries["agent"]]).max(initial=0.0))
         nonnegative = bool(plan.entries["mass"].min(initial=0.0) >= 0.0)  # a nan mass fails too
-        dense = plan.to_dense()
-        marginal_error = _marginals(dense, mu, nu)[2]
-        recomputed = float((dense * cost.values).sum())  # an inf or nan fails the check below
+        marginal_error = max(float(np.abs(plan.row_sums() - mu).max()),
+                             float(np.abs(plan.col_sums() - nu).max()))
+        recomputed = _plan_cost(plan.entries, cost.values)  # an inf or nan fails the check below
     objective_ok = abs(plan.objective - recomputed) <= bound
     passed = max_violation <= bound and max_slack <= bound and marginal_error <= _MASS_TOL
     return StabilityReport(

@@ -324,23 +324,6 @@ class TestGen:
         assert run("gen", "--kind", "city_box", *flags, "--out", str(tmp_path / "x")) == 2
         assert message in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ODTALLOC_SEED", "42")
-        out = tmp_path / "env"
-        assert run(
-            "gen", "--kind", "gaussian_mixture", "--dim", "1", "--tasks", "3",
-            "--agents", "3", "--out", str(out),
-        ) == 0
-        assert json.loads((out / "spec.json").read_text())["seed"] == 42
-
-
-    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ODTALLOC_SEED", "abc")
-        out = tmp_path / "env"
-        assert run("gen", "--kind", "gaussian_mixture", "--out", str(out)) == 2
-        assert "ODTALLOC_SEED='abc'" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestSolve:
     def test_exact_objective_zero(self, canonical, tmp_path):
@@ -511,6 +494,22 @@ class TestSolve:
             "--out", str(tmp_path / "sol"),
         ) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["tasks", "agents"])
+    def test_byte_order_mark_is_ignored(self, canonical, tmp_path, which):
+        # spreadsheets' "CSV UTF-8" export starts the file with a byte-order mark
+        files = {"tasks": canonical / "tasks.csv", "agents": canonical / "agents.csv"}
+        marked = tmp_path / f"{which}.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + files[which].read_bytes())
+        outs = {}
+        for name, path in (("plain", files[which]), ("marked", marked)):
+            outs[name] = tmp_path / name
+            assert run("solve", *(f"--{w}={path if w == which else files[w]}" for w in files),
+                       "--out", str(outs[name])) == 0
+        for name in ("plan.json", "plot.csv"):
+            assert (outs["marked"] / name).read_bytes() == (outs["plain"] / name).read_bytes()
+        digests = json.loads((outs["marked"] / "manifest.json").read_text())["inputs"]
+        assert digests[str(marked)] == hashlib.sha256(marked.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize(
         "agents_text",

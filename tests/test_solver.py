@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,38 @@ def _tied_instances(draw):
     mu = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
     nu = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
     return scale, values, mu, nu
+
+
+@st.composite
+def _stored_certificates(draw):
+    """(plan, duals, cost, mu, nu) on an m x n cost, m, n <= 6, whose plan may repeat cells.
+
+    Half the draws split each entry of ``solve_exact``'s plan in two and shuffle
+    the halves, so the certificate passes; the rest hold random cells whose masses
+    may be zero, negative or nan (or none at all), random weights and random
+    duals, some of them nan.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cost = CostMatrix(draw(hnp.arrays(float, (m, n), elements=st.floats(-1e3, 1e3))))
+    if draw(st.booleans()):
+        mu, nu = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        plan, duals = solve_exact(cost, mu, nu)
+        cut = draw(hnp.arrays(float, len(plan.entries), elements=st.floats(0.0, 1.0)))
+        entries = np.concatenate([plan.entries, plan.entries])
+        entries["mass"] *= np.concatenate([cut, 1.0 - cut])
+        entries = entries[draw(st.permutations(range(len(entries))))]
+        return TransportPlan(entries, plan.objective, m, n), duals, cost, mu, nu
+    masses = st.floats(-2.0, 2.0) | st.just(0.0) | st.just(np.nan)
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), masses), max_size=12))
+    duals = [
+        draw(hnp.arrays(float, size, elements=st.floats(-1e3, 1e3) | st.just(np.nan)))
+        for size in (m, n)
+    ]
+    mu = draw(hnp.arrays(float, m, elements=st.floats(0.1, 1.0)))
+    nu = draw(hnp.arrays(float, n, elements=st.floats(0.1, 1.0)))
+    plan = TransportPlan(cells, draw(st.floats(-1e3, 1e3)), m, n)
+    return plan, DualPotentials(*duals), cost, mu / mu.sum(), nu / nu.sum()
 
 
 class TestSolveExact:
@@ -641,6 +674,52 @@ class TestStability:
             wide = TransportPlan(plan.entries, plan.objective, n_tasks, n_agents)
             with pytest.raises(DimensionMismatch):
                 check_stability(wide, duals, cost, third, third)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stored_certificates())
+    def test_entries_agree_with_the_dense_plan(self, case):
+        # the reference reads every figure off the dense plan, as check_stability once did
+        plan, duals, cost, mu, nu = case
+        task, agent, mass = plan.entries["task"], plan.entries["agent"], plan.entries["mass"]
+        dense = np.zeros((plan.n_tasks, plan.n_agents))
+        np.add.at(dense, (task, agent), mass)
+        rows, cols = dense.sum(axis=1), dense.sum(axis=0)
+        bound = 1e-8 * max(1.0, float(np.abs(cost.values).max()))
+        with np.errstate(invalid="ignore"):
+            gap = duals.u[:, None] + duals.v[None, :] - cost.values
+            slack = float(np.abs(gap[task, agent]).max(initial=0.0))
+            marginal = max(float(np.abs(rows - mu).max()), float(np.abs(cols - nu).max()))
+            recomputed = float((dense * cost.values).sum())
+        objective_ok = abs(plan.objective - recomputed) <= bound
+        passed = (gap.max() <= bound and slack <= bound and marginal <= 1e-9
+                  and not np.isnan(mass).any() and (mass >= 0.0).all() and objective_ok)
+        # summed in another order, a sum may move by a few ulps of the size of its terms
+        ulps = 8 * np.finfo(float).eps * (1.0 + np.nansum(np.abs(mass)))
+        cost_ulps = 8 * np.finfo(float).eps * (1.0 + np.nansum(np.abs(dense * cost.values)))
+
+        assert_allclose(plan.row_sums(), rows, rtol=0.0, atol=ulps)
+        assert_allclose(plan.col_sums(), cols, rtol=0.0, atol=ulps)
+        report = check_stability(plan, duals, cost, mu, nu)
+        np.testing.assert_equal(report.max_violation, gap.max())
+        np.testing.assert_equal(report.max_slack_on_support, slack)
+        assert_allclose(report.max_marginal_error, marginal, rtol=0.0, atol=ulps)
+        assert_allclose(report.recomputed_objective, recomputed, rtol=0.0, atol=cost_ulps)
+        assert (report.objective_ok, report.passed) == (objective_ok, passed)
+
+    def test_holds_one_cost_sized_array(self):
+        # beyond its inputs, check_stability builds only the gap (u_i + v_j) - c_ij
+        tasks, agents = generate(ScenarioSpec("gaussian_mixture", 2, 600, 600, seed=7))
+        solution = solve(tasks, agents)
+        cost = cost_matrix(tasks, agents)
+        inputs = (solution.plan, solution.duals, cost, tasks.weights, agents.weights)
+        tracemalloc.start()
+        try:
+            report = check_stability(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 1.2 * cost.values.nbytes
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_bad_tol_rejected(self, tol):
