@@ -77,6 +77,7 @@ class RngStream:
             z *= np.uint64(mix)
         np.right_shift(z, np.uint64(31), out=shifted)
         z ^= shifted
+        del shifted  # else three buffers of k draws live at once below
         z >>= np.uint64(11)
         out = z.astype(float)
         out *= 2.0**-53

@@ -255,8 +255,9 @@ def _candidate_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, prices=None)
     reduced = cost - v[None, :]
     reduced -= reduced.min(axis=1, keepdims=True)
     k_row, k_col = min(_CANDIDATES, n), min(_CANDIDATES, m)
-    in_rows = np.argpartition(reduced, k_row - 1, axis=1)[:, :k_row]
-    in_cols = np.argpartition(reduced, k_col - 1, axis=0)[:k_col]
+    # copies: a view of the k lowest would keep all m x n indices alive through the LP rounds
+    in_rows = np.argpartition(reduced, k_row - 1, axis=1)[:, :k_row].copy()
+    in_cols = np.argpartition(reduced, k_col - 1, axis=0)[:k_col].copy()
     cells = np.unique(np.concatenate([
         (np.arange(m)[:, None] * n + in_rows).ravel(),
         (in_cols * n + np.arange(n)[None, :]).ravel(),
@@ -315,7 +316,8 @@ def _assignment(cost: np.ndarray, prices=None):
     n = cost.shape[0]
     _, sigma = linear_sum_assignment(cost if prices is None else cost - prices)
     on_support = cost[np.arange(n), sigma]
-    edge = cost.T[sigma] - on_support[:, None]  # edge[k, i] = c_i,sigma(k) - c_k,sigma(k)
+    edge = cost.T[sigma]  # a copy: fancy indexing
+    edge -= on_support[:, None]  # edge[k, i] = c_i,sigma(k) - c_k,sigma(k)
     u = edge.min(axis=0) + 0.0  # as edge + 0.0 would, + 0.0 turns a -0.0 minimum into 0.0
     moved = np.flatnonzero(u < 0.0)
     for _ in range(n - 1):
@@ -324,6 +326,7 @@ def _assignment(cost: np.ndarray, prices=None):
         paths = edge[moved]  # a copy: fancy indexing
         paths += u[moved, None]
         relaxed = paths.min(axis=0)
+        del paths  # else it lives while the next round's copy is made
         moved = np.flatnonzero(relaxed < u)
         np.minimum(u, relaxed, out=u)
     u -= u[0]
@@ -689,6 +692,7 @@ def support_is_unique(
     perturbed = np.subtract(cost.values, duals.u[:, None])
     perturbed -= duals.v[None, :]
     perturbed += noise.reshape(cost.n_tasks, cost.n_agents)
+    del noise  # else it lives through the re-solve
     re_plan, _ = solve_exact(CostMatrix(perturbed), mu_w, nu_w)
     return np.array_equal(re_plan.entries[["task", "agent"]], plan.entries[["task", "agent"]])
 

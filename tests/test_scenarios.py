@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestRngStream:
         rng = rng_stream(9)
         draws = rng.uniforms(10000)
         assert all(0.0 <= u < 1.0 for u in draws)
+
+    def test_uniforms_hold_two_buffers_of_draws(self):
+        # the draws and their shifted copy, then the draws and the floats: never three
+        k = 100_000
+        tracemalloc.start()
+        try:
+            rng_stream(5).uniforms(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * k
 
     def test_counter_based_reproducibility(self):
         # draw k depends only on (seed, k), so a fresh stream replays a prefix

@@ -1184,6 +1184,26 @@ class TestSolve:
         assert all(a < b for a, b in zip(cells, cells[1:]))  # (task, agent) strictly increases
         assert entries["mass"].min() > (1e-18 if method == "entropic" else 1e-14)
 
+    @pytest.mark.parametrize("uniform, arrays", [(True, 3.8), (False, 4.8)],
+                             ids=["uniform_square", "general_weights"])
+    def test_working_set(self, uniform, arrays):
+        # an exact solve's peak is the cost, the uniqueness re-solve's perturbed copy and
+        # the working arrays of one solve; a temporary kept alive past its use breaks it
+        m, n = (300, 300) if uniform else (300, 250)
+        tasks, agents = generate(ScenarioSpec("gaussian_mixture", 2, m, n, seed=7))
+        if not uniform:
+            rng = rng_stream(7)
+            tasks = TaskSet(tasks.origins, tasks.destinations, rng.uniforms(m) + 0.2)
+            agents = DiscreteMeasure(agents.points, rng.uniforms(n) + 0.2)
+        solve(tasks, agents)  # lazy imports stay out of the peak
+        tracemalloc.start()
+        try:
+            solve(tasks, agents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 8 * m * n
+
     def test_exact_is_the_direct_solve(self):
         # the direct solve of the trip-cost matrix is the oracle; solve lifts its duals from
         # the rank-n cost, so they are the oracle's up to the one shift a tree basis leaves
