@@ -16,9 +16,9 @@ from .cost import (
     CostMatrix,
     DynamicsSpec,
     cost_matrix,
+    factors,
     grad_x,
     grad_y,
-    marginal_terms,
     mixed_hessian,
     reduced_cost,
     reduced_cost_matrix,

@@ -5,9 +5,10 @@ The round trip of an agent parked at y serving the task (o, d) costs
 
     pickup |o - y|^2  +  shipping |o - d|^2  +  return |d - y|^2,
 
-all squared Euclidean norms.  About the agents' weighted mean z it splits as
-c_ij = alpha_i + beta_j + 2 c_hat_ij with c_hat_ij = -((o_i - z) + (d_i - z)) . (y_j - z),
-so every coupling pi with marginals mu, nu has <c, pi> = mu.alpha + nu.beta
+all squared Euclidean norms.  ``factors`` splits it about the agents' weighted
+mean z into (alpha, beta, p, q), p = (o - z) + (d - z) and q = y - z, with
+c_ij = alpha_i + beta_j + 2 c_hat_ij and c_hat_ij = -p_i . q_j, so every
+coupling pi with marginals mu, nu has <c, pi> = mu.alpha + nu.beta
 + 2 <c_hat, pi>: the rank-n correlation cost every exact solve runs on.
 """
 
@@ -126,50 +127,44 @@ def cost_matrix(tasks: TaskSet, agents: DiscreteMeasure) -> CostMatrix:
     return CostMatrix(total)
 
 
-def _about_agent_mean(tasks: TaskSet, agents: DiscreteMeasure):
-    """o - z, d - z and y - z for the agents' weighted mean z."""
+def factors(tasks: TaskSet, agents: DiscreteMeasure):
+    """The trip cost's split (alpha, beta, p, q) about the agents' weighted mean z.
+
+    p = (o - z) + (d - z) and q = y - z, so c_ij = alpha_i + beta_j + 2 c_hat_ij
+    with the rank-n correlation cost c_hat = -p.q, alpha_i = 2|o_i - z|^2
+    + 2|d_i - z|^2 - 2 (o_i - z).(d_i - z) and beta_j = 2|q_j|^2.  About z every
+    term is at the scale of the trip costs, also in projected city coordinates,
+    where |o|^2 alone is near 1e13.  The 2 stays outside p: the exact solvers'
+    tolerances scale with max |c_hat|.
+    """
     if tasks.dim != agents.dim:
         raise DimensionMismatch(f"tasks dim {tasks.dim} != agents dim {agents.dim}")
     z = agents.weights @ agents.points
-    return tasks.origins - z, tasks.destinations - z, agents.points - z
+    o, d, q = tasks.origins - z, tasks.destinations - z, agents.points - z
+    alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
+    return alpha, 2.0 * (q**2).sum(axis=1), o + d, q
 
 
-def reduced_cost_matrix(tasks: TaskSet, agents: DiscreteMeasure) -> CostMatrix:
-    """Correlation cost c_hat_ij = -((o_i - z) + (d_i - z)) . (y_j - z); may be negative.
+def reduced_cost_matrix(p: np.ndarray, q: np.ndarray) -> CostMatrix:
+    """Correlation cost c_hat_ij = -p_i . q_j of the ``factors``; may be negative.
 
     This is -(s_i . y_j) for s = o + d plus terms of one row or one column
     only, so it has the optimal plans of -(s . y) and of the trip cost.
     """
-    o, d, y = _about_agent_mean(tasks, agents)
-    return CostMatrix(-((o + d) @ y.T))
+    return CostMatrix(-(p @ q.T))
 
 
-def marginal_terms(tasks: TaskSet, agents: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The marginal-only parts (alpha, beta) of the trip cost's split about z.
+def gaussian_prices(p: np.ndarray, q: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Column prices -psi(q_j) for the reduced cost -p.q of the ``factors``.
 
-    c_ij = alpha_i + beta_j + 2 c_hat_ij, with c_hat from ``reduced_cost_matrix``,
-    alpha_i = 2|o_i - z|^2 + 2|d_i - z|^2 - 2 (o_i - z).(d_i - z) and
-    beta_j = 2|y_j - z|^2.  About z every term is at the scale of the trip
-    costs, also in projected city coordinates, where |o|^2 alone is near 1e13.
+    psi = mean(p).q + 0.5 sum_k scale_k q_k^2, scale = sqrt(var(p) / var(q)), with
+    p weighted by mu and q by nu, is the potential of the axis-wise map of the
+    agents' normal fit onto the tasks' (Dowson & Landau 1982).  An axis where the
+    agents do not spread can make a price inf or nan, with no warning.
     """
-    o, d, y = _about_agent_mean(tasks, agents)
-    alpha = 2.0 * (o**2).sum(axis=1) + 2.0 * (d**2).sum(axis=1) - 2.0 * (o * d).sum(axis=1)
-    return alpha, 2.0 * (y**2).sum(axis=1)
-
-
-def gaussian_prices(tasks: TaskSet, agents: DiscreteMeasure) -> np.ndarray:
-    """Column prices -psi(q_j) for the reduced cost -p.q, p = (o - z) + (d - z), q = y - z.
-
-    psi = mean(p).q + 0.5 sum_k scale_k q_k^2, scale = sqrt(var(p) / var(q)), is
-    the potential of the axis-wise map of the agents' normal fit onto the tasks'
-    (Dowson & Landau 1982).  An axis where the agents do not spread can make a
-    price inf or nan, with no warning.
-    """
-    o, d, q = _about_agent_mean(tasks, agents)
-    p = o + d
-    mean = tasks.weights @ p
+    mean = mu @ p
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = np.sqrt((tasks.weights @ (p - mean) ** 2) / (agents.weights @ q**2))
+        scale = np.sqrt((mu @ (p - mean) ** 2) / (nu @ q**2))
         return -(q @ mean + 0.5 * (q**2 @ scale))
 
 

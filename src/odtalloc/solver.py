@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostMatrix, cost_matrix, gaussian_prices, marginal_terms, reduced_cost_matrix
+from .cost import CostMatrix, cost_matrix, factors, gaussian_prices, reduced_cost_matrix
 from .errors import DimensionMismatch, IterationLimit, MassMismatch
 from .measures import DiscreteMeasure, TaskSet
 from .rng import rng_stream
@@ -707,13 +707,14 @@ def solve(
 ) -> Solution:
     """Allocate ``agents`` to ``tasks`` by one of ``METHODS``.
 
-    ``exact`` runs ``solve_exact`` on ``reduced_cost_matrix``, the rank-n
-    form: an assignment when the instance is uniform and square, the
-    candidate-set LP otherwise.  From ``_WARM_START_MIN`` cells on it passes
-    the ``gaussian_prices``, which both start from.
-    ``support_is_unique`` runs on the reduced duals, and objective and
-    duals are then lifted to the trip cost through ``marginal_terms``, both
-    taken about the agents' mean.
+    ``exact`` builds the trip cost's ``factors`` (alpha, beta, p, q) about
+    the agents' mean once, and runs ``solve_exact`` on their
+    ``reduced_cost_matrix``, the rank-n form: an assignment when the
+    instance is uniform and square, the candidate-set LP otherwise.  From
+    ``_WARM_START_MIN`` cells on it passes the ``gaussian_prices`` of p and
+    q, which both start from.  ``support_is_unique`` runs on the reduced
+    duals, and objective and duals are then lifted to the trip cost
+    through alpha and beta.
     ``entropic`` runs Sinkhorn on the trip-cost matrix; ``epsilon``
     defaults to 1e-3 x the cost spread, but no less than 1e-6 x the
     largest |cost|, and ``tol`` and ``max_iter`` apply to it alone.  Every
@@ -732,11 +733,11 @@ def solve(
             epsilon = 1e-3 * max(spread, 1e-3 * float(np.abs(values).max()), 1e-12)
         plan = solve_entropic(cost, mu, nu, epsilon=epsilon, tol=tol, max_iter=max_iter)
         return Solution(plan, None, False)
-    cost = reduced_cost_matrix(tasks, agents)
-    prices = gaussian_prices(tasks, agents) if mu.size * nu.size >= _WARM_START_MIN else None
+    alpha, beta, p, q = factors(tasks, agents)
+    cost = reduced_cost_matrix(p, q)
+    prices = gaussian_prices(p, q, mu, nu) if mu.size * nu.size >= _WARM_START_MIN else None
     plan, duals = solve_exact(cost, mu, nu, prices)
     unique = support_is_unique(cost, mu, nu, plan, duals)
-    alpha, beta = marginal_terms(tasks, agents)
     objective = float(nu @ beta) + float(mu @ alpha) + 2.0 * plan.objective
     duals = DualPotentials(alpha + 2.0 * duals.u, beta + 2.0 * duals.v)
     plan = TransportPlan(plan.entries, objective, plan.n_tasks, plan.n_agents)

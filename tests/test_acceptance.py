@@ -17,7 +17,7 @@ from odtalloc.cost import (
     CostMatrix,
     DynamicsSpec,
     cost_matrix,
-    marginal_terms,
+    factors,
     reduced_cost_matrix,
     whiten,
     wpd_cost,
@@ -127,8 +127,8 @@ def test_criterion_3_pointwise_reduction_identity():
         mu = np.asarray(tasks.weights)
         nu = np.asarray(agents.weights)
         full = cost_matrix(tasks, agents).values
-        reduced = reduced_cost_matrix(tasks, agents).values
-        alpha, beta = marginal_terms(tasks, agents)
+        alpha, beta, p, q = factors(tasks, agents)
+        reduced = reduced_cost_matrix(p, q).values
         constant = float(nu @ beta) + float(mu @ alpha)
         for _ in range(20):
             coupling = _proportional_fitting(rng, mu, nu)
@@ -149,7 +149,7 @@ def test_criterion_4_comonotone_structure():
         size = 2 + trial % 9
         tasks, agents = _random_instance(rng, size, size, 1, uniform=True)
         idx = DiscreteMeasure(tasks.origins + tasks.destinations, tasks.weights)
-        reduced = reduced_cost_matrix(tasks, agents)
+        reduced = reduced_cost_matrix(*factors(tasks, agents)[2:])
         plan_exact, _ = solve_exact(reduced, tasks.weights, agents.weights)
         s = idx.points.ravel()
         y = agents.points.ravel()

@@ -12,7 +12,7 @@ from odtalloc.analysis import (
     verify_nondegeneracy,
     verify_twist,
 )
-from odtalloc.cost import reduced_cost_matrix, trip_cost
+from odtalloc.cost import factors, reduced_cost_matrix, trip_cost
 from odtalloc.errors import DimensionMismatch
 from odtalloc.measures import DiscreteMeasure, TaskSet
 from odtalloc.rng import rng_stream
@@ -213,7 +213,7 @@ class TestMonotoneMap:
             )
             agents = DiscreteMeasure(np.array(rng.normals(size)).reshape(size, 1))
             idx = DiscreteMeasure(tasks.origins + tasks.destinations, tasks.weights)
-            reduced = reduced_cost_matrix(tasks, agents)
+            reduced = reduced_cost_matrix(*factors(tasks, agents)[2:])
             exact, _ = solve_exact(reduced, tasks.weights, agents.weights)
             # the comonotone coupling, priced on the cost the solve ran on
             mono = sum(m * reduced.values[i, j] for i, j, m in monotone_map_1d(idx, agents).entries)

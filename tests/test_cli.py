@@ -21,6 +21,7 @@ import odtalloc.cli
 import odtalloc.measures
 from odtalloc.cli import main
 from odtalloc.cost import cost_matrix
+from odtalloc.errors import IterationLimit
 from odtalloc.measures import (
     COORD_LIMIT,
     DiscreteMeasure,
@@ -732,6 +733,32 @@ class TestSolve:
             "--out", str(tmp_path / "sol"),
         ) == 1
         assert "IterationLimit" in capsys.readouterr().err
+        assert not (tmp_path / "sol").exists()
+
+    def test_exact_lp_that_stalls_is_domain_failure(self, tmp_path, monkeypatch, capsys):
+        # 2 tasks, 3 agents, weighted: the first candidate set already holds all 6 cells; a
+        # linprog that moves row 0's dual up by 1 in HiGHS's scaled units lowers row 0's
+        # reduced costs by 2^-shift, far below -tol, on cells the set already has
+        linprog = scipy.optimize.linprog
+
+        def shifted(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.eqlin.marginals[0] += 1.0
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", shifted)
+        tasks = TaskSet([[0.0, 0.0], [1.0, 0.5]], [[1.0, 1.0], [0.0, 2.0]], [0.3, 0.7])
+        agents = DiscreteMeasure([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0]], [0.2, 0.5, 0.3])
+        with pytest.raises(IterationLimit, match="the exact LP stalled on 6 candidate cells"):
+            solve(tasks, agents, "exact")
+        write_tasks_csv(tasks, tmp_path / "tasks.csv")
+        write_agents_csv(agents, tmp_path / "agents.csv")
+        assert run(
+            "solve", "--tasks", str(tmp_path / "tasks.csv"), "--agents", str(tmp_path / "agents.csv"),
+            "--out", str(tmp_path / "sol"),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "IterationLimit" in err and "stalled" in err
         assert not (tmp_path / "sol").exists()
 
     def test_dump_cost_matrix(self, canonical, tmp_path):

@@ -6,9 +6,9 @@ from odtalloc.cost import (
     CostMatrix,
     DynamicsSpec,
     cost_matrix,
+    factors,
     grad_x,
     grad_y,
-    marginal_terms,
     mixed_hessian,
     reduced_cost,
     reduced_cost_matrix,
@@ -217,7 +217,7 @@ class TestReducedCost:
         # index points s = 0, 2 and agents 0, 1 about their mean z = 0.5: s - 2z = -1, 1
         tasks = TaskSet([[0.0], [1.0]], [[0.0], [1.0]])
         agents = DiscreteMeasure([[0.0], [1.0]])
-        reduced = reduced_cost_matrix(tasks, agents).values
+        reduced = reduced_cost_matrix(*factors(tasks, agents)[2:]).values
         assert_allclose(reduced, [[-0.5, 0.5], [0.5, -0.5]])
         # -(s . y) = [[0, 0], [0, -2]] differs by a row term plus a column term
         shift = np.array([[0.0, 0.0], [0.0, -2.0]]) - reduced
@@ -226,9 +226,7 @@ class TestReducedCost:
     def test_matrix_dimension_mismatch(self):
         tasks = TaskSet([[0.0, 1.0]], [[1.0, 0.0]])
         with pytest.raises(DimensionMismatch):
-            reduced_cost_matrix(tasks, DiscreteMeasure([[0.0]]))
-        with pytest.raises(DimensionMismatch):
-            marginal_terms(tasks, DiscreteMeasure([[0.0]]))
+            factors(tasks, DiscreteMeasure([[0.0]]))
 
 
 def _proportional_fitting(seed, mu, nu, iters=400):
@@ -243,7 +241,7 @@ def _proportional_fitting(seed, mu, nu, iters=400):
 
 def _reduction_constant(tasks, agents) -> float:
     """K = mu.alpha + nu.beta, so that <c, pi> = K + 2 <c_hat, pi> for every coupling pi."""
-    alpha, beta = marginal_terms(tasks, agents)
+    alpha, beta = factors(tasks, agents)[:2]
     return float(agents.weights @ beta) + float(tasks.weights @ alpha)
 
 
@@ -255,7 +253,7 @@ class TestReductionConstant:
         k = _reduction_constant(tasks, agents)
         assert k == 2.0
         full = cost_matrix(tasks, agents).values[0, 0]
-        reduced = reduced_cost_matrix(tasks, agents).values[0, 0]
+        reduced = reduced_cost_matrix(*factors(tasks, agents)[2:]).values[0, 0]
         assert_allclose(full, k + 2.0 * reduced)
 
     def test_all_at_origin(self):
@@ -272,9 +270,9 @@ class TestReductionConstant:
         near = TaskSet(o, d), DiscreteMeasure(y, nu)
         shift = np.array([5e5, 5e6])
         far = TaskSet(o + shift, d + shift), DiscreteMeasure(y + shift, nu)
-        for got, expected in zip(marginal_terms(*far), marginal_terms(*near)):
+        for got, expected in zip(factors(*far)[:2], factors(*near)[:2]):
             assert_allclose(got, expected, rtol=0.0, atol=1e-7)
-        got, expected = (reduced_cost_matrix(*pair).values for pair in (far, near))
+        got, expected = (reduced_cost_matrix(*factors(*pair)[2:]).values for pair in (far, near))
         assert_allclose(got, expected, rtol=0.0, atol=1e-7)
 
     def test_identity_on_random_feasible_couplings(self):
@@ -288,7 +286,7 @@ class TestReductionConstant:
             np.array(rng.normals(10)).reshape(5, 2), np.array(rng.uniforms(5)) + 0.1
         )
         full = cost_matrix(tasks, agents).values
-        reduced = reduced_cost_matrix(tasks, agents).values
+        reduced = reduced_cost_matrix(*factors(tasks, agents)[2:]).values
         constant = _reduction_constant(tasks, agents)
         mu = np.asarray(tasks.weights)
         nu = np.asarray(agents.weights)
@@ -306,8 +304,8 @@ class TestReductionConstant:
         )
         agents = DiscreteMeasure(np.array(rng.normals(6)).reshape(3, 2))
         full = cost_matrix(tasks, agents).values
-        reduced = reduced_cost_matrix(tasks, agents).values
-        alpha, beta = marginal_terms(tasks, agents)
+        alpha, beta, p, q = factors(tasks, agents)
+        reduced = reduced_cost_matrix(p, q).values
         assert_allclose(full, alpha[:, None] + beta[None, :] + 2.0 * reduced, atol=1e-12)
         z = agents.weights @ agents.points
         o, d, y = tasks.origins - z, tasks.destinations - z, agents.points - z

@@ -17,8 +17,8 @@ import odtalloc.solver
 from odtalloc.cost import (
     CostMatrix,
     cost_matrix,
+    factors,
     gaussian_prices,
-    marginal_terms,
     reduced_cost_matrix,
 )
 from odtalloc.errors import DimensionMismatch, IterationLimit, MassMismatch
@@ -506,7 +506,7 @@ def _uniform_square_costs():
         for size in (6, 25, 60):
             tasks, agents = generate(ScenarioSpec("gaussian_mixture", dim, size, size, size, params))
             yield pytest.param(cost_matrix(tasks, agents), id=f"mixture{dim}d_{size}_full")
-            reduced = reduced_cost_matrix(tasks, agents)
+            reduced = reduced_cost_matrix(*factors(tasks, agents)[2:])
             yield pytest.param(reduced, id=f"mixture{dim}d_{size}_reduced")
 
 
@@ -1083,9 +1083,9 @@ class TestReduction:
         # so K = 1, the reduced optimum is -0.5 and the full one 0
         tasks = TaskSet([[0.0], [1.0]], [[0.0], [1.0]])
         agents = DiscreteMeasure([[0.0], [1.0]])
-        reduced = reduced_cost_matrix(tasks, agents)
+        alpha, beta, p, q = factors(tasks, agents)
+        reduced = reduced_cost_matrix(p, q)
         assert_allclose(reduced.values, [[-0.5, 0.5], [0.5, -0.5]])
-        alpha, beta = marginal_terms(tasks, agents)
         assert_array_equal(alpha, [0.5, 0.5])
         assert_array_equal(beta, [0.5, 0.5])
         plan = solve(tasks, agents, "exact").plan
@@ -1183,7 +1183,8 @@ class TestReduction:
             if not uniform:
                 tasks = TaskSet(tasks.origins, tasks.destinations, rng.uniforms(m) + 0.2)
                 agents = DiscreteMeasure(agents.points, rng.uniforms(n) + 0.2)
-            costs = (cost_matrix(tasks, agents), reduced_cost_matrix(tasks, agents))
+            p, q = factors(tasks, agents)[2:]
+            costs = (cost_matrix(tasks, agents), reduced_cost_matrix(p, q))
             for cost in costs:
                 plan, duals = solve_exact(cost, tasks.weights, agents.weights)
                 assert support_is_unique(cost, tasks.weights, agents.weights, plan, duals) == (
@@ -1314,8 +1315,8 @@ class TestSolve:
         tasks, agents = _random_instance(rng_stream(405), 6, 5, uniform=False)
         mu, nu = tasks.weights, agents.weights
         cost = cost_matrix(tasks, agents)
-        reduced = solve_exact(reduced_cost_matrix(tasks, agents), mu, nu)[0]
-        alpha, beta = marginal_terms(tasks, agents)
+        alpha, beta, p, q = factors(tasks, agents)
+        reduced = solve_exact(reduced_cost_matrix(p, q), mu, nu)[0]
         lifted = float(nu @ beta) + float(mu @ alpha) + 2.0 * reduced.objective
         assert solve(tasks, agents, "exact").plan.objective.hex() == lifted.hex()
         exact = solve_exact(cost, mu, nu)[0]
@@ -1442,7 +1443,8 @@ class TestWarmStart:
     def test_warm_is_cold_where_the_optimum_is_unique(self, monkeypatch, kind, dim, size, seed,
                                                       params):
         tasks, agents = generate(ScenarioSpec(kind, dim, size, size, seed, params))
-        assert np.isfinite(gaussian_prices(tasks, agents)).all()  # the warm path runs
+        prices = gaussian_prices(*factors(tasks, agents)[2:], tasks.weights, agents.weights)
+        assert np.isfinite(prices).all()  # the warm path runs
         warm = solve(tasks, agents, "exact")
         assert warm.unique
         assert _same_solution(warm, _cold_solve(monkeypatch, tasks, agents, "exact"))
@@ -1461,7 +1463,8 @@ class TestWarmStart:
         # warnings are errors here, so a nan or inf price that warns fails the test
         tasks = generate(ScenarioSpec("gaussian_mixture", 2, 60, 60, 3))[0]
         agents = DiscreteMeasure(points)
-        assert bool(np.isfinite(gaussian_prices(tasks, agents)).all()) == finite
+        prices = gaussian_prices(*factors(tasks, agents)[2:], tasks.weights, agents.weights)
+        assert bool(np.isfinite(prices).all()) == finite
         cold = _cold_solve(monkeypatch, tasks, agents, "exact")
         assert _same_solution(solve(tasks, agents, "exact"), cold)
 
