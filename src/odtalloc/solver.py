@@ -284,8 +284,10 @@ def _candidate_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, prices=None)
     return task, agent, _peeled_masses(task, agent, mu, nu, res.x[keep]), u, v
 
 
-def _assignment(cost: np.ndarray, prices=None):
+def _assignment(cost: np.ndarray, prices=None, duals=True):
     """Optimal permutation (task i to agent sigma[i]) and duals for a uniform square instance.
+
+    With ``duals`` false it returns (sigma, None, None) right after the search.
 
     Duals: with v_sigma(k) = c_k,sigma(k) - u_k the constraint u_i + v_j <= c_ij
     reads u_i <= u_k + c_i,sigma(k) - c_k,sigma(k), a shortest-path problem over
@@ -303,6 +305,8 @@ def _assignment(cost: np.ndarray, prices=None):
 
     n = cost.shape[0]
     _, sigma = linear_sum_assignment(cost if prices is None else cost - prices)
+    if not duals:
+        return sigma, None, None
     on_support = cost[np.arange(n), sigma]
     edge = cost.T[sigma]  # a copy: fancy indexing
     edge -= on_support[:, None]  # edge[k, i] = c_i,sigma(k) - c_k,sigma(k)
@@ -323,7 +327,9 @@ def _assignment(cost: np.ndarray, prices=None):
     return sigma, u, v
 
 
-def solve_exact(cost: CostMatrix, mu_w, nu_w, prices=None) -> tuple[TransportPlan, DualPotentials]:
+def solve_exact(
+    cost: CostMatrix, mu_w, nu_w, prices=None, *, duals: bool = True
+) -> tuple[TransportPlan, DualPotentials | None]:
     """Globally optimal basic feasible solution of the transportation LP.
 
     A square cost with every entry of ``mu_w`` and ``nu_w`` equal is solved as
@@ -334,7 +340,10 @@ def solve_exact(cost: CostMatrix, mu_w, nu_w, prices=None) -> tuple[TransportPla
     whose first candidates ``prices`` choose; ties resolve as HiGHS's dual
     simplex does on the candidate set.  Both are deterministic.  The plan
     keeps the masses above ``_MASS_DROP``, sorted by (task, agent); its
-    objective sums them left to right in that order.
+    objective sums them left to right in that order.  With ``duals`` false
+    the duals returned are None, and an assignment skips their Bellman-Ford
+    recovery; the plan is the same, since the search ends before it.  The
+    LP's duals price its own candidates, so it computes them either way.
     """
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     if prices is not None and np.shape(prices) != nu.shape:
@@ -342,14 +351,15 @@ def solve_exact(cost: CostMatrix, mu_w, nu_w, prices=None) -> tuple[TransportPla
     if prices is not None and not np.isfinite(prices).all():
         prices = None
     if mu.size == nu.size and np.all(mu == mu[0]) and np.all(nu == mu[0]):
-        sigma, u, v = _assignment(cost.values, prices)
+        sigma, u, v = _assignment(cost.values, prices, duals)
         entries = _entries(np.arange(mu.size), sigma, mu)
     else:
         task, agent, mass, u, v = _candidate_lp(cost.values, mu, nu, prices)
         entries = _entries(task, agent, mass)
     entries = entries[entries["mass"] > _MASS_DROP]
     objective = _plan_cost(entries, cost.values)
-    return TransportPlan(entries, objective, mu.size, nu.size), DualPotentials(u, v)
+    plan = TransportPlan(entries, objective, mu.size, nu.size)
+    return plan, DualPotentials(u, v) if duals else None
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -666,13 +676,19 @@ def support_is_unique(
     an entry-wise perturbation 1e-10 x max(1, max|c_ij|) x U(0,1) from a
     fixed seed, and reports unique only when the support is unchanged.  A
     row or column shift changes every feasible plan's cost by the same
-    constant, so the reduced costs have the optimal set of ``cost``; the
-    re-solve starts near zero on ``plan``'s support, where an assignment
-    re-solve ends its augmenting paths at once.  The scale is the one the
-    exact LP prices with (its tolerance is 1e-11 of it, and HiGHS's about
-    1e-14), so the noise clears those tolerances and the float spacing at any
-    cost magnitude.  Discrete
-    instances can tie, so this is a pragmatic check, not a proof.
+    constant, so the reduced costs have the optimal set of ``cost``.  They
+    are near zero on ``plan``'s support, but not only there: an assignment's
+    Bellman-Ford duals also leave each row's cell at the agent of its
+    shortest-path parent at zero (1.99 near-zero cells a row on 300x300
+    mixtures), and the noise makes that cell the cheaper one in about half
+    the rows, so the re-solve's search still augments: 1.0-1.6 ms at
+    300x300 on a shared 2-core Xeon, against 0.5 ms where the plan's own
+    cell wins every row.  The re-solve reads only its plan, so it asks
+    ``solve_exact`` for no duals.
+    The scale is the one the exact LP prices with (its tolerance is 1e-11 of
+    it, and HiGHS's about 1e-14), so the noise clears those tolerances and
+    the float spacing at any cost magnitude.  Discrete instances can tie,
+    so this is a pragmatic check, not a proof.
     """
     scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
     noise = rng_stream(_UNIQUENESS_SEED).uniforms(cost.n_tasks * cost.n_agents)
@@ -681,7 +697,7 @@ def support_is_unique(
     perturbed -= duals.v[None, :]
     perturbed += noise.reshape(cost.n_tasks, cost.n_agents)
     del noise  # else it lives through the re-solve
-    re_plan, _ = solve_exact(CostMatrix(perturbed), mu_w, nu_w)
+    re_plan, _ = solve_exact(CostMatrix(perturbed), mu_w, nu_w, duals=False)
     return np.array_equal(re_plan.entries[["task", "agent"]], plan.entries[["task", "agent"]])
 
 
