@@ -41,11 +41,11 @@ def _checked_total(w: np.ndarray) -> float:
     """Sum of a weight vector that is non-empty, nonnegative, finite and not all zero."""
     if w.size == 0:
         raise AllZero("empty weight vector")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise NegativeWeight(f"negative weight at position {int(np.argmax(w < 0.0))}")
     with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
         total = float(w.sum())
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise ParseError(f"weights sum to {total!r}: a weight is nan or inf, or the sum overflows")
     if total <= 0.0:
         raise AllZero("all weights are zero")
@@ -162,11 +162,12 @@ def project_lonlat(points, ref) -> np.ndarray:
     lon0, lat0 = float(ref[0]), float(ref[1])
     if pts.shape[1] != 2:
         raise DimensionMismatch("lon/lat points must be 2-vectors")
-    for lon, lat in [(lon0, lat0)] + [tuple(p) for p in pts]:
-        if not (-180.0 <= lon <= 180.0):
-            raise OutOfRange(f"longitude {lon} outside [-180, 180]")
-        if not (-90.0 <= lat <= 90.0):
-            raise OutOfRange(f"latitude {lat} outside [-90, 90]")
+    pairs = np.vstack([[lon0, lat0], pts])
+    outside = ~(np.abs(pairs) <= [180.0, 90.0])  # nan is outside too
+    if outside.any():  # name the first offender: the reference, then the points, lon first
+        row, col = divmod(int(outside.argmax()), 2)
+        name, limit = (("longitude", 180), ("latitude", 90))[col]
+        raise OutOfRange(f"{name} {float(pairs[row, col])} outside [-{limit}, {limit}]")
     rad = math.pi / 180.0
     x = EARTH_RADIUS_M * (pts[:, 0] - lon0) * math.cos(lat0 * rad) * rad
     y = EARTH_RADIUS_M * (pts[:, 1] - lat0) * rad

@@ -25,7 +25,7 @@ the exact paths import scipy, inside the functions.  Both return plans
 whose row/column sums reproduce the prescribed marginals.  ``solve`` is the
 one entry point for a task set and agents: exact on the rank-n reduced cost,
 entropic on the trip-cost matrix, and every plan states its trip cost;
-``check_stability`` certifies against the trip-cost matrix.
+``check_stability`` certifies against whatever cost matrix it is given.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .cost import CostMatrix, cost_matrix, factors, gaussian_prices, reduced_cost_matrix
 from .errors import DimensionMismatch, IterationLimit, MassMismatch
-from .measures import DiscreteMeasure, TaskSet
+from .measures import DiscreteMeasure, TaskSet, _checked_total
 from .rng import rng_stream
 
 _MASS_DROP = 1e-14  # plan entries at or below this are not stored, nor counted in the objective
@@ -66,9 +66,9 @@ class TransportPlan:
     """Sparse coupling over task x agent indices.
 
     ``entries`` is a read-only ``ENTRY`` array (or its (task, agent, mass) records);
-    an index outside n_tasks x n_agents raises ``DimensionMismatch``.  Solvers store
-    each cell once, sorted by (task, agent), with mass above 1e-14 (exact) or 1e-18
-    (entropic).  ``objective`` is <c, pi> for the cost the plan was solved against.
+    an index outside n_tasks x n_agents raises ``DimensionMismatch``.  ``objective`` is
+    <c, pi> for the cost the plan was solved against.  Solvers store each cell above 1e-14
+    (exact) or 1e-18 (entropic) once, by (task, agent), and sum <c, pi> over them in order.
     """
 
     entries: np.ndarray
@@ -101,16 +101,19 @@ class TransportPlan:
         return set(zip(self.entries["task"].tolist(), self.entries["agent"].tolist()))
 
 
-def _entries(task, agent, mass) -> np.ndarray:
-    entries = np.empty(len(mass), ENTRY)
-    entries["task"], entries["agent"], entries["mass"] = task, agent, mass
-    return entries
-
-
 def _plan_cost(entries: np.ndarray, values: np.ndarray) -> float:
     """<c, plan> over the stored entries: mass x cost summed left to right in entry order."""
     products = entries["mass"] * values[entries["task"], entries["agent"]]
     return float(np.cumsum(np.append(0.0, products))[-1])
+
+
+def _plan(task, agent, mass: np.ndarray, floor: float, values: np.ndarray) -> TransportPlan:
+    """The cells of ``mass`` above ``floor``, in its order: entry k of a 1-D ``mass`` is
+    (task[k], agent[k]), entry (i, j) of a 2-D one is (task[i], agent[j])."""
+    keep = np.nonzero(mass > floor)
+    entries = np.empty(keep[0].size, ENTRY)
+    entries["task"], entries["agent"], entries["mass"] = task[keep[0]], agent[keep[-1]], mass[keep]
+    return TransportPlan(entries, _plan_cost(entries, values), *values.shape)
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,9 @@ def _checked_weights(cost: CostMatrix, mu_w, nu_w) -> tuple[np.ndarray, np.ndarr
         raise DimensionMismatch(
             f"cost is {cost.n_tasks}x{cost.n_agents}, weights are {mu.size}/{nu.size}"
         )
-    if abs(mu.sum() - nu.sum()) > _MASS_TOL:
-        raise MassMismatch(f"total masses differ: {mu.sum()!r} vs {nu.sum()!r}")
+    mu_total, nu_total = _checked_total(mu), _checked_total(nu)
+    if abs(mu_total - nu_total) > _MASS_TOL:
+        raise MassMismatch(f"total masses differ: {mu_total!r} vs {nu_total!r}")
     return mu, nu
 
 
@@ -234,8 +238,7 @@ def _candidate_lp(cost: np.ndarray, mu: np.ndarray, nu: np.ndarray, prices=None)
     top = float(np.abs(cost).max())
     tol = 1e-11 * max(1.0, top)
     shift = _LP_COST_EXP + 1 - int(np.frexp(top)[1])  # 2^shift x top lies in [2^11, 2^12)
-    total = float(nu.sum())  # totals may differ by _MASS_TOL, HiGHS's tolerance is 1e-10
-    balanced = nu * (float(mu.sum()) / total) if total > 0.0 else nu
+    balanced = nu * (mu.sum() / nu.sum())  # totals differ by up to _MASS_TOL; HiGHS allows 1e-10
     b_eq = np.concatenate([mu, balanced])
     options = {"dual_feasibility_tolerance": 1e-10, "primal_feasibility_tolerance": 1e-10}
 
@@ -338,12 +341,11 @@ def solve_exact(
     optimal set and the duals of ``cost`` are kept, and ties resolve as scipy's
     search does on the shifted matrix.  Any other input runs ``_candidate_lp``,
     whose first candidates ``prices`` choose; ties resolve as HiGHS's dual
-    simplex does on the candidate set.  Both are deterministic.  The plan
-    keeps the masses above ``_MASS_DROP``, sorted by (task, agent); its
-    objective sums them left to right in that order.  With ``duals`` false
-    the duals returned are None, and an assignment skips their Bellman-Ford
-    recovery; the plan is the same, since the search ends before it.  The
-    LP's duals price its own candidates, so it computes them either way.
+    simplex does on the candidate set.  Both are deterministic.  With
+    ``duals`` false the duals returned are None, and an assignment skips
+    their Bellman-Ford recovery; the plan is the same, since the search ends
+    before it.  The LP's duals price its own candidates, so it computes them
+    either way.
     """
     mu, nu = _checked_weights(cost, mu_w, nu_w)
     if prices is not None and np.shape(prices) != nu.shape:
@@ -351,14 +353,11 @@ def solve_exact(
     if prices is not None and not np.isfinite(prices).all():
         prices = None
     if mu.size == nu.size and np.all(mu == mu[0]) and np.all(nu == mu[0]):
-        sigma, u, v = _assignment(cost.values, prices, duals)
-        entries = _entries(np.arange(mu.size), sigma, mu)
+        agent, u, v = _assignment(cost.values, prices, duals)
+        task, mass = np.arange(mu.size), mu
     else:
         task, agent, mass, u, v = _candidate_lp(cost.values, mu, nu, prices)
-        entries = _entries(task, agent, mass)
-    entries = entries[entries["mass"] > _MASS_DROP]
-    objective = _plan_cost(entries, cost.values)
-    plan = TransportPlan(entries, objective, mu.size, nu.size)
+    plan = _plan(task, agent, mass, _MASS_DROP, cost.values)
     return plan, DualPotentials(u, v) if duals else None
 
 
@@ -582,8 +581,8 @@ def solve_entropic(
     before any attempt succeeds gives the plan of the sweeps alone, bit for
     bit.  ``max_iter`` counts the main loop's sweeps only, not an attempt's; a
     nan violation, which no later sweep undoes, ends the solve at once.  The
-    dense plan is built once, on exit, and the reported objective is against
-    the original cost matrix, with no entropy term.
+    dense plan is built once, on exit; the objective is <c, plan> over the
+    entries kept, as ``TransportPlan`` says, with no entropy term.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
@@ -625,9 +624,7 @@ def solve_entropic(
                 f"marginal violation {violation:.3e} after {sweep} iterations",
                 violation=violation,
             )
-    rows, cols = np.nonzero(plan > 1e-18)
-    objective = float((plan * C).sum())
-    return TransportPlan(_entries(rows, cols, plan[rows, cols]), objective, mu.size, nu.size)
+    return _plan(np.arange(mu.size), np.arange(nu.size), plan, 1e-18, C)
 
 
 def check_stability(
@@ -640,8 +637,8 @@ def check_stability(
     is relative to max(1, max|c_ij|), the scale the exact LP prices with:
     costs near 1e8 (city boxes in meters) have a float spacing above 1e-8.
     The plan is read only through its entries: the sums are ``row_sums`` and
-    ``col_sums``, and <c, plan> is summed in entry order, as ``solve_exact``
-    sums its objective.  The one array of the cost's size it builds is the
+    ``col_sums``, and <c, plan> is summed in entry order, as the solvers sum
+    their objectives.  The one array of the cost's size it builds is the
     gap (u_i + v_j) - c_ij.
     """
     if not 0.0 < tol < np.inf:
@@ -690,7 +687,8 @@ def support_is_unique(
     the float spacing at any cost magnitude.  Discrete instances can tie,
     so this is a pragmatic check, not a proof.
     """
-    scale = 1e-10 * max(1.0, float(np.abs(cost.values).max()))
+    # initial: a 0x0 cost reaches the re-solve, which rejects its empty weights
+    scale = 1e-10 * max(1.0, float(np.abs(cost.values).max(initial=0.0)))
     noise = rng_stream(_UNIQUENESS_SEED).uniforms(cost.n_tasks * cost.n_agents)
     noise *= scale
     perturbed = np.subtract(cost.values, duals.u[:, None])

@@ -125,6 +125,20 @@ class TestMeasureConstruction:
                 TaskSet([[0.0]], [[bad]])
 
 
+def _first_lonlat_offender(points, ref):
+    """The loop the range check replaced: the message for the first pair outside, or None."""
+    for lon, lat in [tuple(ref)] + [tuple(p) for p in points]:
+        if not (-180.0 <= lon <= 180.0):
+            return f"longitude {lon} outside [-180, 180]"
+        if not (-90.0 <= lat <= 90.0):
+            return f"latitude {lat} outside [-90, 90]"
+    return None
+
+
+_DEGREES = st.sampled_from([0.0, 45.5, 90.0, -90.0, 91.0, 180.0, -181.0, math.nan, -math.inf])
+_LONLAT = st.tuples(_DEGREES, _DEGREES)
+
+
 class TestProjection:
     def test_reference_maps_to_origin(self):
         out = project_lonlat([(18.0, 59.0)], (18.0, 59.0))
@@ -146,6 +160,23 @@ class TestProjection:
             project_lonlat([(200.0, 10.0)], (0.0, 0.0))
         with pytest.raises(OutOfRange):
             project_lonlat([(0.0, 91.0)], (0.0, 0.0))
+        # the first offender is named: the reference, then points in order, longitude first
+        with pytest.raises(OutOfRange, match=r"^latitude 91\.0 outside \[-90, 90\]$"):
+            project_lonlat([(0.0, 0.0), (0.0, 91.0), (200.0, 10.0)], (0.0, 0.0))
+        with pytest.raises(OutOfRange, match=r"^longitude -181\.0 outside \[-180, 180\]$"):
+            project_lonlat([(0.0, 0.0), (-181.0, math.nan)], (0.0, 0.0))
+        with pytest.raises(OutOfRange, match=r"^latitude nan outside"):
+            project_lonlat([(200.0, 10.0)], (0.0, math.nan))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_LONLAT, min_size=1, max_size=5), _LONLAT)
+    def test_range_check_names_what_the_loop_named(self, points, ref):
+        expected = _first_lonlat_offender(points, ref)
+        if expected is None:
+            assert project_lonlat(points, ref).shape == (len(points), 2)
+        else:
+            with pytest.raises(OutOfRange, match=f"^{re.escape(expected)}$"):
+                project_lonlat(points, ref)
 
 
 # bodies of up to 4 rows of 3-4 cells: some match a header, most are malformed

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,13 @@ from odtalloc.cost import (
     gaussian_prices,
     reduced_cost_matrix,
 )
-from odtalloc.errors import DimensionMismatch, IterationLimit, MassMismatch
+from odtalloc.errors import (
+    AllocationError,
+    AllZero,
+    DimensionMismatch,
+    IterationLimit,
+    MassMismatch,
+)
 from odtalloc.measures import COORD_LIMIT, DiscreteMeasure, TaskSet
 from odtalloc.rng import rng_stream
 from odtalloc.scenarios import ScenarioSpec, generate
@@ -35,6 +42,7 @@ from odtalloc.solver import (
     _candidate_lp,
     _logsumexp,
     _northwest_corner,
+    _plan_cost,
     check_stability,
     solve,
     solve_entropic,
@@ -140,7 +148,7 @@ def _reference_sinkhorn(cost, mu, nu, epsilon, tol, lse):
             entries = tuple(
                 (int(i), int(j), float(plan[i, j])) for i, j in np.argwhere(plan > 1e-18)
             )
-            return entries, float((plan * C).sum()), sweep
+            return entries, float(np.cumsum([w * C[i, j] for i, j, w in entries])[-1]), sweep
     raise AssertionError("the reference loop did not converge")
 
 
@@ -526,6 +534,62 @@ def _uniform_square_costs():
 def test_weights_of_the_wrong_size_are_rejected(call):
     with pytest.raises(DimensionMismatch, match="cost is 2x2, weights are"):
         call()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.5, -0.5], [-math.inf, 2.0], [math.nan, 1.0], [math.inf, 1.0], [0.0, 0.0]],
+    ids=["negative", "minus_inf", "nan", "inf", "all_zero"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: solve_exact(CANONICAL, w, HALF),
+        lambda w: solve_exact(CANONICAL, HALF, w),
+        lambda w: solve_exact(CostMatrix([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]]), w, np.full(3, 1 / 3)),
+        lambda w: solve_entropic(CANONICAL, w, HALF, epsilon=0.1),
+        lambda w: check_stability(*solve_exact(CANONICAL, HALF, HALF), CANONICAL, HALF, w),
+        lambda w: support_is_unique(CANONICAL, w, HALF, *solve_exact(CANONICAL, HALF, HALF)),
+    ],
+    ids=["exact_tasks", "exact_agents", "exact_lp", "entropic", "stability", "unique"],
+)
+def test_malformed_weights_are_rejected_as_a_measure_rejects_them(call, weights):
+    with pytest.raises(AllocationError) as expected:
+        DiscreteMeasure(np.zeros((2, 1)), weights)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        call(weights)
+
+
+_EMPTY = CostMatrix(np.zeros((0, 0)))
+_EMPTY_PLAN = TransportPlan(np.empty(0, ENTRY), 0.0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_exact(_EMPTY, [], []),
+        lambda: solve_entropic(_EMPTY, [], [], epsilon=0.1),
+        lambda: check_stability(_EMPTY_PLAN, DualPotentials([], []), _EMPTY, [], []),
+        lambda: support_is_unique(_EMPTY, [], [], _EMPTY_PLAN, DualPotentials([], [])),
+    ],
+    ids=["exact", "entropic", "stability", "unique"],
+)
+def test_a_0x0_cost_is_rejected_for_its_empty_weights(call):
+    with pytest.raises(AllZero, match="empty weight vector"):
+        call()
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["assignment", "lp"])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_solver_plan_states_the_cost_of_its_entries(method, uniform):
+    tasks, agents = _random_instance(rng_stream(407), 8, 8 if uniform else 6, uniform=uniform)
+    mu, nu = tasks.weights, agents.weights
+    cost = cost_matrix(tasks, agents)
+    if method == "exact":
+        plan = solve_exact(cost, mu, nu)[0]
+    else:
+        plan = solve_entropic(cost, mu, nu, 1e-2 * float(np.ptp(cost.values)))
+    assert plan.objective.hex() == _plan_cost(plan.entries, cost.values).hex()
 
 
 class TestAssignmentPath:
