@@ -67,9 +67,34 @@ def _read_input(path, inputs: dict) -> bytes:
     return data
 
 
+# per input kind: the bytes it last parsed and the measure parsed from them
+_loaded = {"tasks": (None, None), "agents": (None, None)}
+
+
+def _load(kind: str, path, inputs: dict):
+    """The measure in ``path``, parsed only if its bytes differ from the kind's last parse.
+
+    A measure is frozen and its arrays read-only, so one parse can serve
+    every later command of the process that reads the same bytes, under
+    any path.  A parse that raises keeps the previous slot.  The loader is
+    looked up by its module-level name on each miss.
+    """
+    data = _read_input(path, inputs)
+    last, measure = _loaded[kind]
+    if data != last:
+        loader = load_tasks_csv if kind == "tasks" else load_agents_csv
+        try:
+            measure = loader(path, data)
+        except AllocationError as exc:  # name the file once: some messages already do
+            message = str(exc)
+            named = message.startswith(f"{path}: ")
+            raise _UsageFailure(message if named else f"{path}: {message}") from exc
+        _loaded[kind] = data, measure
+    return measure
+
+
 def _load_inputs(args, inputs: dict) -> tuple[TaskSet, DiscreteMeasure]:
-    tasks = load_tasks_csv(args.tasks, _read_input(args.tasks, inputs))
-    return tasks, load_agents_csv(args.agents, _read_input(args.agents, inputs))
+    return _load("tasks", args.tasks, inputs), _load("agents", args.agents, inputs)
 
 
 def _write_json(path, payload) -> None:

@@ -284,12 +284,19 @@ def _read_table(path, data, header_hint: str, min_columns: int, noun: str, check
 
 
 def _write_table(path, columns: list[str], ids, coords, weights) -> None:
-    """Write an ``id,<columns>,weight`` table, floats as shortest round-trip reprs."""
+    """Write an ``id,<columns>,weight`` table, floats as shortest round-trip reprs.
+
+    An id whose first non-blank character is ``#`` is quoted, since
+    ``_read_table`` skips such a line as a comment; csv writes every other
+    id as it quotes any field.
+    """
     rows = zip(ids, coords.tolist(), weights.tolist())
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
+    quoted = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC)  # the id only: the rest are floats
     writer.writerow(["id", *columns, "weight"])
-    writer.writerows([label, *row, w] for label, row, w in rows)
+    for label, row, w in rows:
+        (quoted if str(label).lstrip().startswith("#") else writer).writerow([label, *row, w])
     _write_file(path, buffer.getvalue().encode("utf-8"))
 
 

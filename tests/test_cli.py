@@ -542,8 +542,10 @@ class TestSolve:
         agents.write_text("id,y1,weight\na0,1e200,1\na1,0,1\n")
         tasks = tmp_path / "tasks.csv"
         tasks.write_text("id,o1,d1,weight\nt0,1e308,1e308,1\n")
-        for task_file, agent_file, value in ((canonical / "tasks.csv", agents, "1e+200"),
-                                             (tasks, canonical / "agents.csv", "1e+308")):
+        for task_file, agent_file, bad, value in (
+            (canonical / "tasks.csv", agents, agents, "1e+200"),
+            (tasks, canonical / "agents.csv", tasks, "1e+308"),
+        ):
             done = subprocess.run(
                 [sys.executable, "-m", "odtalloc.cli", "solve", "--tasks", str(task_file),
                  "--agents", str(agent_file), "--method", method, "--out", str(tmp_path / "sol")],
@@ -551,7 +553,7 @@ class TestSolve:
                 timeout=60,
             )
             assert done.returncode == 2
-            assert done.stderr == f"error: coordinate {value} is outside [-1e+100, 1e+100]\n"
+            assert done.stderr == f"error: {bad}: coordinate {value} is outside [-1e+100, 1e+100]\n"
             assert not (tmp_path / "sol").exists()
 
     def test_overflowing_reduced_lift_is_one_error_line(self, tmp_path):
@@ -569,7 +571,9 @@ class TestSolve:
                 timeout=60,
             )
             assert done.returncode == 2
-            assert done.stderr == "error: coordinate 6e+153 is outside [-1e+100, 1e+100]\n"
+            assert done.stderr == (
+                f"error: {tmp_path / 'tasks.csv'}: coordinate 6e+153 is outside [-1e+100, 1e+100]\n"
+            )
             assert not out.exists()
 
     @pytest.mark.parametrize("method", [*METHODS, "reduced"])
@@ -596,7 +600,8 @@ class TestSolve:
                        str(tmp_path / "agents.csv"), "--method", method,
                        "--out", str(tmp_path / "sol")) == 2
             err = capsys.readouterr().err
-            assert err == f"error: coordinate {value} is outside [-1e+100, 1e+100]\n"
+            bad = tmp_path / "tasks.csv"
+            assert err == f"error: {bad}: coordinate {value} is outside [-1e+100, 1e+100]\n"
             assert not (tmp_path / "sol").exists()
 
     def test_index_point_beyond_the_limit_solves_reduced_and_checks_nestedness(self, tmp_path):
@@ -1222,7 +1227,9 @@ class TestVerify:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
         )
         assert done.returncode == 2
-        assert done.stderr == "error: coordinate 1e+308 is outside [-1e+100, 1e+100]\n"
+        assert done.stderr == (
+            f"error: {tmp_path / 'tasks.csv'}: coordinate 1e+308 is outside [-1e+100, 1e+100]\n"
+        )
         assert not (tmp_path / "v").exists()
 
     def test_plan_marginals_revalidated(self, canonical, tmp_path):
@@ -1295,6 +1302,100 @@ class TestRepeatedCalls:
         assert calls == [["solve", *files, "--out", str(tmp_path / "second")]]
         assert not (tmp_path / "second").exists()
 
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Empty parse slots, as in a fresh process, and each loader call as (kind, path)."""
+    monkeypatch.setattr(odtalloc.cli, "_loaded", dict.fromkeys(("tasks", "agents"), (None, None)))
+    calls = []
+    for kind in ("tasks", "agents"):
+        name = f"load_{kind}_csv"
+
+        def counted(path, data, kind=kind, load=getattr(odtalloc.cli, name)):
+            calls.append((kind, path))
+            return load(path, data)
+
+        monkeypatch.setattr(odtalloc.cli, name, counted)
+    return calls
+
+
+def _city(out: Path, seed: int, size: int = 8) -> list[str]:
+    assert run("gen", "--kind", "city_box", "--tasks", str(size), "--agents", str(size),
+               "--seed", str(seed), "--out", str(out)) == 0
+    return [str(out / "tasks.csv"), str(out / "agents.csv")]
+
+
+def _outputs(out: Path) -> dict:
+    return {name: (out / name).read_bytes()
+            for name in ("plan.json", "plot.csv", "report.json") if (out / name).exists()}
+
+
+class TestParseReuse:
+    """Each input kind keeps its last parse; a command that reads the same bytes reuses it."""
+
+    def test_solve_then_verify_parses_each_file_once(self, tmp_path, loads):
+        files = _city(tmp_path / "inst", 3)
+        _round(files, tmp_path / "reused")
+        assert loads == [("tasks", files[0]), ("agents", files[1])]
+
+        def fresh(*argv):  # a command as a new process runs it: every slot empty
+            odtalloc.cli._loaded = dict.fromkeys(("tasks", "agents"), (None, None))
+            assert run(*argv) == 0
+
+        out = tmp_path / "fresh"
+        fresh("solve", "--tasks", files[0], "--agents", files[1], "--out", str(out),
+              "--dump-cost", str(out / "cost.json"))
+        fresh("verify", "--check", "stability", "--plan", str(out / "plan.json"),
+              "--tasks", files[0], "--agents", files[1], "--out", str(out))
+        assert len(loads) == 6
+        reused = _outputs(tmp_path / "reused")
+        assert len(reused) == 3 and reused == _outputs(out)
+        assert (tmp_path / "reused" / "cost.json").read_bytes() == (out / "cost.json").read_bytes()
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path, loads):
+        files = _city(tmp_path / "inst", 3)
+        other = _city(tmp_path / "other", 4)
+        assert run("solve", "--tasks", files[0], "--agents", files[1],
+                   "--out", str(tmp_path / "a")) == 0
+        Path(files[0]).write_bytes(Path(other[0]).read_bytes())  # same path, other bytes
+        assert run("solve", "--tasks", files[0], "--agents", files[1],
+                   "--out", str(tmp_path / "b")) == 0
+        assert loads == [("tasks", files[0]), ("agents", files[1]), ("tasks", files[0])]
+        expected = solve(load_tasks_csv(other[0]), load_agents_csv(files[1]), "exact")
+        plan = json.loads((tmp_path / "b" / "plan.json").read_text())
+        assert plan["objective"] == expected.plan.objective
+        assert plan != json.loads((tmp_path / "a" / "plan.json").read_text())
+        digests = json.loads((tmp_path / "b" / "manifest.json").read_text())["inputs"]
+        assert digests[files[0]] == hashlib.sha256(Path(other[0]).read_bytes()).hexdigest()
+
+    def test_malformed_file_is_rejected_every_time(self, tmp_path, capsys, loads):
+        files = _city(tmp_path / "inst", 3)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,o1,o2,d1,d2,weight\nt0,0,0,1,1,1\nt1,0,x,1,1,1\n")
+        good = ["solve", "--tasks", files[0], "--agents", files[1], "--out", str(tmp_path / "s")]
+        for _ in range(2):
+            assert run(*good) == 0
+            assert run("solve", "--tasks", str(bad), "--agents", files[1],
+                       "--out", str(tmp_path / "t")) == 2
+            assert f"error: {bad}: line 3: non-numeric value" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+        # the good slot outlives each rejected parse: the tasks file was parsed once
+        assert loads == [("tasks", files[0]), ("agents", files[1]), ("tasks", str(bad)),
+                         ("tasks", str(bad))]
+
+    def test_same_bytes_under_another_path_reuse_the_slot(self, tmp_path, loads):
+        files = _city(tmp_path / "inst", 3)
+        (tmp_path / "copy").mkdir()
+        copies = [str(tmp_path / "copy" / Path(name).name) for name in files]
+        for name, copy in zip(files, copies):
+            Path(copy).write_bytes(Path(name).read_bytes())
+        for source, out in ((files, "a"), (copies, "b")):
+            assert run("solve", "--tasks", source[0], "--agents", source[1],
+                       "--out", str(tmp_path / out)) == 0
+        assert loads == [("tasks", files[0]), ("agents", files[1])]
+        assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
+        digests = json.loads((tmp_path / "b" / "manifest.json").read_text())["inputs"]
+        assert list(digests) == copies
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),

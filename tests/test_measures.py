@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import re
 import sys
@@ -396,3 +398,28 @@ class TestCsvIo:
         assert back.origins.tobytes() == t.origins.tobytes()
         assert back.destinations.tobytes() == t.destinations.tobytes()
         assert np.abs(back.weights - t.weights).max() <= 1e-12
+
+    @pytest.mark.parametrize("ids", [("#a", "b", "c"), ("# b", "c#", '#"q', "#,x", "d,#")])
+    def test_ids_that_start_with_a_hash_round_trip(self, tmp_path, ids):
+        # the reader skips a line whose first non-blank character is '#' as a comment
+        m = len(ids)
+        weights = np.arange(1.0, m + 1.0)
+        agents = DiscreteMeasure(np.arange(m, dtype=float)[:, None], weights, ids=ids)
+        tasks = TaskSet(np.zeros((m, 1)), np.arange(m, dtype=float)[:, None], weights, ids=ids)
+        for measure, write, load in (
+            (agents, write_agents_csv, load_agents_csv),
+            (tasks, write_tasks_csv, load_tasks_csv),
+        ):
+            path = tmp_path / "rt.csv"
+            write(measure, path)
+            back = load(path)
+            assert back.ids == ids
+            assert back.weights.tobytes() == measure.weights.tobytes()
+            assert back.raw_total == pytest.approx(1.0)
+            for label, line in zip(ids, path.read_text().splitlines()[1:]):
+                if label.startswith("#"):
+                    assert line.startswith('"#')
+                else:  # as csv writes it
+                    buffer = io.StringIO()
+                    csv.writer(buffer, lineterminator=",").writerow([label])
+                    assert line.startswith(buffer.getvalue())
